@@ -40,7 +40,7 @@ from .ballots import (
     classify_formality,
     marks_from_preferences,
 )
-from .rng import RandomStream, draw_matrix
+from .rng import RandomStream, draw_matrix, flat_layout
 
 
 class ErrorModelError(ValueError):
@@ -214,42 +214,54 @@ def perturb_ballot(
 
 # -- vectorised batch helpers -------------------------------------------------
 #
-# These compute, for n independent substreams, the same outcomes as the
-# scalar functions above; the simulation harness uses them to perturb all
-# copies of a mark sheet at once.
+# These compute, for many independent substreams at once, the same outcomes
+# as the scalar functions above.  They work on the flat form the simulation
+# harness uses: every element carries its own substream seed and its index
+# in that stream's canonical order, so one call covers the ballots of many
+# mark sheets.
 
 
-def truncation_lengths_batch(n_prefs: int, rate: float, seeds: np.ndarray) -> np.ndarray:
-    """Surviving length per substream under the truncation model."""
-    if n_prefs == 0:
-        return np.zeros(len(seeds), dtype=np.int64)
-    draws = draw_matrix(seeds, n_prefs)
-    fired = draws < rate
-    any_fired = fired.any(axis=1)
-    first = fired.argmax(axis=1)
-    return np.where(any_fired, first, n_prefs).astype(np.int64)
+def truncation_lengths_batch(n_prefs: np.ndarray, rate: float, seeds: np.ndarray) -> np.ndarray:
+    """Surviving length of each ballot under the truncation model.
 
-
-def corrupt_digits_batch(digits: np.ndarray, model: ErrorModel, seeds: np.ndarray) -> np.ndarray:
-    """Corrupted copies of a digit vector, one row per substream.
-
-    ``digits`` is the sheet's digit sequence in canonical order (uint8
-    values 0-9).  Matches the scalar draw discipline: two draws per digit
-    for the uniform model, one for the confusion model.
+    Ballot i ranks ``n_prefs[i]`` preferences and owns substream ``seeds[i]``.
+    Preference k consumes draw k of it, and the list ends before the first
+    preference whose draw falls below ``rate``.
     """
-    d = len(digits)
-    n = len(seeds)
-    if d == 0:
-        return np.zeros((n, 0), dtype=np.uint8)
+    lengths = np.array(n_prefs, dtype=np.int64)
+    owner, index = flat_layout(lengths)
+    fired = draw_matrix(seeds[owner], index) < rate
+    np.minimum.at(lengths, owner[fired], index[fired])
+    return lengths
+
+
+def corrupt_digits_batch(
+    digits: np.ndarray, model: ErrorModel, seeds: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """Corrupted copy of a flat digit array.
+
+    ``digits[i]`` (uint8, 0-9) is digit ``positions[i]`` of its ballot's
+    digit sequence in canonical order, and ``seeds[i]`` is that ballot's
+    substream seed.  Matches the scalar draw discipline: under the uniform
+    model digit k fires on draw 2k and takes its replacement from draw
+    2k + 1 (read only where it fired); the confusion model resamples digit k
+    from draw k.
+    """
     if isinstance(model, UniformDigitModel):
-        draws = draw_matrix(seeds, 2 * d)
-        fired = draws[:, 0::2] < model.rate
-        replacements = (draws[:, 1::2] * 10).astype(np.uint8)
-        return np.where(fired, replacements, digits[None, :]).astype(np.uint8)
+        out = digits.copy()
+        fired = np.flatnonzero(draw_matrix(seeds, 2 * positions) < model.rate)
+        out[fired] = (draw_matrix(seeds[fired], 2 * positions[fired] + 1) * 10).astype(np.uint8)
+        return out
     if isinstance(model, ConfusionModel):
-        draws = draw_matrix(seeds, d)
+        draws = draw_matrix(seeds, positions)
         cdfs = model.column_cdfs  # (predicted, actual)
-        thresholds = cdfs[:, digits.astype(np.intp)]  # (10, d)
-        new = (draws[:, None, :] >= thresholds[None, :, :]).sum(axis=1)
-        return np.minimum(new, 9).astype(np.uint8)
+        # The new digit is the number of CDF values in column d at or below
+        # the draw (at most 9).  That number is d itself exactly when
+        # cdfs[d-1, d] <= draw < cdfs[d, d], so only the other digits need
+        # the full count.
+        low = np.append(0.0, np.diagonal(cdfs, offset=1))[digits]
+        moved = np.flatnonzero((draws < low) | (draws >= np.diagonal(cdfs)[digits]))
+        out = digits.copy()
+        out[moved] = np.minimum((draws[moved] >= cdfs[:, digits[moved]]).sum(axis=0), 9)
+        return out
     raise ErrorModelError(f"model {model!r} does not corrupt digits")

@@ -77,9 +77,13 @@ class RandomStream:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1_U
-    z = (z ^ (z >> np.uint64(27))) * _M2_U
-    return z ^ (z >> np.uint64(31))
+    """``mix64`` on a uint64 array, in place; returns the array."""
+    z ^= z >> np.uint64(30)
+    z *= _M1_U
+    z ^= z >> np.uint64(27)
+    z *= _M2_U
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def seed_vector(prefix_parts: tuple[int, ...], start: int, count: int) -> np.ndarray:
@@ -93,8 +97,32 @@ def seed_vector(prefix_parts: tuple[int, ...], start: int, count: int) -> np.nda
     return _mix64_vec(acc + idx)
 
 
-def draw_matrix(seeds: np.ndarray, ncols: int) -> np.ndarray:
-    """Uniform float64 matrix; row i column k equals draw k of RandomStream(seeds[i])."""
-    ks = np.arange(1, ncols + 1, dtype=np.uint64) * _GAMMA_U
-    raw = _mix64_vec(seeds[:, None] + ks[None, :])
-    return (raw >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
+def draw_matrix(seeds: np.ndarray, draw_index: np.ndarray) -> np.ndarray:
+    """Uniform float64 draws: draw ``draw_index`` (0-based) of ``RandomStream(seed)``.
+
+    ``seeds`` and ``draw_index`` broadcast against each other.  Two flat
+    arrays give one draw per (stream, index) pair, the form the simulation
+    uses; ``seeds[:, None]`` against ``np.arange(n)`` gives each stream's
+    first n draws as a row.
+    """
+    ks = np.asarray(draw_index).astype(np.uint64)
+    ks += np.uint64(1)
+    ks *= _GAMMA_U
+    raw = _mix64_vec(seeds + ks)
+    raw >>= np.uint64(11)
+    draws = raw.astype(np.float64)
+    draws *= _TO_DOUBLE
+    return draws
+
+
+def flat_layout(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay runs of the given sizes end to end.
+
+    Returns, for every element, the index of its run and its position
+    within that run: the (stream, draw index) pairs of ``draw_matrix`` when
+    run i holds the draws of stream i.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return owner, np.arange(len(owner)) - np.repeat(starts, sizes)

@@ -13,6 +13,21 @@ byte-identical no matter how runs are scheduled across processes.
 
 One "physical ballot" is one paper: a mark sheet with multiplicity m covers
 m consecutive physical indices in file order.
+
+Layout.  For each formality variant, every distinct formal sheet is stored
+once: its ranked boxes in canonical digit order, their clean values and the
+digits that write them.  A formal physical ballot is just a sheet id.  A run
+is one flat pass over all formal ballots, in blocks of consecutive ballots
+holding at most ``BLOCK_DIGITS`` digits, so per-ballot arrays never outgrow
+one block.  In each block, every (ballot, digit) gets draw k of its
+ballot's substream (the scalar path's draw discipline); the changed digits
+give the changed boxes and their new values; and the first number 1, 2, ...
+that is no longer held by exactly one box cuts the ballot's ranking.  A
+ballot whose surviving ranking is a prefix of its sheet's is tallied by
+(sheet, prefix length); only a ballot where a changed box took a rank inside
+the prefix is interpreted on its own.  The truncation model draws one
+number per preference in the same layout.  The zero-error point is the
+clean election in every run, so it is counted once per chunk of runs.
 """
 from __future__ import annotations
 
@@ -43,7 +58,7 @@ from .error_models import (
     truncation_lengths_batch,
 )
 from .ingest import ElectionFile
-from .rng import seed_vector
+from .rng import flat_layout, seed_vector
 
 MODEL_FAMILIES = ("truncation", "digit", "confusion")
 
@@ -126,27 +141,49 @@ def _build_points(config: SimConfig) -> list[GridPoint]:
 
 # -- prepared per-variant ballot data -----------------------------------------
 
+#: Digit budget of one block of a run's flat pass: the per-ballot arrays
+#: (digits, draws, changed boxes) exist for one block at a time, so a run's
+#: working memory does not grow with the election.  At 2^13 each 8-byte
+#: array of a block is 64 KiB; larger blocks ran slower and held more memory.
+BLOCK_DIGITS = 1 << 13
 
-@dataclass
-class _SheetGroup:
-    style: VoteStyle
-    ranking: tuple[str, ...]
-    box_order: tuple[str, ...]  # ranked boxes sorted by id: canonical digit order
-    digits: np.ndarray  # uint8, the marks' digits flattened in box_order
-    widths: tuple[int, ...]  # digits per box, aligned with box_order
-    phys_start: int
-    count: int
+# Powers of ten from 10: one plus the number of them at or below a box
+# value is the number of digits that write it.
+_POWERS_OF_TEN = 10 ** np.arange(1, 10)
 
 
 @dataclass
 class _Prepared:
-    rules: FormalityRules
-    groups: list[_SheetGroup]
+    """One formality variant's formal ballots in the flat layout.
+
+    Each distinct formal sheet (one set of canonical preferences) is kept
+    once: its ranked boxes in canonical digit order (sorted ids), each box's
+    clean value (its rank) and the digits that write it.  A formal physical
+    ballot is only a sheet id.
+    """
+
     n_physical: int
     baseline_mask: np.ndarray  # bool: formal at epsilon 0
     style_codes: np.ndarray  # int8: -1 informal, 0 ATL, 1 BTL
     orig_prefs: np.ndarray  # int32: baseline preference count (0 if informal)
     bucket_counts: dict[int, int]
+    # per distinct formal sheet
+    sheets: list[Preferences]
+    box_order: list[tuple[str, ...]]  # ranked boxes in canonical digit order
+    required: np.ndarray  # preferences it needs to stay formal
+    n_boxes: np.ndarray  # ranked boxes, i.e. preferences
+    n_digits: np.ndarray
+    box_start: np.ndarray  # offset of its boxes in box_values
+    digit_start: np.ndarray  # offset of its digits in digits/place/digit_box
+    key_start: np.ndarray  # offset of its (sheet, prefix length) keys, n_boxes + 1 of them
+    box_values: np.ndarray  # int32 per box: the clean value, its rank
+    digits: np.ndarray  # uint8 per digit
+    place: np.ndarray  # int32 per digit: its place value within its box
+    digit_box: np.ndarray  # int64 per digit: index of its box in box_values
+    # per formal physical ballot, in physical order
+    ballot_index: np.ndarray  # physical index
+    ballot_sheet: np.ndarray  # int32 sheet id
+    blocks: list[tuple[int, int]]  # ballot ranges of at most BLOCK_DIGITS digits, or one ballot
 
     @property
     def atl_ballots(self) -> int:
@@ -158,54 +195,181 @@ class _Prepared:
 
 
 def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
-    groups: list[_SheetGroup] = []
-    n_physical = election.total_ballots
-    baseline = np.zeros(n_physical, dtype=bool)
-    styles = np.full(n_physical, -1, dtype=np.int8)
-    orig = np.zeros(n_physical, dtype=np.int32)
-    buckets: Counter = Counter()
-    pos = 0
+    sheet_ids: dict[Preferences, int] = {}
+    record_sheet = []
     for sheet in election.sheets:
         prefs = classify_formality(sheet, rules)
-        if prefs is not None:
-            rank_of = {box: rank for rank, box in enumerate(prefs.ranking, start=1)}
-            box_order = tuple(sorted(prefs.ranking))
-            digit_list: list[int] = []
-            widths = []
-            for box in box_order:
-                text = str(rank_of[box])
-                widths.append(len(text))
-                digit_list.extend(int(ch) for ch in text)
-            groups.append(
-                _SheetGroup(
-                    style=prefs.style,
-                    ranking=prefs.ranking,
-                    box_order=box_order,
-                    digits=np.array(digit_list, dtype=np.uint8),
-                    widths=tuple(widths),
-                    phys_start=pos,
-                    count=sheet.multiplicity,
-                )
-            )
-            stop = pos + sheet.multiplicity
-            baseline[pos:stop] = True
-            styles[pos:stop] = 0 if prefs.style is VoteStyle.ATL else 1
-            orig[pos:stop] = len(prefs.ranking)
-            buckets[len(prefs.ranking)] += sheet.multiplicity
-        pos += sheet.multiplicity
-    return _Prepared(rules, groups, n_physical, baseline, styles, orig, dict(buckets))
+        record_sheet.append(-1 if prefs is None else sheet_ids.setdefault(prefs, len(sheet_ids)))
+    sheets = list(sheet_ids)
+    physical_sheet = np.repeat(
+        np.array(record_sheet, dtype=np.int32), [s.multiplicity for s in election.sheets]
+    )
+    baseline = physical_sheet >= 0
+    ballot_sheet = physical_sheet[baseline]
+
+    box_order = []
+    values: list[int] = []
+    for prefs in sheets:
+        order = sorted(range(len(prefs.ranking)), key=prefs.ranking.__getitem__)
+        box_order.append(tuple(prefs.ranking[i] for i in order))
+        values.extend(i + 1 for i in order)
+    box_values = np.array(values, dtype=np.int32)
+    widths = np.searchsorted(_POWERS_OF_TEN, box_values, side="right") + 1
+    digit_box, digit_pos = flat_layout(widths)
+    place = (10 ** (widths[digit_box] - 1 - digit_pos)).astype(np.int32)
+    n_boxes = np.array([len(p.ranking) for p in sheets], dtype=np.int64)
+    box_start = np.cumsum(n_boxes) - n_boxes
+    digit_start = (np.cumsum(widths) - widths)[box_start]
+    n_digits = np.diff(np.append(digit_start, len(digit_box)))
+
+    # Blocks: runs of consecutive formal ballots within the digit budget.
+    ends = np.cumsum(n_digits[ballot_sheet])
+    blocks = []
+    lo = 0
+    while lo < len(ends):
+        budget = (ends[lo - 1] if lo else 0) + BLOCK_DIGITS
+        hi = max(int(np.searchsorted(ends, budget, side="right")), lo + 1)
+        blocks.append((lo, hi))
+        lo = hi
+
+    sheet_style = np.array([0 if p.style is VoteStyle.ATL else 1 for p in sheets], dtype=np.int8)
+    styles = np.full(election.total_ballots, -1, dtype=np.int8)
+    styles[baseline] = sheet_style[ballot_sheet]
+    orig = np.zeros(election.total_ballots, dtype=np.int32)
+    orig[baseline] = n_boxes[ballot_sheet]
+    buckets = np.bincount(orig[baseline])
+    return _Prepared(
+        n_physical=election.total_ballots,
+        baseline_mask=baseline,
+        style_codes=styles,
+        orig_prefs=orig,
+        bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
+        sheets=sheets,
+        box_order=box_order,
+        required=np.array([rules.required(p.style) for p in sheets], dtype=np.int64),
+        n_boxes=n_boxes,
+        n_digits=n_digits,
+        box_start=box_start,
+        digit_start=digit_start,
+        key_start=np.cumsum(n_boxes + 1) - (n_boxes + 1),
+        box_values=box_values,
+        digits=(box_values[digit_box] // place % 10).astype(np.uint8),
+        place=place,
+        digit_box=digit_box,
+        ballot_index=np.flatnonzero(baseline),
+        ballot_sheet=ballot_sheet,
+        blocks=blocks,
+    )
 
 
-def _values_from_digits(dig: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
-    values = np.zeros((dig.shape[0], len(widths)), dtype=np.int32)
-    pos = 0
-    for j, width in enumerate(widths):
-        v = np.zeros(dig.shape[0], dtype=np.int32)
-        for _ in range(width):
-            v = v * 10 + dig[:, pos]
-            pos += 1
-        values[:, j] = v
-    return values
+# -- one run: the flat pass ------------------------------------------------------
+
+
+def _changed_boxes(
+    prep: _Prepared, model: ErrorModel, sheet: np.ndarray, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corrupt the digits of a block's ballots and read the boxes that changed.
+
+    ``sheet`` and ``seeds`` give each ballot's sheet id and substream seed.
+    Returns, per changed box in ballot order, the ballot's index in the
+    block, the box's index in ``box_values`` and its new value.  A changed
+    digit always changes its box's value.
+    """
+    owner, position = flat_layout(prep.n_digits[sheet])
+    at = prep.digit_start[sheet][owner] + position
+    clean = prep.digits[at]
+    digits = corrupt_digits_batch(clean, model, seeds[owner], position)
+    hit = np.flatnonzero(digits != clean)
+    ballot, at = owner[hit], at[hit]
+    box = prep.digit_box[at]
+    delta = (digits[hit].astype(np.int32) - clean[hit]) * prep.place[at]
+    # A box's digits are adjacent, so its changed digits are too.
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = (box[1:] != box[:-1]) | (ballot[1:] != ballot[:-1])
+    starts = np.flatnonzero(first)
+    box = box[starts]
+    return ballot[starts], box, prep.box_values[box] + np.add.reduceat(delta, starts)
+
+
+def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, value: np.ndarray) -> None:
+    """Shorten each ballot's readable prefix where its changed boxes break it.
+
+    ``prefix`` starts as each ballot's preference count, with every number
+    1..prefix held by exactly one box.  A changed box takes a holder from
+    its rank and gives one to its new value; the ranking now stops before
+    the first number whose holders no longer number one (the rule of
+    ``interpret_marks``).  Numbers above the count cannot extend it.
+    """
+    if not len(ballot):
+        return
+    lands = (value >= 1) & (value <= prefix[ballot])
+    stride = int(prefix.max()) + 1
+    keys = np.concatenate((ballot * stride + rank, ballot[lands] * stride + value[lands]))
+    numbers, inverse = np.unique(keys, return_inverse=True)
+    lost = np.bincount(inverse[:len(ballot)], minlength=len(numbers))
+    gained = np.bincount(inverse[len(ballot):], minlength=len(numbers))
+    broken = numbers[lost != gained]
+    np.minimum.at(prefix, broken // stride, broken % stride - 1)
+
+
+def _rankings(prep: _Prepared, keys: np.ndarray) -> Counter:
+    """Multiset of (style, ranking) from keys key_start[sheet] + prefix length."""
+    found = np.bincount(keys)
+    present = np.flatnonzero(found)
+    sheet = np.searchsorted(prep.key_start, present, side="right") - 1
+    ballots: Counter = Counter()
+    for key, s, n in zip(present.tolist(), sheet.tolist(), found[present].tolist()):
+        prefs = prep.sheets[s]
+        ballots[(prefs.style, prefs.ranking[:key - prep.key_start[s]])] += n
+    return ballots
+
+
+def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple[np.ndarray, Counter]:
+    """One run's flat pass over the formal ballots, block by block.
+
+    ``seeds`` holds every physical ballot's substream seed.  Returns each
+    physical ballot's surviving preference count (0 if informal) and the
+    multiset of formal (style, ranking) pairs.  A ballot whose ranking is a
+    prefix of its sheet's is tallied by (sheet, prefix length); one where a
+    changed box took a rank inside the prefix is interpreted on its own.
+    """
+    lengths = np.zeros(prep.n_physical, dtype=np.int64)
+    keys = []
+    moved_rankings: Counter = Counter()
+    for lo, hi in prep.blocks:
+        sheet = prep.ballot_sheet[lo:hi]
+        index = prep.ballot_index[lo:hi]
+        prefix = prep.n_boxes[sheet]
+        if isinstance(model, TruncationModel):
+            prefix = truncation_lengths_batch(prefix, model.rate, seeds[index])
+            ballot = box = value = np.zeros(0, dtype=np.int64)
+        else:
+            ballot, box, value = _changed_boxes(prep, model, sheet, seeds[index])
+            _cut_prefixes(prefix, ballot, prep.box_values[box], value)
+        formal = prefix >= prep.required[sheet]
+        lengths[index] = np.where(formal, prefix, 0)
+        moved = np.unique(ballot[formal[ballot] & (prep.box_values[box] <= prefix[ballot])])
+        plain = formal.copy()
+        plain[moved] = False
+        keys.append(prep.key_start[sheet[plain]] + prefix[plain])
+        for b, i, j in zip(moved, np.searchsorted(ballot, moved), np.searchsorted(ballot, moved, "right")):
+            s = sheet[b]
+            marks = prep.box_values[prep.box_start[s]:prep.box_start[s] + prep.n_boxes[s]].copy()
+            marks[box[i:j] - prep.box_start[s]] = value[i:j]
+            ranking = interpret_marks(dict(zip(prep.box_order[s], marks.tolist())))
+            moved_rankings[(prep.sheets[s].style, ranking)] += 1
+    ballots = _rankings(prep, np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64))
+    ballots.update(moved_rankings)
+    return lengths, ballots
+
+
+def _winner_set(ballots: Counter, meta, count_rules: CountRules) -> tuple[str, ...] | None:
+    """Sorted winners of a count of ``ballots``; None if there is no ballot."""
+    if not ballots:
+        return None
+    prefs_list = [(Preferences(style, ranking), mult) for (style, ranking), mult in ballots.items()]
+    winners, _ = count_stv(prefs_list, meta, count_rules)
+    return tuple(sorted(winners))
 
 
 def _run_chunk(args: tuple) -> dict:
@@ -215,75 +379,48 @@ def _run_chunk(args: tuple) -> dict:
     formal_runs = np.zeros(prep.n_physical, dtype=np.int64)
     atl_by_run = np.zeros(n_runs, dtype=np.int64)
     btl_by_run = np.zeros(n_runs, dtype=np.int64)
-    winner_sets: Counter = Counter()
-    candidate_wins: Counter = Counter()
-    surviving_sums: Counter = Counter()
-    no_result = 0
+    surviving = np.zeros(int(prep.orig_prefs.max(initial=0)) + 1, dtype=np.int64)
+    outcomes: Counter = Counter()  # winner set (None: no formal ballot) -> runs
     atl_mask = prep.style_codes == 0
     btl_mask = prep.style_codes == 1
 
-    for run in range(run_lo, run_hi):
-        formal = np.zeros(prep.n_physical, dtype=bool)
-        ballots: Counter = Counter()
-        for g in prep.groups:
-            required = prep.rules.required(g.style)
-            stop = g.phys_start + g.count
-            if model is None:
-                ballots[(g.style, g.ranking)] += g.count
-                formal[g.phys_start:stop] = True
-                surviving_sums[len(g.ranking)] += len(g.ranking) * g.count
-                continue
-            seeds = seed_vector((base_seed, point_index, run), g.phys_start, g.count)
-            if isinstance(model, TruncationModel):
-                lens = truncation_lengths_batch(len(g.ranking), model.rate, seeds)
-                row_formal = lens >= required
-                formal[g.phys_start:stop] = row_formal
-                surviving_sums[len(g.ranking)] += int(lens[row_formal].sum())
-                kept = np.bincount(lens[row_formal], minlength=len(g.ranking) + 1)
-                for length in np.nonzero(kept)[0]:
-                    ballots[(g.style, g.ranking[:length])] += int(kept[length])
-            else:
-                corrupted = corrupt_digits_batch(g.digits, model, seeds)
-                values = _values_from_digits(corrupted, g.widths)
-                uniq, inverse, counts = np.unique(
-                    values, axis=0, return_inverse=True, return_counts=True
-                )
-                inverse = inverse.reshape(-1)
-                row_formal = np.zeros(len(uniq), dtype=bool)
-                row_surv = np.zeros(len(uniq), dtype=np.int64)
-                for i, row in enumerate(uniq):
-                    ranking = interpret_marks(dict(zip(g.box_order, row.tolist())))
-                    if len(ranking) >= required:
-                        row_formal[i] = True
-                        row_surv[i] = len(ranking)
-                        ballots[(g.style, ranking)] += int(counts[i])
-                formal[g.phys_start:stop] = row_formal[inverse]
-                surviving_sums[len(g.ranking)] += int((row_surv * counts).sum())
-        formal_runs += formal
-        atl_by_run[run - run_lo] = int(formal[atl_mask].sum())
-        btl_by_run[run - run_lo] = int(formal[btl_mask].sum())
-        if not do_count:
-            continue
-        if ballots:
-            prefs_list = [
-                (Preferences(style, ranking), mult) for (style, ranking), mult in ballots.items()
-            ]
-            winners, _ = count_stv(prefs_list, meta, count_rules)
-            winner_sets[tuple(sorted(winners))] += 1
-            for w in winners:
-                candidate_wins[w] += 1
-        else:
-            no_result += 1
+    def perturbed():
+        for run in range(run_lo, run_hi):
+            seeds = seed_vector((base_seed, point_index, run), 0, prep.n_physical)
+            yield run - run_lo, 1, *_perturb_run(prep, model, seeds)
 
+    if model is None:
+        # Every run of the zero-error point sees the clean election: take it
+        # once, weighted by the number of runs.
+        sheet = prep.ballot_sheet
+        clean = _rankings(prep, prep.key_start[sheet] + prep.n_boxes[sheet])
+        passes = [(0, n_runs, prep.orig_prefs, clean)]
+    else:
+        passes = perturbed()
+    for first, weight, lengths, ballots in passes:
+        formal = lengths > 0
+        formal_runs += weight * formal
+        atl_by_run[first:first + weight] = np.count_nonzero(formal & atl_mask)
+        btl_by_run[first:first + weight] = np.count_nonzero(formal & btl_mask)
+        by_bucket = np.bincount(prep.orig_prefs, weights=lengths, minlength=len(surviving))
+        surviving += weight * by_bucket.astype(np.int64)
+        if do_count:
+            outcomes[_winner_set(ballots, meta, count_rules)] += weight
+
+    winner_sets = {k: v for k, v in outcomes.items() if k is not None}
+    candidate_wins: Counter = Counter()
+    for winners, runs in winner_sets.items():
+        for w in winners:
+            candidate_wins[w] += runs
     return {
         "run_lo": run_lo,
         "formal_runs": formal_runs,
         "atl_by_run": atl_by_run,
         "btl_by_run": btl_by_run,
-        "winner_sets": dict(winner_sets),
+        "winner_sets": winner_sets,
         "candidate_wins": dict(candidate_wins),
-        "surviving_sums": dict(surviving_sums),
-        "no_result": no_result,
+        "surviving_sums": {k: int(surviving[k]) for k in prep.bucket_counts},
+        "no_result": outcomes[None],
     }
 
 

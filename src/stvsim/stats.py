@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from scipy.stats import beta as _beta
-
 from .ballots import MarkSheet, VoteStyle, numeric_marks
 
 
@@ -46,9 +44,12 @@ def binomial_estimate(errors: int, trials: int, confidence: float = 0.95) -> Rat
         raise StatsError("trials must be >= 1")
     if not 0 <= errors <= trials:
         raise StatsError(f"errors must be in [0, {trials}], got {errors}")
+    # scipy.stats takes about a second to import; only this function needs it
+    from scipy.stats import beta
+
     alpha = 1.0 - confidence
-    low = 0.0 if errors == 0 else float(_beta.ppf(alpha / 2, errors, trials - errors + 1))
-    high = 1.0 if errors == trials else float(_beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
+    low = 0.0 if errors == 0 else float(beta.ppf(alpha / 2, errors, trials - errors + 1))
+    high = 1.0 if errors == trials else float(beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
     return RateEstimate(errors, trials, errors / trials, low, high)
 
 

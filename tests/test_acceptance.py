@@ -162,21 +162,22 @@ def test_criterion_3_conservation():
 def test_criterion_4_error_model_calibration():
     with criterion(4, "digit-model and confusion-table calibration", 30.0):
         # uniform digit model at 1%: change rate 0.9% over >= 10^6 digits
-        digits = np.tile(np.arange(10, dtype=np.uint8), 5)  # 50 digits per stream
-        streams = 20_000  # 10^6 digits total
-        seeds = seed_vector((8888, 0), 0, streams)
-        out = corrupt_digits_batch(digits, UniformDigitModel(0.01), seeds)
-        n_digits = streams * len(digits)
-        changed = int((out != digits[None, :]).sum())
+        streams = 20_000  # 50 digits per stream, 10^6 digits total
+        digits = np.tile(np.arange(10, dtype=np.uint8), 5 * streams)
+        positions = np.tile(np.arange(50), streams)
+        seeds = np.repeat(seed_vector((8888, 0), 0, streams), 50)
+        out = corrupt_digits_batch(digits, UniformDigitModel(0.01), seeds, positions)
+        n_digits = len(digits)
+        changed = int((out != digits).sum())
         p = 0.009
         sigma = math.sqrt(p * (1 - p) / n_digits)
         assert abs(changed / n_digits - p) < 3 * sigma
 
         # shipped confusion table: mean per-digit change rate 0.89% +/- 0.05%
         table = load_confusion_table(BUNDLED_CONFUSION_TABLE)
-        seeds = seed_vector((8888, 1), 0, streams)
-        out = corrupt_digits_batch(digits, table, seeds)
-        observed = int((out != digits[None, :]).sum()) / n_digits
+        seeds = np.repeat(seed_vector((8888, 1), 0, streams), 50)
+        out = corrupt_digits_batch(digits, table, seeds, positions)
+        observed = int((out != digits).sum()) / n_digits
         assert abs(observed - 0.0089) < 0.0005
 
 

@@ -1,0 +1,154 @@
+"""The sweep's flat pass against the scalar path, ballot by ballot.
+
+``perturb_ballot`` with ``RandomStream(derive_seed(base_seed, point, run, i))``
+is the reference for physical ballot i.  At high error rates, on an
+election with repeated sheets, two-digit boxes and both vote styles, every
+run of every grid point must give each ballot the same formality and
+surviving length, the same multiset of formal rankings, and so the same
+winners.
+"""
+from __future__ import annotations
+
+import json
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from stvsim import (
+    Candidate,
+    ConfusionModel,
+    ElectionFile,
+    ElectionMeta,
+    Group,
+    MarkSheet,
+    Preferences,
+    RandomStream,
+    SimConfig,
+    classify_formality,
+    count_stv,
+    derive_seed,
+    perturb_ballot,
+    run_sweep,
+)
+from stvsim.rng import seed_vector
+from stvsim import sim
+from stvsim.sim import _build_points, _perturb_run, _prepare
+from stvsim.synth import marks_for_ranking
+
+BASE_SEED = 2024
+RUNS = 6
+# A heavy confusion table: each digit keeps its value with probability 0.64.
+HEAVY_CONFUSION = ConfusionModel(0.6 * np.eye(10) + 0.04 * np.ones((10, 10)))
+
+
+def mixed_election() -> ElectionFile:
+    groups = tuple(Group(g, f"Group {g}") for g in "ABCDE")
+    candidates = tuple(
+        Candidate(f"{g.lower()}{p}", "", g, p) for g in "ABCDE" for p in (1, 2, 3)
+    )
+    meta = ElectionMeta("mixed fixture", 3, groups, candidates)
+    ids = [c.id for c in candidates]
+    sheets = (
+        MarkSheet({"A": "1"}, {}, 6),
+        MarkSheet(marks_for_ranking(["B", "A", "C", "E", "D"]), {}, 4),
+        MarkSheet({}, marks_for_ranking(ids[::-1]), 5),  # 15 preferences
+        MarkSheet({}, marks_for_ranking((ids[3:] + ids[:3])[:12]), 3),
+        MarkSheet({}, marks_for_ranking(["c1", "a1", "e2", "b3", "d1", "a2"]), 4),
+        MarkSheet({}, {"c1": "1"}, 2),  # formal only when one BTL preference suffices
+        MarkSheet({"C": "1"}, marks_for_ranking(["e1", "e2", "e3", "d1", "d2", "d3", "a1"]), 2),
+        MarkSheet(marks_for_ranking(["D", "E"]), marks_for_ranking(["b1", "b2", "b3"]), 3),
+        MarkSheet({"A": "1"}, {}, 2),  # the first sheet again, as a separate record
+        MarkSheet({"A": "2"}, {}, 1),  # informal under every rule
+    )
+    return ElectionFile(meta, sheets)
+
+
+def scalar_run(election, rules, model, point, run):
+    """Per-ballot surviving lengths and the formal multiset, one ballot at a time."""
+    lengths, ballots, moved = [], Counter(), 0
+    i = 0
+    for sheet in election.sheets:
+        prefs = classify_formality(sheet, rules)
+        for _ in range(sheet.multiplicity):
+            out = prefs
+            if prefs is not None and model is not None:
+                stream = RandomStream(derive_seed(BASE_SEED, point, run, i))
+                out = perturb_ballot(prefs, model, rules, stream)
+            lengths.append(0 if out is None else len(out.ranking))
+            if out is not None:
+                ballots[(out.style, out.ranking)] += 1
+                moved += out.ranking != prefs.ranking[:len(out.ranking)]
+            i += 1
+    return np.array(lengths), ballots, moved
+
+
+def winner_set(ballots, meta):
+    if not ballots:
+        return None
+    winners, _ = count_stv(
+        [(Preferences(style, ranking), n) for (style, ranking), n in ballots.items()], meta
+    )
+    return tuple(sorted(winners))
+
+
+CONFIGS = {
+    "digit": dict(model="digit", rates=(0.3, 0.5)),
+    "truncation": dict(model="truncation", rates=(0.3, 0.5)),
+    "confusion": dict(model="confusion", confusion=HEAVY_CONFUSION),
+}
+
+
+@pytest.mark.parametrize("precedence", [True, False], ids=["btl-first", "atl-first"])
+@pytest.mark.parametrize("family", sorted(CONFIGS))
+def test_sweep_matches_scalar_path(family, precedence):
+    election = mixed_election()
+    config = SimConfig(
+        base_seed=BASE_SEED, runs_per_point=RUNS, btl_required_grid=(6, 1),
+        btl_takes_precedence=precedence, **CONFIGS[family],
+    )
+    report = run_sweep(election, config)
+    points = _build_points(config)
+    assert len(points) == len(report.points)
+    moved_total = 0
+    for point, result in zip(points, report.points):
+        rules = config.rules_for(point.btl_required)
+        prep = _prepare(election, rules)
+        # the same ballots in blocks of at most 16 digits, or one ballot
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "BLOCK_DIGITS", 16)
+            small_blocks = _prepare(election, rules)
+        assert len(small_blocks.blocks) > len(prep.blocks)
+        formal_runs = np.zeros(election.total_ballots, dtype=np.int64)
+        surviving = Counter()
+        outcomes = Counter()
+        for run in range(RUNS):
+            lengths, ballots, moved = scalar_run(election, rules, point.model, point.index, run)
+            moved_total += moved
+            if point.model is not None:
+                seeds = seed_vector((BASE_SEED, point.index, run), 0, election.total_ballots)
+                flat_lengths, flat_ballots = _perturb_run(prep, point.model, seeds)
+                assert flat_lengths.tolist() == lengths.tolist(), (point.index, run)
+                assert flat_ballots == ballots, (point.index, run)
+                block_lengths, block_ballots = _perturb_run(small_blocks, point.model, seeds)
+                assert block_lengths.tolist() == lengths.tolist() and block_ballots == ballots
+            formal_runs += lengths > 0
+            for k, n in zip(prep.orig_prefs.tolist(), lengths.tolist()):
+                surviving[k] += n
+            outcomes[winner_set(ballots, election.meta)] += 1
+        assert result.formal_runs_per_ballot.tolist() == formal_runs.tolist()
+        assert result.surviving_sums == {k: surviving[k] for k in result.bucket_counts}
+        assert result.winner_sets == {k: v for k, v in outcomes.items() if k is not None}
+        assert result.no_result_runs == outcomes[None]
+    if family != "truncation":
+        assert moved_total > 0  # swapped boxes did occur and were read correctly
+
+    parallel = run_sweep(election, replace(config, jobs=2))
+    assert json.dumps(parallel.to_json_dict(), sort_keys=True) == json.dumps(
+        report.to_json_dict(), sort_keys=True
+    )
+    for a, b in zip(report.points, parallel.points):
+        assert np.array_equal(a.formal_runs_per_ballot, b.formal_runs_per_ballot)
+        assert np.array_equal(a.atl_formal_by_run, b.atl_formal_by_run)
+        assert np.array_equal(a.btl_formal_by_run, b.btl_formal_by_run)

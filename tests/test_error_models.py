@@ -44,6 +44,13 @@ def stream(*parts):
     return RandomStream(derive_seed(*parts))
 
 
+def corrupt_rows(digits, model, seeds):
+    """One corrupted copy of ``digits`` per seed, through the flat batch form."""
+    n, d = len(seeds), len(digits)
+    flat = corrupt_digits_batch(np.tile(digits, n), model, np.repeat(seeds, d), np.tile(np.arange(d), n))
+    return flat.reshape(n, d)
+
+
 class TestTruncationModel:
     def test_rate_zero_is_identity(self):
         prefs = btl_prefs(8)
@@ -59,7 +66,7 @@ class TestTruncationModel:
         # length-3 list at rate 0.5: P(len) = (0.5, 0.25, 0.125, 0.125)
         prefs = btl_prefs(3)
         trials = 120_000
-        lengths = truncation_lengths_batch(3, 0.5, seed_vector((42,), 0, trials))
+        lengths = truncation_lengths_batch(np.full(trials, 3), 0.5, seed_vector((42,), 0, trials))
         pmf = truncation_length_pmf(3, 0.5)
         assert pmf == [0.5, 0.25, 0.125, 0.125]
         for length, p in enumerate(pmf):
@@ -70,7 +77,7 @@ class TestTruncationModel:
     def test_scalar_matches_batch(self):
         prefs = btl_prefs(7)
         seeds = seed_vector((9, 0, 0), 0, 200)
-        lengths = truncation_lengths_batch(7, 0.3, seeds)
+        lengths = truncation_lengths_batch(np.full(200, 7), 0.3, seeds)
         for i in range(200):
             out = apply_truncation_model(prefs, 0.3, RandomStream(int(seeds[i])))
             assert len(out) == lengths[i]
@@ -99,7 +106,7 @@ class TestUniformDigitModel:
         eps = 0.2
         digits = np.array([3] * 40, dtype=np.uint8)
         n = 25_000
-        out = corrupt_digits_batch(digits, UniformDigitModel(eps), seed_vector((8,), 0, n))
+        out = corrupt_rows(digits, UniformDigitModel(eps), seed_vector((8,), 0, n))
         changed = (out != digits[None, :]).mean()
         p = 0.9 * eps
         sigma = math.sqrt(p * (1 - p) / (n * 40))
@@ -120,7 +127,7 @@ class TestUniformDigitModel:
     def test_change_indicators_independent_across_positions(self):
         digits = np.array([5, 7], dtype=np.uint8)
         n = 60_000
-        out = corrupt_digits_batch(digits, UniformDigitModel(0.3), seed_vector((15,), 0, n))
+        out = corrupt_rows(digits, UniformDigitModel(0.3), seed_vector((15,), 0, n))
         x = (out[:, 0] != 5).astype(float)
         y = (out[:, 1] != 7).astype(float)
         r = np.corrcoef(x, y)[0, 1]
@@ -132,7 +139,7 @@ class TestUniformDigitModel:
         order = sorted(sheet.btl_marks)
         digits = np.array([int(ch) for box in order for ch in sheet.btl_marks[box]], dtype=np.uint8)
         seeds = seed_vector((77, 1, 2), 10, 50)
-        batch = corrupt_digits_batch(digits, UniformDigitModel(0.25), seeds)
+        batch = corrupt_rows(digits, UniformDigitModel(0.25), seeds)
         for i in range(50):
             out = apply_digit_model(sheet, 0.25, RandomStream(int(seeds[i])))
             flat = [int(ch) for box in order for ch in out.btl_marks[box]]
@@ -160,22 +167,26 @@ class TestConfusionModel:
     def test_sampled_rates_match_column(self, table):
         n = 200_000
         digits = np.full(1, 4, dtype=np.uint8)
-        out = corrupt_digits_batch(digits, table, seed_vector((3,), 0, n)).ravel()
+        out = corrupt_rows(digits, table, seed_vector((3,), 0, n)).ravel()
         observed_9 = (out == 9).mean()
         p = table.matrix[9, 4]
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(observed_9 - p) < 3 * sigma
 
     def test_scalar_matches_batch(self, table):
+        # the bundled table, and one where each digit reads as itself or the
+        # next digit with equal odds (zero entries: tied CDF values)
+        shifted = ConfusionModel(0.5 * np.eye(10) + 0.5 * np.roll(np.eye(10), 1, axis=0))
         sheet = marks_from_preferences(btl_prefs(11))
         order = sorted(sheet.btl_marks)
         digits = np.array([int(ch) for box in order for ch in sheet.btl_marks[box]], dtype=np.uint8)
         seeds = seed_vector((5, 5), 0, 50)
-        batch = corrupt_digits_batch(digits, table, seeds)
-        for i in range(50):
-            out = apply_confusion_model(sheet, table, RandomStream(int(seeds[i])))
-            flat = [int(ch) for box in order for ch in out.btl_marks[box]]
-            assert flat == batch[i].tolist()
+        for model in (table, shifted):
+            batch = corrupt_rows(digits, model, seeds)
+            for i in range(50):
+                out = apply_confusion_model(sheet, model, RandomStream(int(seeds[i])))
+                flat = [int(ch) for box in order for ch in out.btl_marks[box]]
+                assert flat == batch[i].tolist()
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ErrorModelError):

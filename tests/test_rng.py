@@ -1,4 +1,6 @@
-from stvsim.rng import RandomStream, derive_seed, draw_matrix, mix64, seed_vector
+import numpy as np
+
+from stvsim.rng import RandomStream, derive_seed, draw_matrix, flat_layout, mix64, seed_vector
 
 from oracles import sample_stream
 
@@ -31,10 +33,19 @@ def test_seed_vector_matches_scalar_derivation():
 
 def test_draw_matrix_matches_streams():
     seeds = seed_vector((5, 6, 7), 0, 10)
-    mat = draw_matrix(seeds, 17)
+    mat = draw_matrix(seeds[:, None], np.arange(17))
     for row in range(10):
         s = RandomStream(int(seeds[row]))
         assert mat[row].tolist() == [s.uniform() for _ in range(17)]
+    # the flat form: one (seed, draw index) pair per element
+    flat = draw_matrix(np.repeat(seeds, 17), np.tile(np.arange(17), 10))
+    assert flat.tolist() == mat.ravel().tolist()
+
+
+def test_flat_layout():
+    owner, index = flat_layout(np.array([2, 0, 3, 1]))
+    assert owner.tolist() == [0, 0, 2, 2, 2, 3]
+    assert index.tolist() == [0, 1, 0, 1, 2, 0]
 
 
 def test_distinct_parts_give_distinct_seeds():
@@ -43,7 +54,7 @@ def test_distinct_parts_give_distinct_seeds():
 
 
 def test_uniformity_rough():
-    draws = draw_matrix(seed_vector((12,), 0, 200), 500).ravel()
+    draws = draw_matrix(seed_vector((12,), 0, 200)[:, None], np.arange(500)).ravel()
     assert abs(draws.mean() - 0.5) < 0.005
     assert (draws >= 0).all() and (draws < 1).all()
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stvsim
 from stvsim import (
     MarkSheet,
     StatsError,
@@ -138,3 +144,13 @@ class TestRepeatedAndSkipped:
         sheet = MarkSheet({}, {"b1": "1", "b2": "3"})
         rows = repeated_and_skipped_table([sheet], VoteStyle.BTL, 2)
         assert anomaly_table_csv(rows) == "preference,repeated,skipped\n1,0,0\n2,0,1\n"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats takes about a second to import and only binomial_estimate
+    # uses it, so importing the package must not load scipy
+    src = str(Path(stvsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, stvsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
