@@ -58,8 +58,8 @@ from .ingest import (
 )
 from .rng import RandomStream, derive_seed
 from .sim import (
-    FormalityReport,
     PartitionTable,
+    PointResult,
     SimConfig,
     SimError,
     SimReport,

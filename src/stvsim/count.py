@@ -57,14 +57,6 @@ class TallyRounding(Enum):
 class CountRules:
     surplus_method: SurplusMethod = SurplusMethod.WEIGHTED_INCLUSIVE_GREGORY
     tally_rounding: TallyRounding = TallyRounding.TRUNCATE_TO_INTEGER
-    tie_break: str = "countback-then-index"
-    simultaneous_surplus_order: str = "descending-tally"
-
-    def __post_init__(self) -> None:
-        if self.tie_break != "countback-then-index":
-            raise CountError(f"unsupported tie_break {self.tie_break!r}")
-        if self.simultaneous_surplus_order != "descending-tally":
-            raise CountError(f"unsupported surplus order {self.simultaneous_surplus_order!r}")
 
 
 def droop_quota(num_formal_ballots: int, seats: int) -> int:
@@ -93,7 +85,7 @@ class RoundRecord:
     eliminated: str | None = None
     exhausted: int | Fraction = 0  # cumulative
     rounding_loss: int | Fraction = 0  # cumulative
-    tie_breaks: list[str] = field(default_factory=list)
+    ties: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -158,7 +150,7 @@ class CountTranscript:
                 lines.append(f"  elected\t{cid}\tsurplus {fmt(surplus)}")
             if rec.eliminated is not None:
                 lines.append(f"  eliminated\t{rec.eliminated}")
-            for note in rec.tie_breaks:
+            for note in rec.ties:
                 lines.append(f"  tie\t{note}")
             lines.append(f"  exhausted\t{fmt(rec.exhausted)}\tloss\t{fmt(rec.rounding_loss)}")
         lines.append("elected\t" + " ".join(self.elected))
@@ -243,7 +235,7 @@ class _Count:
         loser = min(self.continuing, key=key)
         tied = [c for c in self.continuing if self.tallies[c] == self.tallies[loser]]
         if len(tied) > 1:
-            rec.tie_breaks.append(
+            rec.ties.append(
                 f"elimination tie among {', '.join(sorted(tied, key=self.index.get))} "
                 f"at {self.tallies[loser]}; {loser} eliminated by countback/index"
             )
@@ -306,12 +298,15 @@ class _Count:
         return {cid: self.tallies[cid] for cid in sorted(alive, key=self.index.get)}
 
     def _close_round(self, rec: RoundRecord) -> None:
+        self._record(rec)
+        self._elect_reachers(rec)
+
+    def _record(self, rec: RoundRecord) -> None:
         rec.tallies = self._snapshot()
         rec.exhausted = self.exhausted
         rec.rounding_loss = self.loss
         self.transcript.rounds.append(rec)
         self._check_conservation(rec)
-        self._elect_reachers(rec)
 
     def _check_conservation(self, rec: RoundRecord) -> None:
         held = sum(rec.tallies.values())
@@ -332,7 +327,7 @@ class _Count:
             by_tally.setdefault(self.tallies[c], []).append(c)
         for tally, group in by_tally.items():
             if len(group) > 1:
-                rec.tie_breaks.append(
+                rec.ties.append(
                     f"election-order tie among {', '.join(sorted(group, key=self.index.get))} "
                     f"at {tally}; ordered by countback/index"
                 )
@@ -390,10 +385,7 @@ class _Count:
                     self.continuing.remove(cid)
                     self.elected.append(cid)
                     rec.elected.append((cid, None))
-                rec.tallies = self._snapshot()
-                rec.exhausted = self.exhausted
-                rec.rounding_loss = self.loss
-                self.transcript.rounds.append(rec)
+                self._record(rec)
                 break
             if self.surplus_queue:
                 self._distribute_surplus(self.surplus_queue.popleft(), number)

@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 from typing import Iterable
 
@@ -82,8 +83,9 @@ class SimConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(self.rates))
-        object.__setattr__(self, "btl_required_grid", tuple(self.btl_required_grid))
+        # Each distinct rate and variant once, in order; 0 is always a point.
+        object.__setattr__(self, "rates", tuple(r for r in dict.fromkeys(self.rates) if r != 0.0))
+        object.__setattr__(self, "btl_required_grid", tuple(dict.fromkeys(self.btl_required_grid)))
         object.__setattr__(self, "track_candidates", tuple(self.track_candidates))
         if self.runs_per_point < 1:
             raise SimError("runs_per_point must be >= 1")
@@ -116,26 +118,24 @@ class GridPoint:
     model: ErrorModel | None  # None: the always-included zero-error baseline
 
 
+def _grid_point(index: int, btl_required: int, model: ErrorModel) -> GridPoint:
+    if isinstance(model, ConfusionModel):
+        return GridPoint(index, "confusion", model.mean_change_rate, btl_required, model)
+    name = "digit" if isinstance(model, UniformDigitModel) else "truncation"
+    return GridPoint(index, name, model.rate, btl_required, model)
+
+
 def _build_points(config: SimConfig) -> list[GridPoint]:
+    if config.model == "confusion":
+        models: list[ErrorModel] = [config.confusion]
+    else:
+        family = UniformDigitModel if config.model == "digit" else TruncationModel
+        models = [family(r) for r in config.rates]
     points = []
-    idx = 0
     for variant in config.btl_required_grid:
-        specs: list[tuple[float, ErrorModel | None]] = [(0.0, None)]
-        if config.model == "confusion":
-            specs.append((config.confusion.mean_change_rate, config.confusion))
-        else:
-            seen = {0.0}
-            for r in config.rates:
-                if r in seen:
-                    continue
-                seen.add(r)
-                model: ErrorModel = (
-                    UniformDigitModel(r) if config.model == "digit" else TruncationModel(r)
-                )
-                specs.append((r, model))
-        for rate, model in specs:
-            points.append(GridPoint(idx, config.model, rate, variant, model))
-            idx += 1
+        points.append(GridPoint(len(points), config.model, 0.0, variant, None))
+        for model in models:
+            points.append(_grid_point(len(points), variant, model))
     return points
 
 
@@ -163,7 +163,6 @@ class _Prepared:
     """
 
     n_physical: int
-    baseline_mask: np.ndarray  # bool: formal at epsilon 0
     style_codes: np.ndarray  # int8: -1 informal, 0 ATL, 1 BTL
     orig_prefs: np.ndarray  # int32: baseline preference count (0 if informal)
     bucket_counts: dict[int, int]
@@ -184,14 +183,6 @@ class _Prepared:
     ballot_index: np.ndarray  # physical index
     ballot_sheet: np.ndarray  # int32 sheet id
     blocks: list[tuple[int, int]]  # ballot ranges of at most BLOCK_DIGITS digits, or one ballot
-
-    @property
-    def atl_ballots(self) -> int:
-        return int((self.style_codes == 0).sum())
-
-    @property
-    def btl_ballots(self) -> int:
-        return int((self.style_codes == 1).sum())
 
 
 def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
@@ -240,7 +231,6 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
     buckets = np.bincount(orig[baseline])
     return _Prepared(
         n_physical=election.total_ballots,
-        baseline_mask=baseline,
         style_codes=styles,
         orig_prefs=orig,
         bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
@@ -372,9 +362,12 @@ def _winner_set(ballots: Counter, meta, count_rules: CountRules) -> tuple[str, .
     return tuple(sorted(winners))
 
 
-def _run_chunk(args: tuple) -> dict:
-    """Simulate runs [run_lo, run_hi) of one grid point; pure and picklable."""
-    (prep, meta, count_rules, model, base_seed, point_index, run_lo, run_hi, do_count) = args
+def _run_chunk(args: tuple) -> PointResult:
+    """Simulate runs [run_lo, run_hi) of one grid point; pure and picklable.
+
+    Without ``do_count`` no run is counted and ``winner_sets`` is empty.
+    """
+    prep, meta, count_rules, point, base_seed, run_lo, run_hi, do_count = args
     n_runs = run_hi - run_lo
     formal_runs = np.zeros(prep.n_physical, dtype=np.int64)
     atl_by_run = np.zeros(n_runs, dtype=np.int64)
@@ -386,10 +379,10 @@ def _run_chunk(args: tuple) -> dict:
 
     def perturbed():
         for run in range(run_lo, run_hi):
-            seeds = seed_vector((base_seed, point_index, run), 0, prep.n_physical)
-            yield run - run_lo, 1, *_perturb_run(prep, model, seeds)
+            seeds = seed_vector((base_seed, point.index, run), 0, prep.n_physical)
+            yield run - run_lo, 1, *_perturb_run(prep, point.model, seeds)
 
-    if model is None:
+    if point.model is None:
         # Every run of the zero-error point sees the clean election: take it
         # once, weighted by the number of runs.
         sheet = prep.ballot_sheet
@@ -407,21 +400,21 @@ def _run_chunk(args: tuple) -> dict:
         if do_count:
             outcomes[_winner_set(ballots, meta, count_rules)] += weight
 
-    winner_sets = {k: v for k, v in outcomes.items() if k is not None}
-    candidate_wins: Counter = Counter()
-    for winners, runs in winner_sets.items():
-        for w in winners:
-            candidate_wins[w] += runs
-    return {
-        "run_lo": run_lo,
-        "formal_runs": formal_runs,
-        "atl_by_run": atl_by_run,
-        "btl_by_run": btl_by_run,
-        "winner_sets": winner_sets,
-        "candidate_wins": dict(candidate_wins),
-        "surviving_sums": {k: int(surviving[k]) for k in prep.bucket_counts},
-        "no_result": outcomes[None],
-    }
+    return PointResult(
+        model=point.model_name,
+        rate=point.rate,
+        btl_required=point.btl_required,
+        runs=n_runs,
+        style_codes=prep.style_codes,
+        orig_prefs=prep.orig_prefs,
+        bucket_counts=prep.bucket_counts,
+        winner_sets=dict(sorted((k, v) for k, v in outcomes.items() if k is not None)),
+        no_result_runs=outcomes[None],
+        formal_runs_per_ballot=formal_runs,
+        atl_formal_by_run=atl_by_run,
+        btl_formal_by_run=btl_by_run,
+        surviving_sums={k: int(surviving[k]) for k in prep.bucket_counts},
+    )
 
 
 # -- results -------------------------------------------------------------------
@@ -429,20 +422,55 @@ def _run_chunk(args: tuple) -> dict:
 
 @dataclass
 class PointResult:
+    """One grid point's results over a range of runs.
+
+    ``style_codes``, ``orig_prefs`` and ``bucket_counts`` describe the
+    point's formality variant at zero error; the two arrays are the
+    variant's own, not copies.
+    """
+
     model: str
     rate: float
     btl_required: int
     runs: int
-    atl_ballots: int
-    btl_ballots: int
-    bucket_counts: dict[int, int]
+    style_codes: np.ndarray  # int8 per physical ballot: -1 informal, 0 ATL, 1 BTL
+    orig_prefs: np.ndarray  # int32 per physical ballot: preference count (0 if informal)
+    bucket_counts: dict[int, int]  # formal ballots by preference count
     winner_sets: dict[tuple[str, ...], int]
-    candidate_wins: dict[str, int]
     no_result_runs: int
     formal_runs_per_ballot: np.ndarray
     atl_formal_by_run: np.ndarray
     btl_formal_by_run: np.ndarray
     surviving_sums: dict[int, int]
+
+    def merge(self, later: PointResult) -> PointResult:
+        """This point's result over its runs followed by ``later``'s."""
+        return replace(
+            self,
+            runs=self.runs + later.runs,
+            winner_sets=dict(sorted((Counter(self.winner_sets) + Counter(later.winner_sets)).items())),
+            no_result_runs=self.no_result_runs + later.no_result_runs,
+            formal_runs_per_ballot=self.formal_runs_per_ballot + later.formal_runs_per_ballot,
+            atl_formal_by_run=np.concatenate((self.atl_formal_by_run, later.atl_formal_by_run)),
+            btl_formal_by_run=np.concatenate((self.btl_formal_by_run, later.btl_formal_by_run)),
+            surviving_sums={k: n + later.surviving_sums[k] for k, n in self.surviving_sums.items()},
+        )
+
+    @property
+    def atl_ballots(self) -> int:
+        return int(np.count_nonzero(self.style_codes == 0))
+
+    @property
+    def btl_ballots(self) -> int:
+        return int(np.count_nonzero(self.style_codes == 1))
+
+    @property
+    def candidate_wins(self) -> dict[str, int]:
+        wins: Counter = Counter()
+        for winners, runs in self.winner_sets.items():
+            for w in winners:
+                wins[w] += runs
+        return dict(sorted(wins.items()))
 
     @property
     def winner_set_frequencies(self) -> dict[tuple[str, ...], float]:
@@ -484,14 +512,6 @@ class PointResult:
 
 
 @dataclass
-class VariantInfo:
-    btl_required: int
-    baseline_mask: np.ndarray
-    style_codes: np.ndarray
-    orig_prefs: np.ndarray
-
-
-@dataclass
 class SimReport:
     election_name: str
     base_seed: int
@@ -500,7 +520,6 @@ class SimReport:
     n_physical_ballots: int
     candidate_order: tuple[str, ...]
     points: list[PointResult]
-    variants: dict[int, VariantInfo]
     position_histograms: dict[str, dict[str, dict[int, int]]] = field(default_factory=dict)
 
     def point(self, rate: float, btl_required: int | None = None) -> PointResult:
@@ -511,15 +530,16 @@ class SimReport:
 
     def to_json_dict(self) -> dict:
         points = []
+        order = {c: i for i, c in enumerate(self.candidate_order)}
         for p in self.points:
-            order = {c: i for i, c in enumerate(self.candidate_order)}
             winner_rows = [
                 {"winners": list(k), "runs": v, "frequency": v / p.runs}
                 for k, v in sorted(p.winner_sets.items(), key=lambda kv: (-kv[1], kv[0]))
             ]
+            wins = p.candidate_wins
             candidate_rows = [
-                {"candidate": c, "wins": p.candidate_wins[c], "frequency": p.candidate_wins[c] / p.runs}
-                for c in sorted(p.candidate_wins, key=lambda c: (order.get(c, len(order)), c))
+                {"candidate": c, "wins": wins[c], "frequency": wins[c] / p.runs}
+                for c in sorted(wins, key=lambda c: (order.get(c, len(order)), c))
             ]
             points.append(
                 {
@@ -557,66 +577,26 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     """Run the full Monte Carlo sweep described by ``config``."""
     points = _build_points(config)
     prepared = {v: _prepare(election, config.rules_for(v)) for v in config.btl_required_grid}
-
-    tasks = []
     runs = config.runs_per_point
     chunk = runs if config.jobs == 1 else max(1, -(-runs // (config.jobs * 4)))
-    for point in points:
-        prep = prepared[point.btl_required]
-        for lo in range(0, runs, chunk):
-            hi = min(runs, lo + chunk)
-            tasks.append(
-                (prep, election.meta, config.count_rules, point.model, config.base_seed,
-                 point.index, lo, hi, True)
-            )
-
+    tasks = [
+        (prepared[point.btl_required], election.meta, config.count_rules, point, config.base_seed,
+         lo, min(runs, lo + chunk), True)
+        for point in points
+        for lo in range(0, runs, chunk)
+    ]
     if config.jobs == 1:
-        chunk_results = [_run_chunk(t) for t in tasks]
+        parts = [_run_chunk(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunk_results = list(pool.map(_run_chunk, tasks))
-
-    results: list[PointResult] = []
-    cursor = 0
-    chunks_per_point = -(-runs // chunk)
-    for point in points:
+            parts = list(pool.map(_run_chunk, tasks))
+    per_point = -(-runs // chunk)
+    results = []
+    for i, point in enumerate(points):
+        merged = reduce(PointResult.merge, parts[i * per_point:(i + 1) * per_point])
+        # Workers return copies of the variant's arrays; share the originals.
         prep = prepared[point.btl_required]
-        formal_runs = np.zeros(prep.n_physical, dtype=np.int64)
-        atl_by_run = np.zeros(runs, dtype=np.int64)
-        btl_by_run = np.zeros(runs, dtype=np.int64)
-        winner_sets: Counter = Counter()
-        candidate_wins: Counter = Counter()
-        surviving_sums: Counter = Counter()
-        no_result = 0
-        for part in chunk_results[cursor:cursor + chunks_per_point]:
-            lo = part["run_lo"]
-            n = len(part["atl_by_run"])
-            formal_runs += part["formal_runs"]
-            atl_by_run[lo:lo + n] = part["atl_by_run"]
-            btl_by_run[lo:lo + n] = part["btl_by_run"]
-            winner_sets.update(part["winner_sets"])
-            candidate_wins.update(part["candidate_wins"])
-            surviving_sums.update(part["surviving_sums"])
-            no_result += part["no_result"]
-        cursor += chunks_per_point
-        results.append(
-            PointResult(
-                model=point.model_name,
-                rate=point.rate,
-                btl_required=point.btl_required,
-                runs=runs,
-                atl_ballots=prep.atl_ballots,
-                btl_ballots=prep.btl_ballots,
-                bucket_counts=dict(sorted(prep.bucket_counts.items())),
-                winner_sets=dict(sorted(winner_sets.items())),
-                candidate_wins=dict(sorted(candidate_wins.items())),
-                no_result_runs=no_result,
-                formal_runs_per_ballot=formal_runs,
-                atl_formal_by_run=atl_by_run,
-                btl_formal_by_run=btl_by_run,
-                surviving_sums=dict(sorted(surviving_sums.items())),
-            )
-        )
+        results.append(replace(merged, style_codes=prep.style_codes, orig_prefs=prep.orig_prefs))
 
     histograms = {
         cid: preference_position_histogram(election, cid, config.rules_for(config.btl_required_grid[0]))
@@ -630,37 +610,11 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
         n_physical_ballots=election.total_ballots,
         candidate_order=election.meta.candidate_ids,
         points=results,
-        variants={
-            v: VariantInfo(v, p.baseline_mask, p.style_codes, p.orig_prefs)
-            for v, p in prepared.items()
-        },
         position_histograms=histograms,
     )
 
 
 # -- single-point analyses ------------------------------------------------------
-
-
-@dataclass
-class FormalityReport:
-    runs: int
-    rates: np.ndarray  # per physical ballot; meaningful where style_codes >= 0
-    style_codes: np.ndarray  # -1 baseline-informal, 0 ATL, 1 BTL
-    mean_atl: float | None
-    mean_btl: float | None
-
-
-def _single_point(
-    election: ElectionFile,
-    model: ErrorModel,
-    runs: int,
-    base_seed: int,
-    rules: FormalityRules | None,
-    do_count: bool = False,
-) -> tuple[_Prepared, dict]:
-    prep = _prepare(election, rules or FormalityRules())
-    part = _run_chunk((prep, election.meta, CountRules(), model, base_seed, 0, 0, runs, do_count))
-    return prep, part
 
 
 def formality_rate_report(
@@ -669,15 +623,16 @@ def formality_rate_report(
     runs: int,
     base_seed: int,
     rules: FormalityRules | None = None,
-) -> FormalityReport:
-    """Per-ballot formality rates under one error model: formal runs / runs."""
+) -> PointResult:
+    """One error model's per-ballot formality and retention, without counting.
+
+    The runs are seeded as point 0 of a sweep; ``winner_sets`` is empty.
+    """
     if runs < 1:
         raise SimError("runs must be >= 1")
-    prep, part = _single_point(election, model, runs, base_seed, rules)
-    rates = part["formal_runs"] / runs
-    mean_atl = float(part["atl_by_run"].mean() / prep.atl_ballots) if prep.atl_ballots else None
-    mean_btl = float(part["btl_by_run"].mean() / prep.btl_ballots) if prep.btl_ballots else None
-    return FormalityReport(runs, rates, prep.style_codes, mean_atl, mean_btl)
+    rules = rules or FormalityRules()
+    point = _grid_point(0, rules.btl_required_prefs, model)
+    return _run_chunk((_prepare(election, rules), election.meta, CountRules(), point, base_seed, 0, runs, False))
 
 
 def truncation_stats(
@@ -692,14 +647,7 @@ def truncation_stats(
     Surviving count is the length of the re-interpreted ranking, or 0 when
     the errors left the ballot informal.
     """
-    if runs < 1:
-        raise SimError("runs must be >= 1")
-    prep, part = _single_point(election, model, runs, base_seed, rules)
-    sums = part["surviving_sums"]
-    return {
-        length: sums.get(length, 0) / (runs * count)
-        for length, count in sorted(prep.bucket_counts.items())
-    }
+    return formality_rate_report(election, model, runs, base_seed, rules).mean_surviving
 
 
 @dataclass
@@ -792,7 +740,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr names its type
     return str(value)
 
 
@@ -863,14 +811,11 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
         )
     if ballot_rates:
         for i, p in enumerate(report.points):
-            info = report.variants[p.btl_required]
-            rows = []
-            for idx in np.nonzero(info.baseline_mask)[0]:
-                style = "ATL" if info.style_codes[idx] == 0 else "BTL"
-                rows.append(
-                    [int(idx), style, int(info.orig_prefs[idx]),
-                     int(p.formal_runs_per_ballot[idx]), p.formal_runs_per_ballot[idx] / p.runs]
-                )
+            rows = [
+                [int(idx), "ATL" if p.style_codes[idx] == 0 else "BTL", int(p.orig_prefs[idx]),
+                 int(p.formal_runs_per_ballot[idx]), p.formal_runs_per_ballot[idx] / p.runs]
+                for idx in np.flatnonzero(p.style_codes >= 0)
+            ]
             emit(
                 f"ballot_rates_{i:02d}.csv",
                 ["ballot", "style", "original_prefs", "formal_runs", "rate"],

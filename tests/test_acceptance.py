@@ -140,7 +140,7 @@ def test_criterion_3_conservation():
     default = CountRules()
     print(
         f"default count rules: {default.surplus_method.value} surpluses, "
-        f"{default.tally_rounding.value} tallies, {default.tie_break} ties"
+        f"{default.tally_rounding.value} tallies"
     )
     with criterion(3, "per-round conservation on 100 random multi-seat elections", 30.0):
         rng = random.Random(3141)

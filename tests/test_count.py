@@ -134,7 +134,7 @@ class TestTieBreaks:
         elim_rounds = [r for r in tr.rounds if r.eliminated]
         assert elim_rounds[0].eliminated == "c3"
         assert elim_rounds[1].eliminated == "c2"
-        assert any(r.tie_breaks for r in tr.rounds)
+        assert any(r.ties for r in tr.rounds)
 
     def test_full_history_tie_lowest_index_loses(self):
         meta = simple_meta(3)

@@ -13,6 +13,7 @@ To rewrite the files (only on purpose), from the repository root:
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,14 +52,19 @@ def sweep(name: str):
 SWEEPS = ("bias_digit", "ladder_truncation", "ladder_confusion")
 
 
-def write_sweep(name: str, outdir: Path) -> list[str]:
+def write_sweep(name: str, outdir: Path, jobs: int = 1) -> list[str]:
     election, config, ballot_rates = sweep(name)
-    return write_report(run_sweep(election, config), outdir, ballot_rates=ballot_rates)
+    report = run_sweep(election, replace(config, jobs=jobs))
+    return write_report(report, outdir, ballot_rates=ballot_rates)
 
 
-@pytest.mark.parametrize("name", SWEEPS)
-def test_outputs_match_golden_files(name, tmp_path):
-    written = write_sweep(name, tmp_path)
+# At jobs=2 each point's 10 runs are split into 5 chunks and merged.
+@pytest.mark.parametrize("name, jobs", [
+    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs2")
+    for jobs in (1, 2) for name in SWEEPS
+])
+def test_outputs_match_golden_files(name, jobs, tmp_path):
+    written = write_sweep(name, tmp_path, jobs)
     golden = GOLDEN_DIR / name
     assert sorted(written) == sorted(p.name for p in golden.iterdir())
     for file_name in written:

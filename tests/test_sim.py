@@ -64,6 +64,13 @@ class TestRunSweep:
         assert [(p.rate, p.btl_required) for p in report.points] == [
             (0.0, 6), (1.0, 6), (0.0, 1), (1.0, 1)]
 
+    def test_repeated_variants_and_rates_run_once(self, small_election):
+        once = SimConfig(base_seed=7, runs_per_point=3, model="digit", rates=(0.1,))
+        twice = SimConfig(base_seed=7, runs_per_point=3, model="digit",
+                          rates=(0.1, 0.0, 0.1), btl_required_grid=(6, 6))
+        assert twice.rates == (0.1,) and twice.btl_required_grid == (6,)
+        assert run_sweep(small_election, twice).to_json_dict() == run_sweep(small_election, once).to_json_dict()
+
     def test_frequencies_sum_to_one(self, small_election):
         config = SimConfig(base_seed=3, runs_per_point=40, model="digit", rates=(0.3,))
         report = run_sweep(small_election, config)
@@ -150,7 +157,7 @@ class TestFormalityRateReport:
     def test_zero_rate_gives_rate_one(self, small_election):
         report = formality_rate_report(small_election, UniformDigitModel(0.0), 20, base_seed=4)
         formal = report.style_codes >= 0
-        assert np.all(report.rates[formal] == 1.0)
+        assert np.all(report.ballot_formality_rates[formal] == 1.0)
 
     def test_single_digit_atl_matches_analytic(self):
         meta = ElectionMeta(
@@ -161,7 +168,7 @@ class TestFormalityRateReport:
         eps = 0.1
         report = formality_rate_report(election, UniformDigitModel(eps), 50, base_seed=8)
         p = 1 - 0.9 * eps
-        observed = report.rates[report.style_codes == 0]
+        observed = report.ballot_formality_rates[report.style_codes == 0]
         sigma = math.sqrt(p * (1 - p) / (50 * len(observed)))
         assert abs(observed.mean() - p) < 3 * sigma
 
@@ -187,7 +194,7 @@ class TestFormalityRateReport:
         q = 1 - 0.9 * eps
         runs = 400
         report = formality_rate_report(small_election, UniformDigitModel(eps), runs, base_seed=13)
-        btl = report.rates[report.style_codes == 1]
+        btl = report.ballot_formality_rates[report.style_codes == 1]
         lower = q**6
         upper = q**6 + (1 - q**6 - 6 * 0.9 * eps * q**5)  # + P(>= 2 effective errors)
         n = runs * len(btl)
