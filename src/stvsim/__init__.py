@@ -63,6 +63,7 @@ from .sim import (
     SimConfig,
     SimError,
     SimReport,
+    formal_ballots,
     formality_rate_report,
     partition_by_preference,
     preference_position_histogram,

@@ -114,9 +114,11 @@ class ElectionMeta:
 
     @cached_property
     def _group_members(self) -> dict[str, tuple[str, ...]]:
+        # Ungrouped candidates have no above-the-line box, so no entry here.
         members: dict[str, list[tuple[int, str]]] = {}
         for c in self.candidates:
-            members.setdefault(c.group, []).append((c.position, c.id))
+            if c.group != UNGROUPED:
+                members.setdefault(c.group, []).append((c.position, c.id))
         return {gid: tuple(cid for _, cid in sorted(entries)) for gid, entries in members.items()}
 
     def candidates_of_group(self, group_id: str) -> tuple[str, ...]:
@@ -137,7 +139,6 @@ class FormalityRules:
 
     btl_required_prefs: int = 6
     atl_required_prefs: int = 1
-    btl_takes_precedence: bool = True
 
     def __post_init__(self) -> None:
         if not (1 <= self.btl_required_prefs <= 9):
@@ -234,17 +235,12 @@ def classify_formality(sheet: MarkSheet, rules: FormalityRules | None = None) ->
     """Decide whether a mark sheet is formal, and under which vote style.
 
     Returns the canonical preferences of the winning style, or None for an
-    informal ballot.  With ``btl_takes_precedence`` (the default), a formal
-    BTL ranking beats any ATL marks; an ATL vote is only formal when no
-    formal BTL ranking is present.
+    informal ballot.  A formal BTL ranking beats any ATL marks; an ATL vote
+    is only formal when no formal BTL ranking is present.
     """
     rules = rules or FormalityRules()
-    btl = interpret_marks(numeric_marks(sheet.btl_marks))
-    atl = interpret_marks(numeric_marks(sheet.atl_marks))
-    ordered = [(VoteStyle.BTL, btl), (VoteStyle.ATL, atl)]
-    if not rules.btl_takes_precedence:
-        ordered.reverse()
-    for style, ranking in ordered:
+    for style, marks in ((VoteStyle.BTL, sheet.btl_marks), (VoteStyle.ATL, sheet.atl_marks)):
+        ranking = interpret_marks(numeric_marks(marks))
         if len(ranking) >= rules.required(style):
             return Preferences(style, ranking)
     return None
@@ -263,8 +259,6 @@ def expand_to_candidates(prefs: Preferences, meta: ElectionMeta) -> tuple[str, .
         return prefs.ranking
     out: list[str] = []
     for gid in prefs.ranking:
-        if gid not in set(meta.group_ids):
-            raise BallotError(f"ranking references unknown group {gid!r}")
         out.extend(meta.candidates_of_group(gid))
     return tuple(out)
 

@@ -44,7 +44,15 @@ from .ingest import (
     read_election_file,
     write_election_file,
 )
-from .sim import SimConfig, SimError, partition_by_preference, preference_position_histogram, run_sweep, write_report
+from .sim import (
+    SimConfig,
+    SimError,
+    formal_ballots,
+    partition_by_preference,
+    preference_position_histogram,
+    run_sweep,
+    write_report,
+)
 from .stats import StatsError, anomaly_table_csv, binomial_estimate, repeated_and_skipped_table
 
 EXIT_OK = 0
@@ -176,15 +184,7 @@ def cmd_count(args) -> int:
             meta = dataclasses.replace(meta, seats=args.seats)
         except BallotError as exc:
             raise CliUsageError(str(exc)) from None
-    rules = _formality_rules(args)
-    from .ballots import classify_formality
-
-    ballots = []
-    for sheet in election.sheets:
-        prefs = classify_formality(sheet, rules)
-        if prefs is not None:
-            ballots.append((prefs, sheet.multiplicity))
-    winners, transcript = count_stv(ballots, meta, _count_rules(args))
+    winners, transcript = count_stv(formal_ballots(election, _formality_rules(args)), meta, _count_rules(args))
     for i, cid in enumerate(winners, start=1):
         print(f"{i}\t{cid}")
     print(f"quota {transcript.quota}  rounding-loss {transcript.rounding_loss}  exhausted {transcript.exhausted}")

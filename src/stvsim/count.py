@@ -208,35 +208,22 @@ class _Count:
 
     # -- tie-breaking ------------------------------------------------------
 
-    def _countback(self, cid: str) -> tuple:
-        """Tally history of cid, most recent round first (excluding current)."""
-        hist = []
-        for rec in reversed(self.transcript.rounds):
-            hist.append(rec.tallies.get(cid, -1))
-        return tuple(hist)
+    def _standing(self, cid: str) -> tuple:
+        """Current tally of cid, then its tally history, most recent round first."""
+        return (self.tallies[cid], *(rec.tallies.get(cid, -1) for rec in reversed(self.transcript.rounds)))
 
     def _order_descending(self, cids: list[str]) -> list[str]:
-        # highest current tally first; ties resolved by the most recent prior
-        # round where the tallies differ; a full-history tie goes to the
-        # lowest candidate index
-        def key(cid: str):
-            return (
-                -self.tallies[cid],
-                tuple(-t for t in self._countback(cid)),
-                self.index[cid],
-            )
-
-        return sorted(cids, key=key)
+        # highest standing first; a full-history tie goes to the lowest
+        # candidate index (the sort is stable under reverse)
+        return sorted(sorted(cids, key=self.index.get), key=self._standing, reverse=True)
 
     def _pick_elimination(self, rec: RoundRecord) -> str:
-        def key(cid: str):
-            return (self.tallies[cid], self._countback(cid), self.index[cid])
-
-        loser = min(self.continuing, key=key)
-        tied = [c for c in self.continuing if self.tallies[c] == self.tallies[loser]]
+        by_index = sorted(self.continuing, key=self.index.get)
+        loser = min(by_index, key=self._standing)
+        tied = [c for c in by_index if self.tallies[c] == self.tallies[loser]]
         if len(tied) > 1:
             rec.ties.append(
-                f"elimination tie among {', '.join(sorted(tied, key=self.index.get))} "
+                f"elimination tie among {', '.join(tied)} "
                 f"at {self.tallies[loser]}; {loser} eliminated by countback/index"
             )
         return loser
@@ -250,12 +237,14 @@ class _Count:
                 return i
         return None
 
-    def _move_pile(self, pile: list[_Bundle], new_weight, moved_out: int | Fraction, rec: RoundRecord) -> None:
+    def _move_pile(self, pile: list[_Bundle], new_weight, moved_out: int | Fraction) -> None:
         """Distribute a pile and keep the conservation ledger balanced.
 
         ``moved_out`` is the tally amount leaving the source (the surplus, or
-        an eliminated candidate's whole tally).  Under integer rounding the
-        event's loss is moved_out minus everything delivered, which can go
+        an eliminated candidate's whole tally).  Each receipt, and the
+        exhausted amount, is floored under integer rounding and kept exact
+        otherwise.  The event's loss is moved_out minus everything delivered:
+        exactly 0 in exact mode, and under integer rounding it can go
         negative once a pile's exact weight has drifted above its floored
         tally; the running identity stays exact either way.
         """
@@ -274,20 +263,14 @@ class _Count:
             receipts.setdefault(cid, []).append(_Bundle(b.ranking, nxt, w, b.count))
             receipt_exact[cid] = receipt_exact.get(cid, Fraction(0)) + w * b.count
 
-        delivered: int | Fraction
-        if self.trunc:
-            delivered = 0
-            for cid in sorted(receipt_exact, key=self.index.get):
-                got = receipt_exact[cid].numerator // receipt_exact[cid].denominator
-                self.tallies[cid] += got
-                delivered += got
-            exh = exhausted_exact.numerator // exhausted_exact.denominator
-            self.exhausted += exh
-            self.loss += moved_out - delivered - exh
-        else:
-            for cid in sorted(receipt_exact, key=self.index.get):
-                self.tallies[cid] += receipt_exact[cid]
-            self.exhausted += exhausted_exact
+        settle = (lambda v: v.numerator // v.denominator) if self.trunc else (lambda v: v)
+        delivered = settle(exhausted_exact)
+        self.exhausted += delivered
+        for cid in sorted(receipt_exact, key=self.index.get):
+            got = settle(receipt_exact[cid])
+            self.tallies[cid] += got
+            delivered += got
+        self.loss += moved_out - delivered
         for cid, bundles in receipts.items():
             self.piles[cid].extend(bundles)
 
@@ -310,7 +293,8 @@ class _Count:
 
     def _check_conservation(self, rec: RoundRecord) -> None:
         held = sum(rec.tallies.values())
-        if held + self.exhausted + self.loss != self.total:
+        # Exact mode delivers every transfer whole, so any loss there is a fault.
+        if held + self.exhausted + self.loss != self.total or (self.loss and not self.trunc):
             raise CountInvariantError(
                 f"conservation broke in round {rec.number}: held={held} "
                 f"exhausted={self.exhausted} loss={self.loss} total={self.total}",
@@ -356,7 +340,7 @@ class _Count:
             raise CountInvariantError(f"transfer value {tv} outside [0, 1]", self.transcript)
         self.tallies[cid] = self.quota
         rec = RoundRecord(number=number, kind="surplus", source=cid, transfer_value=tv, tallies={})
-        self._move_pile(pile, new_weight, surplus, rec)
+        self._move_pile(pile, new_weight, surplus)
         self._close_round(rec)
 
     def _eliminate(self, number: int) -> None:
@@ -367,7 +351,7 @@ class _Count:
         self.continuing.remove(loser)
         removed = self.tallies.pop(loser)
         pile = self.piles.pop(loser)
-        self._move_pile(pile, lambda w: w, removed, rec)
+        self._move_pile(pile, lambda w: w, removed)
         self._close_round(rec)
 
     def run(self) -> tuple[list[str], CountTranscript]:

@@ -77,7 +77,6 @@ class SimConfig:
     confusion: ConfusionModel | None = None
     btl_required_grid: tuple[int, ...] = (6,)
     atl_required_prefs: int = 1
-    btl_takes_precedence: bool = True
     count_rules: CountRules = field(default_factory=CountRules)
     track_candidates: tuple[str, ...] = ()
     jobs: int = 1
@@ -102,11 +101,7 @@ class SimConfig:
             raise SimError("jobs must be >= 1")
 
     def rules_for(self, btl_required: int) -> FormalityRules:
-        return FormalityRules(
-            btl_required_prefs=btl_required,
-            atl_required_prefs=self.atl_required_prefs,
-            btl_takes_precedence=self.btl_takes_precedence,
-        )
+        return FormalityRules(btl_required_prefs=btl_required, atl_required_prefs=self.atl_required_prefs)
 
 
 @dataclass(frozen=True)
@@ -185,16 +180,28 @@ class _Prepared:
     blocks: list[tuple[int, int]]  # ballot ranges of at most BLOCK_DIGITS digits, or one ballot
 
 
+def _classify(election: ElectionFile, rules: FormalityRules) -> tuple[list[Preferences], np.ndarray]:
+    """The one formality pass over an election's sheets.
+
+    Returns each distinct formal ``Preferences`` once, in file order, and
+    every physical ballot's index into that list (-1 if informal).
+    """
+    ids: dict[Preferences, int] = {}
+    record = [
+        -1 if (prefs := classify_formality(sheet, rules)) is None else ids.setdefault(prefs, len(ids))
+        for sheet in election.sheets
+    ]
+    return list(ids), np.repeat(np.array(record, dtype=np.int32), [s.multiplicity for s in election.sheets])
+
+
+def formal_ballots(election: ElectionFile, rules: FormalityRules | None = None) -> list[tuple[Preferences, int]]:
+    """Each distinct formal ballot with its number of papers, in file order."""
+    sheets, physical_sheet = _classify(election, rules or FormalityRules())
+    return list(zip(sheets, np.bincount(physical_sheet[physical_sheet >= 0], minlength=len(sheets)).tolist()))
+
+
 def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
-    sheet_ids: dict[Preferences, int] = {}
-    record_sheet = []
-    for sheet in election.sheets:
-        prefs = classify_formality(sheet, rules)
-        record_sheet.append(-1 if prefs is None else sheet_ids.setdefault(prefs, len(sheet_ids)))
-    sheets = list(sheet_ids)
-    physical_sheet = np.repeat(
-        np.array(record_sheet, dtype=np.int32), [s.multiplicity for s in election.sheets]
-    )
+    sheets, physical_sheet = _classify(election, rules)
     baseline = physical_sheet >= 0
     ballot_sheet = physical_sheet[baseline]
 
@@ -577,6 +584,14 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     """Run the full Monte Carlo sweep described by ``config``."""
     points = _build_points(config)
     prepared = {v: _prepare(election, config.rules_for(v)) for v in config.btl_required_grid}
+    # Tracked candidates' histograms, from the first variant's formal ballots,
+    # before any run, so that an unknown candidate fails fast.
+    first = prepared[config.btl_required_grid[0]]
+    papers = np.bincount(first.ballot_sheet, minlength=len(first.sheets)).tolist()
+    histograms = {
+        cid: _position_histogram(zip(first.sheets, papers), election.meta, cid)
+        for cid in config.track_candidates
+    }
     runs = config.runs_per_point
     chunk = runs if config.jobs == 1 else max(1, -(-runs // (config.jobs * 4)))
     tasks = [
@@ -598,10 +613,6 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
         prep = prepared[point.btl_required]
         results.append(replace(merged, style_codes=prep.style_codes, orig_prefs=prep.orig_prefs))
 
-    histograms = {
-        cid: preference_position_histogram(election, cid, config.rules_for(config.btl_required_grid[0]))
-        for cid in config.track_candidates
-    }
     return SimReport(
         election_name=election.meta.name,
         base_seed=config.base_seed,
@@ -684,10 +695,7 @@ def partition_by_preference(
     group_a = meta.group_of_candidate[candidate_a]
     group_b = meta.group_of_candidate[candidate_b]
     cells = {VoteStyle.ATL: [0, 0, 0], VoteStyle.BTL: [0, 0, 0]}
-    for sheet in election.sheets:
-        prefs = classify_formality(sheet, rules or FormalityRules())
-        if prefs is None:
-            continue
+    for prefs, papers in formal_ballots(election, rules):
         if prefs.style is VoteStyle.ATL:
             targets = (group_a, group_b)
         else:
@@ -701,7 +709,7 @@ def partition_by_preference(
             cell = 1
         else:
             cell = 2
-        cells[prefs.style][cell] += sheet.multiplicity
+        cells[prefs.style][cell] += papers
     return PartitionTable(candidate_a, candidate_b, tuple(cells[VoteStyle.ATL]), tuple(cells[VoteStyle.BTL]))
 
 
@@ -715,21 +723,20 @@ def preference_position_histogram(
     Returns ``{"ATL": {rank: ballots}, "BTL": {rank: ballots}}`` where the
     ATL histogram uses the rank of the candidate's group.
     """
-    meta = election.meta
+    return _position_histogram(formal_ballots(election, rules), election.meta, candidate)
+
+
+def _position_histogram(
+    ballots: Iterable[tuple[Preferences, int]], meta, candidate: str
+) -> dict[str, dict[int, int]]:
     if candidate not in meta.candidate_index:
         raise BallotError(f"unknown candidate {candidate!r}")
     group = meta.group_of_candidate[candidate]
     hist = {"ATL": Counter(), "BTL": Counter()}
-    for sheet in election.sheets:
-        prefs = classify_formality(sheet, rules or FormalityRules())
-        if prefs is None:
-            continue
+    for prefs, papers in ballots:
         target = group if prefs.style is VoteStyle.ATL else candidate
-        try:
-            rank = prefs.ranking.index(target) + 1
-        except ValueError:
-            continue
-        hist[prefs.style.value][rank] += sheet.multiplicity
+        if target in prefs.ranking:
+            hist[prefs.style.value][prefs.ranking.index(target) + 1] += papers
     return {style: dict(sorted(counter.items())) for style, counter in hist.items()}
 
 
@@ -754,12 +761,10 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, header: list[str], rows: Iterable[list]) -> None:
-        path = out / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def emit(name: str, header: list[str], rows: Iterable, line=lambda row: ",".join(map(_fmt, row))) -> None:
+        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line(row) + "\n" for row in rows)
         written.append(name)
 
     emit(
@@ -811,15 +816,14 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
         )
     if ballot_rates:
         for i, p in enumerate(report.points):
-            rows = [
-                [int(idx), "ATL" if p.style_codes[idx] == 0 else "BTL", int(p.orig_prefs[idx]),
-                 int(p.formal_runs_per_ballot[idx]), p.formal_runs_per_ballot[idx] / p.runs]
-                for idx in np.flatnonzero(p.style_codes >= 0)
-            ]
+            idx = np.flatnonzero(p.style_codes >= 0)
+            formal = p.formal_runs_per_ballot[idx]
+            columns = (idx, p.style_codes[idx], p.orig_prefs[idx], formal, formal / p.runs)
             emit(
                 f"ballot_rates_{i:02d}.csv",
                 ["ballot", "style", "original_prefs", "formal_runs", "rate"],
-                rows,
+                zip(*(column.tolist() for column in columns)),
+                lambda row: f"{row[0]},{'BTL' if row[1] else 'ATL'},{row[2]},{row[3]},{row[4]!r}",
             )
 
     with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:

@@ -124,8 +124,6 @@ class TestClassifyFormality:
     def test_precedence_flag(self):
         sheet = MarkSheet({"A": "1"}, {f"c{i}": str(i) for i in range(1, 7)})
         assert classify_formality(sheet).style is VoteStyle.BTL
-        flipped = FormalityRules(btl_takes_precedence=False)
-        assert classify_formality(sheet, flipped).style is VoteStyle.ATL
 
 
 class TestExpandToCandidates:
@@ -143,6 +141,8 @@ class TestExpandToCandidates:
     def test_unknown_ids_raise(self, meta):
         with pytest.raises(BallotError):
             expand_to_candidates(Preferences(VoteStyle.ATL, ("Z",)), meta)
+        with pytest.raises(BallotError):  # ungrouped candidates have no ATL box
+            expand_to_candidates(Preferences(VoteStyle.ATL, ("-",)), meta)
         with pytest.raises(BallotError):
             expand_to_candidates(Preferences(VoteStyle.BTL, ("nope",)), meta)
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,14 +15,23 @@ from stvsim import (
     SimConfig,
     SimError,
     UniformDigitModel,
+    classify_formality,
+    count_stv,
+    formal_ballots,
     formality_rate_report,
     partition_by_preference,
     preference_position_histogram,
     run_sweep,
+    read_election_file,
     truncation_stats,
+    write_election_file,
     write_report,
 )
+from stvsim import sim
+from stvsim.cli import EXIT_OK, main
 from stvsim.synth import marks_for_ranking, truncation_ladder_election
+
+from test_differential import mixed_election
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +293,67 @@ class TestReportSerialisation:
         assert (tmp_path / "winners.csv").read_text().splitlines()[0] == \
             "model,rate,btl_required,candidate,wins,frequency"
         assert (tmp_path / "report.json").exists()
+
+
+class TestOneClassificationPass:
+    def test_sweep_classifies_each_record_once_per_variant(self, small_election, monkeypatch):
+        calls = []
+
+        def counting(sheet, rules=None):
+            calls.append(sheet)
+            return classify_formality(sheet, rules)
+
+        monkeypatch.setattr(sim, "classify_formality", counting)
+        config = SimConfig(
+            base_seed=3, runs_per_point=2, model="digit", rates=(0.1,),
+            btl_required_grid=(6, 1), track_candidates=("a1", "b1"),
+        )
+        report = run_sweep(small_election, config)
+        assert len(calls) == 2 * len(small_election.sheets)
+        rules = FormalityRules(btl_required_prefs=6)
+        assert report.position_histograms == {
+            cid: preference_position_histogram(small_election, cid, rules) for cid in ("a1", "b1")
+        }
+
+    def test_unknown_tracked_candidate_fails_before_any_run(self, small_election, monkeypatch):
+        def no_runs(args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(sim, "_run_chunk", no_runs)
+        config = SimConfig(base_seed=3, runs_per_point=2, model="digit", rates=(0.1,), track_candidates=("zz",))
+        with pytest.raises(BallotError, match="zz"):
+            run_sweep(small_election, config)
+
+    @pytest.mark.parametrize("btl_required", [6, 1])
+    def test_formal_ballots_merge_the_record_loop(self, btl_required):
+        election = mixed_election()
+        rules = FormalityRules(btl_required_prefs=btl_required)
+        merged = Counter()
+        formal = 0
+        for sheet in election.sheets:
+            prefs = classify_formality(sheet, rules)
+            if prefs is not None:
+                merged[prefs] += sheet.multiplicity
+                formal += sheet.multiplicity
+        ballots = formal_ballots(election, rules)
+        assert ballots == list(merged.items())
+        assert sum(papers for _, papers in ballots) == formal
+
+    @pytest.mark.parametrize("btl_required", [6, 1])
+    def test_count_command_matches_record_loop(self, btl_required, tmp_path):
+        election = mixed_election()
+        path = tmp_path / "mixed.stv"
+        write_election_file(election, path)
+        assert len(read_election_file(path).sheets) == len(election.sheets)
+        out = tmp_path / "count"
+        args = ["count", "--election", str(path), "--btl-required", str(btl_required), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        rules = FormalityRules(btl_required_prefs=btl_required)
+        records = [
+            (prefs, sheet.multiplicity)
+            for sheet in election.sheets
+            if (prefs := classify_formality(sheet, rules)) is not None
+        ]
+        assert len(records) > len(formal_ballots(election, rules))  # a repeated record is merged
+        _, transcript = count_stv(records, election.meta)
+        assert (out / "transcript.txt").read_text(encoding="utf-8") == transcript.to_text()

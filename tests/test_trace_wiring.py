@@ -1,0 +1,50 @@
+"""The benchmark's per-layer trace still sees every layer of a sweep.
+
+``perfbench/tracing.py`` measures a layer by replacing the function that
+``stvsim.sim`` calls under its module-level name.  A refactor that calls a
+layer some other way (a direct import, a local alias) would leave that
+layer reading 0 calls and 0 s without failing anything.  This test
+installs the tracer, runs a digit sweep and a truncation sweep, and checks
+that every wrapped layer recorded spans and that formality is classified
+exactly once per sheet record and formality variant.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from stvsim import SimConfig, run_sweep
+from stvsim.synth import formality_bias_election, truncation_ladder_election
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_layer_records_spans(tracing):
+    tracer = tracing.Tracer()
+    sweeps = [
+        (formality_bias_election(60, 60),
+         SimConfig(base_seed=7, runs_per_point=3, model="digit", rates=(0.3,), btl_required_grid=(6, 1))),
+        (truncation_ladder_election(20, 20),
+         SimConfig(base_seed=8, runs_per_point=3, model="truncation", rates=(0.1,))),
+    ]
+    tracer.install()
+    try:
+        for election, config in sweeps:
+            tracer.start_round()
+            tracer.sweep(run_sweep, election, config)
+            records = len(election.sheets) * len(config.btl_required_grid)
+            assert tracer.counts["ballots.classify_calls"] == records
+    finally:
+        tracer.remove()
+    missing = {name for _, _, name in tracing.WRAPPED} - {span[0] for span in tracer.spans}
+    assert not missing
