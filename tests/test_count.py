@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stvsim import (
     Candidate,
@@ -22,6 +24,7 @@ from oracles import irv_winner
 
 EXACT = CountRules(tally_rounding=TallyRounding.EXACT)
 UIG = CountRules(surplus_method=SurplusMethod.UNWEIGHTED_INCLUSIVE_GREGORY)
+ALL_RULES = [CountRules(surplus, rounding) for surplus in SurplusMethod for rounding in TallyRounding]
 
 
 def btl(ranking, mult=1):
@@ -200,6 +203,38 @@ class TestConservation:
             for rec in tr.rounds:
                 if rec.transfer_value is not None:
                     assert 0 <= rec.transfer_value <= 1
+
+
+@st.composite
+def split_and_shuffled(draw):
+    """A random BTL election, and the same ballots with every record of two
+    or more papers split in two at a random point, in a shuffled order."""
+    n = draw(st.integers(3, 8))
+    meta = simple_meta(n, seats=draw(st.integers(1, n - 1)))
+    ids = list(meta.candidate_ids)
+    ranking = st.permutations(ids).flatmap(lambda order: st.integers(1, n).map(lambda k: order[:k]))
+    records = draw(st.lists(st.tuples(ranking, st.integers(1, 60)), min_size=1, max_size=25))
+    ballots = [btl(r, m) for r, m in records]
+    split = []
+    for r, m in records:
+        cut = draw(st.integers(1, m - 1)) if m > 1 else m
+        split += [btl(r, cut)] + ([btl(r, m - cut)] if cut < m else [])
+    return meta, ballots, draw(st.permutations(split))
+
+
+class TestOrderAndSplitInvariance:
+    """The count depends on the ballot multiset only: not on the order of its
+    records, nor on how one ranking's papers are split across records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_and_shuffled())
+    def test_same_transcript_under_every_rule_set(self, case):
+        meta, ballots, split = case
+        for rules in ALL_RULES:
+            _, tr = count_stv(ballots, meta, rules)
+            assert count_stv(split, meta, rules)[1].to_text() == tr.to_text()
+            if rules.tally_rounding is TallyRounding.EXACT:
+                assert tr.rounding_loss == 0
 
 
 class TestTranscript:
