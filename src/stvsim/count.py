@@ -7,10 +7,12 @@ eliminated and their ballots move on at current weight; the count ends when
 every seat is filled or the number of continuing candidates equals the
 number of unfilled seats.
 
-Ballot weights are exact rationals throughout.  Under the default
-TRUNCATE_TO_INTEGER rounding, reported tallies are integers: each
-candidate's received transfer is floored and the units that vanish are
-tracked as cumulative rounding loss, so the conservation identity
+Ballot weights are exact rationals throughout.  A candidate's pile is held
+as parcels of papers that share one exact weight, so a transfer does its
+rational arithmetic once per (parcel, receiving candidate), not per paper.
+Under the default TRUNCATE_TO_INTEGER rounding, reported tallies are
+integers: each candidate's received transfer is floored and the units that
+vanish are tracked as cumulative rounding loss, so the conservation identity
 
     sum(held votes) + exhausted + rounding loss == total formal ballots
 
@@ -157,12 +159,9 @@ class CountTranscript:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Bundle:
-    ranking: tuple[str, ...]
-    pos: int  # index of the candidate currently holding this bundle
-    weight: Fraction
-    count: int
+#: Papers that some candidate holds: the ranking, the index in it of the
+#: holder, and the number of papers.
+_Papers = tuple[tuple[str, ...], int, int]
 
 
 class _Count:
@@ -171,28 +170,28 @@ class _Count:
         self.rules = rules
         self.trunc = rules.tally_rounding is TallyRounding.TRUNCATE_TO_INTEGER
         self.index = meta.candidate_index
-
-        merged: dict[tuple[str, ...], int] = {}
-        total = 0
-        for prefs, mult in ballots:
-            if mult < 1:
-                raise CountError("ballot multiplicity must be >= 1")
-            ranking = expand_to_candidates(prefs, meta)
-            merged[ranking] = merged.get(ranking, 0) + mult
-            total += mult
-        if total == 0:
-            raise CountError("cannot count an election with no formal ballots")
-
-        self.total = total
-        self.quota = droop_quota(total, meta.seats)
         self.continuing: set[str] = set(meta.candidate_ids)
         self.elected: list[str] = []
-        self.piles: dict[str, list[_Bundle]] = {cid: [] for cid in meta.candidate_ids}
+        #: Each candidate's pile, as parcels of papers that share one exact weight.
+        self.piles: dict[str, dict[Fraction, list[_Papers]]] = {cid: {} for cid in meta.candidate_ids}
         zero = 0 if self.trunc else Fraction(0)
         self.tallies: dict[str, int | Fraction] = {cid: zero for cid in meta.candidate_ids}
         self.exhausted: int | Fraction = zero
         self.loss: int | Fraction = zero
         self.surplus_queue: deque[str] = deque()
+
+        total = 0
+        for prefs, mult in ballots:
+            if mult < 1:
+                raise CountError("ballot multiplicity must be >= 1")
+            ranking = expand_to_candidates(prefs, meta)
+            self.piles[ranking[0]].setdefault(Fraction(1), []).append((ranking, 0, mult))
+            self.tallies[ranking[0]] += mult
+            total += mult
+        if total == 0:
+            raise CountError("cannot count an election with no formal ballots")
+        self.total = total
+        self.quota = droop_quota(total, meta.seats)
         self.transcript = CountTranscript(
             election_name=meta.name,
             seats=meta.seats,
@@ -200,11 +199,6 @@ class _Count:
             quota=self.quota,
             rules=rules,
         )
-
-        for ranking, mult in merged.items():
-            first = ranking[0]
-            self.piles[first].append(_Bundle(ranking, 0, Fraction(1), mult))
-            self.tallies[first] += mult if self.trunc else Fraction(mult)
 
     # -- tie-breaking ------------------------------------------------------
 
@@ -230,49 +224,47 @@ class _Count:
 
     # -- transfers ---------------------------------------------------------
 
-    def _next_holder(self, bundle: _Bundle) -> int | None:
-        ranking = bundle.ranking
-        for i in range(bundle.pos + 1, len(ranking)):
+    def _next_holder(self, ranking: tuple[str, ...], pos: int) -> int | None:
+        for i in range(pos + 1, len(ranking)):
             if ranking[i] in self.continuing:
                 return i
         return None
 
-    def _move_pile(self, pile: list[_Bundle], new_weight, moved_out: int | Fraction) -> None:
+    def _move_pile(self, pile: dict[Fraction, list[_Papers]], new_weight, moved_out: int | Fraction) -> None:
         """Distribute a pile and keep the conservation ledger balanced.
 
         ``moved_out`` is the tally amount leaving the source (the surplus, or
-        an eliminated candidate's whole tally).  Each receipt, and the
-        exhausted amount, is floored under integer rounding and kept exact
-        otherwise.  The event's loss is moved_out minus everything delivered:
-        exactly 0 in exact mode, and under integer rounding it can go
-        negative once a pile's exact weight has drifted above its floored
-        tally; the running identity stays exact either way.
+        an eliminated candidate's whole tally).  Each parcel's papers are
+        summed per receiving candidate (or exhaustion) and weighed once.  Each
+        receipt, and the exhausted amount, is floored under integer rounding
+        and kept exact otherwise.  The event's loss is moved_out minus
+        everything delivered: exactly 0 in exact mode, and under integer
+        rounding it can go negative once a pile's exact weight has drifted
+        above its floored tally; the running identity stays exact either way.
         """
-        receipts: dict[str, list[_Bundle]] = {}
-        receipt_exact: dict[str, Fraction] = {}
-        exhausted_exact = Fraction(0)
-        for b in pile:
-            w = new_weight(b.weight)
+        received: dict[str | None, Fraction] = {}  # None: exhausted
+        for weight, parcel in pile.items():
+            w = new_weight(weight)
             if not (0 <= w <= 1):
                 raise CountInvariantError(f"ballot weight {w} outside [0, 1]", self.transcript)
-            nxt = self._next_holder(b)
-            if nxt is None:
-                exhausted_exact += w * b.count
-                continue
-            cid = b.ranking[nxt]
-            receipts.setdefault(cid, []).append(_Bundle(b.ranking, nxt, w, b.count))
-            receipt_exact[cid] = receipt_exact.get(cid, Fraction(0)) + w * b.count
+            papers: dict[str | None, int] = {}
+            for ranking, pos, n in parcel:
+                nxt = self._next_holder(ranking, pos)
+                cid = None if nxt is None else ranking[nxt]
+                papers[cid] = papers.get(cid, 0) + n
+                if cid is not None:
+                    self.piles[cid].setdefault(w, []).append((ranking, nxt, n))
+            for cid, n in papers.items():
+                received[cid] = received.get(cid, 0) + w * n
 
         settle = (lambda v: v.numerator // v.denominator) if self.trunc else (lambda v: v)
-        delivered = settle(exhausted_exact)
+        delivered = settle(received.pop(None, Fraction(0)))
         self.exhausted += delivered
-        for cid in sorted(receipt_exact, key=self.index.get):
-            got = settle(receipt_exact[cid])
+        for cid in sorted(received, key=self.index.get):
+            got = settle(received[cid])
             self.tallies[cid] += got
             delivered += got
         self.loss += moved_out - delivered
-        for cid, bundles in receipts.items():
-            self.piles[cid].extend(bundles)
 
     # -- rounds ------------------------------------------------------------
 
@@ -327,13 +319,13 @@ class _Count:
     def _distribute_surplus(self, cid: str, number: int) -> None:
         tally = self.tallies[cid]
         surplus = tally - self.quota
-        pile = self.piles.pop(cid)
-        self.piles[cid] = []
+        pile = self.piles[cid]
+        self.piles[cid] = {}
         if self.rules.surplus_method is SurplusMethod.WEIGHTED_INCLUSIVE_GREGORY:
             tv = Fraction(surplus) / Fraction(tally)
             new_weight = lambda w: w * tv
         else:
-            papers = sum(b.count for b in pile)
+            papers = sum(n for parcel in pile.values() for _, _, n in parcel)
             tv = Fraction(surplus) / papers if papers else Fraction(0)
             new_weight = lambda w: tv
         if not (0 <= tv <= 1):

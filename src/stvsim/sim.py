@@ -310,14 +310,14 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
 
 
 def _rankings(prep: _Prepared, keys: np.ndarray) -> Counter:
-    """Multiset of (style, ranking) from keys key_start[sheet] + prefix length."""
+    """Multiset of formal ``Preferences`` from keys key_start[sheet] + prefix length."""
     found = np.bincount(keys)
     present = np.flatnonzero(found)
     sheet = np.searchsorted(prep.key_start, present, side="right") - 1
     ballots: Counter = Counter()
     for key, s, n in zip(present.tolist(), sheet.tolist(), found[present].tolist()):
         prefs = prep.sheets[s]
-        ballots[(prefs.style, prefs.ranking[:key - prep.key_start[s]])] += n
+        ballots[Preferences(prefs.style, prefs.ranking[:key - prep.key_start[s]])] += n
     return ballots
 
 
@@ -326,7 +326,7 @@ def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple
 
     ``seeds`` holds every physical ballot's substream seed.  Returns each
     physical ballot's surviving preference count (0 if informal) and the
-    multiset of formal (style, ranking) pairs.  A ballot whose ranking is a
+    multiset of formal ``Preferences``.  A ballot whose ranking is a
     prefix of its sheet's is tallied by (sheet, prefix length); one where a
     changed box took a rank inside the prefix is interpreted on its own.
     """
@@ -354,19 +354,10 @@ def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple
             marks = prep.box_values[prep.box_start[s]:prep.box_start[s] + prep.n_boxes[s]].copy()
             marks[box[i:j] - prep.box_start[s]] = value[i:j]
             ranking = interpret_marks(dict(zip(prep.box_order[s], marks.tolist())))
-            moved_rankings[(prep.sheets[s].style, ranking)] += 1
+            moved_rankings[Preferences(prep.sheets[s].style, ranking)] += 1
     ballots = _rankings(prep, np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64))
     ballots.update(moved_rankings)
     return lengths, ballots
-
-
-def _winner_set(ballots: Counter, meta, count_rules: CountRules) -> tuple[str, ...] | None:
-    """Sorted winners of a count of ``ballots``; None if there is no ballot."""
-    if not ballots:
-        return None
-    prefs_list = [(Preferences(style, ranking), mult) for (style, ranking), mult in ballots.items()]
-    winners, _ = count_stv(prefs_list, meta, count_rules)
-    return tuple(sorted(winners))
 
 
 def _run_chunk(args: tuple) -> PointResult:
@@ -405,7 +396,7 @@ def _run_chunk(args: tuple) -> PointResult:
         by_bucket = np.bincount(prep.orig_prefs, weights=lengths, minlength=len(surviving))
         surviving += weight * by_bucket.astype(np.int64)
         if do_count:
-            outcomes[_winner_set(ballots, meta, count_rules)] += weight
+            outcomes[tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None] += weight
 
     return PointResult(
         model=point.model_name,

@@ -23,7 +23,6 @@ from stvsim import (
     ElectionMeta,
     Group,
     MarkSheet,
-    Preferences,
     RandomStream,
     SimConfig,
     classify_formality,
@@ -78,7 +77,7 @@ def scalar_run(election, rules, model, point, run):
                 out = perturb_ballot(prefs, model, rules, stream)
             lengths.append(0 if out is None else len(out.ranking))
             if out is not None:
-                ballots[(out.style, out.ranking)] += 1
+                ballots[out] += 1
                 moved += out.ranking != prefs.ranking[:len(out.ranking)]
             i += 1
     return np.array(lengths), ballots, moved
@@ -87,9 +86,7 @@ def scalar_run(election, rules, model, point, run):
 def winner_set(ballots, meta):
     if not ballots:
         return None
-    winners, _ = count_stv(
-        [(Preferences(style, ranking), n) for (style, ranking), n in ballots.items()], meta
-    )
+    winners, _ = count_stv(ballots.items(), meta)
     return tuple(sorted(winners))
 
 
