@@ -518,7 +518,8 @@ class SimReport:
     n_physical_ballots: int
     candidate_order: tuple[str, ...]
     points: list[PointResult]
-    position_histograms: dict[str, dict[str, dict[int, int]]] = field(default_factory=dict)
+    #: Tracked candidate -> formality variant (btl_required) -> style -> rank -> ballots.
+    position_histograms: dict[str, dict[int, dict[str, dict[int, int]]]] = field(default_factory=dict)
 
     def point(self, rate: float, btl_required: int | None = None) -> PointResult:
         for p in self.points:
@@ -575,12 +576,12 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     """Run the full Monte Carlo sweep described by ``config``."""
     points = _build_points(config)
     prepared = {v: _prepare(election, config.rules_for(v)) for v in config.btl_required_grid}
-    # Tracked candidates' histograms, from the first variant's formal ballots,
-    # before any run, so that an unknown candidate fails fast.
-    first = prepared[config.btl_required_grid[0]]
-    papers = np.bincount(first.ballot_sheet, minlength=len(first.sheets)).tolist()
+    # Tracked candidates' histograms, one per formality variant from that
+    # variant's formal ballots, before any run, so that an unknown candidate
+    # fails fast.
+    papers = {v: np.bincount(p.ballot_sheet, minlength=len(p.sheets)).tolist() for v, p in prepared.items()}
     histograms = {
-        cid: _position_histogram(zip(first.sheets, papers), election.meta, cid)
+        cid: {v: _position_histogram(zip(p.sheets, papers[v]), election.meta, cid) for v, p in prepared.items()}
         for cid in config.track_candidates
     }
     runs = config.runs_per_point
@@ -797,10 +798,11 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
     if report.position_histograms:
         emit(
             "histograms.csv",
-            ["candidate", "style", "rank", "ballots"],
+            ["candidate", "btl_required", "style", "rank", "ballots"],
             (
-                [cid, style, rank, n]
-                for cid, styles in sorted(report.position_histograms.items())
+                [cid, variant, style, rank, n]
+                for cid, variants in sorted(report.position_histograms.items())
+                for variant, styles in variants.items()
                 for style, counts in sorted(styles.items())
                 for rank, n in sorted(counts.items())
             ),

@@ -310,9 +310,9 @@ class TestOneClassificationPass:
         )
         report = run_sweep(small_election, config)
         assert len(calls) == 2 * len(small_election.sheets)
-        rules = FormalityRules(btl_required_prefs=6)
         assert report.position_histograms == {
-            cid: preference_position_histogram(small_election, cid, rules) for cid in ("a1", "b1")
+            cid: {v: preference_position_histogram(small_election, cid, config.rules_for(v)) for v in (6, 1)}
+            for cid in ("a1", "b1")
         }
 
     def test_unknown_tracked_candidate_fails_before_any_run(self, small_election, monkeypatch):
