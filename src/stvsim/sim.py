@@ -49,7 +49,7 @@ from .ballots import (
     classify_formality,
     interpret_marks,
 )
-from .count import CountRules, count_stv
+from .count import CountInvariantError, CountRules, count_stv
 from .error_models import (
     ConfusionModel,
     ErrorModel,
@@ -363,7 +363,9 @@ def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple
 def _run_chunk(args: tuple) -> PointResult:
     """Simulate runs [run_lo, run_hi) of one grid point; pure and picklable.
 
-    Without ``do_count`` no run is counted and ``winner_sets`` is empty.
+    Without ``do_count`` no run is counted and ``winner_sets`` is empty.  A
+    count that breaks an invariant is re-raised naming the grid point, run
+    and base seed that reproduce it (for the zero-error point, its first run).
     """
     prep, meta, count_rules, point, base_seed, run_lo, run_hi, do_count = args
     n_runs = run_hi - run_lo
@@ -395,8 +397,14 @@ def _run_chunk(args: tuple) -> PointResult:
         btl_by_run[first:first + weight] = np.count_nonzero(formal & btl_mask)
         by_bucket = np.bincount(prep.orig_prefs, weights=lengths, minlength=len(surviving))
         surviving += weight * by_bucket.astype(np.int64)
-        if do_count:
-            outcomes[tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None] += weight
+        if not do_count:
+            continue
+        try:
+            winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
+        except CountInvariantError as exc:
+            where = f"grid point {point.index}, run {run_lo + first}, base seed {base_seed}"
+            raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
+        outcomes[winners] += weight
 
     return PointResult(
         model=point.model_name,

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from stvsim import ElectionFile, read_election_file, write_election_file
-from stvsim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from stvsim import CountInvariantError, ElectionFile, count, read_election_file, write_election_file
+from stvsim.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from stvsim.synth import formality_bias_election
 
 
@@ -133,6 +133,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "b")]) == EXIT_OK
         assert not (tmp_path / "a").exists()
         assert (tmp_path / "b" / "report.json").exists()
+
+    def test_count_failure_exits_4_naming_point_run_and_seed(self, tmp_path, election_path, monkeypatch, capsys):
+        def fail(self, rec):
+            raise CountInvariantError("injected fault", self.transcript)
+
+        monkeypatch.setattr(count._Count, "_check_conservation", fail)
+        code = main(["simulate", "--election", election_path, "--runs", "2", "--seed", "5",
+                     "--rates", "0.01", "--out", str(tmp_path / "x")])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal invariant failure: grid point 0, run 0, base seed 5: injected fault\n" in err
+        assert "round 1\tfirst-preferences" in err  # the transcript so far
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, election_path):
         config_path = tmp_path / "conf.json"

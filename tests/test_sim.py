@@ -7,6 +7,8 @@ import pytest
 from stvsim import (
     BallotError,
     Candidate,
+    CountInvariantError,
+    CountRules,
     ElectionFile,
     ElectionMeta,
     FormalityRules,
@@ -27,7 +29,7 @@ from stvsim import (
     write_election_file,
     write_report,
 )
-from stvsim import sim
+from stvsim import count, sim
 from stvsim.cli import EXIT_OK, main
 from stvsim.synth import marks_for_ranking, truncation_ladder_election
 
@@ -293,6 +295,36 @@ class TestReportSerialisation:
         assert (tmp_path / "winners.csv").read_text().splitlines()[0] == \
             "model,rate,btl_required,candidate,wins,frequency"
         assert (tmp_path / "report.json").exists()
+
+
+class TestCountFailureContext:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_names_point_run_and_seed(self, small_election, monkeypatch, jobs):
+        clean_total = sum(papers for _, papers in formal_ballots(small_election))
+        check = count._Count._check_conservation
+
+        def fail_when_perturbed(self, rec):
+            if self.total != clean_total:
+                raise CountInvariantError("injected fault", self.transcript)
+            check(self, rec)
+
+        monkeypatch.setattr(count._Count, "_check_conservation", fail_when_perturbed)
+        config = SimConfig(base_seed=3, runs_per_point=4, model="digit", rates=(0.5,), jobs=jobs)
+        with pytest.raises(CountInvariantError, match=r"^grid point 1, run 0, base seed 3: injected fault$") as info:
+            run_sweep(small_election, config)
+        assert info.value.transcript.rounds  # it crossed the process boundary at jobs=2
+
+    def test_zero_error_point_names_its_first_run(self, small_election, monkeypatch):
+        def fail(self, rec):
+            raise CountInvariantError("injected fault", self.transcript)
+
+        monkeypatch.setattr(count._Count, "_check_conservation", fail)
+        config = SimConfig(base_seed=3, runs_per_point=4)
+        (point,) = sim._build_points(config)
+        chunk = (sim._prepare(small_election, config.rules_for(6)), small_election.meta, CountRules(),
+                 point, 3, 2, 4, True)
+        with pytest.raises(CountInvariantError, match=r"^grid point 0, run 2, base seed 3: "):
+            sim._run_chunk(chunk)
 
 
 class TestOneClassificationPass:
