@@ -45,6 +45,7 @@ from .ingest import (
     write_election_file,
 )
 from .sim import (
+    MODEL_FAMILIES,
     SimConfig,
     SimError,
     formal_ballots,
@@ -318,7 +319,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("simulate", help="Monte Carlo error sweep; emits plot-ready CSVs")
     p.add_argument("--election", required=True)
-    p.add_argument("--model", choices=("truncation", "digit", "confusion"), default="digit")
+    p.add_argument("--model", choices=MODEL_FAMILIES, default="digit")
     p.add_argument("--rates", type=_rate_list, default=None,
                    help="comma-separated error rates in [0,1]; a 0 baseline is always added")
     p.add_argument("--matrix", default=None,

@@ -71,10 +71,6 @@ class RandomStream:
         """Uniform integer in [0, n)."""
         return int(self.uniform() * n)
 
-    @classmethod
-    def for_parts(cls, *parts: int) -> "RandomStream":
-        return cls(derive_seed(*parts))
-
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     """``mix64`` on a uint64 array, in place; returns the array."""
