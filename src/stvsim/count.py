@@ -181,11 +181,12 @@ class _Count:
         self.surplus_queue: deque[str] = deque()
 
         total = 0
+        whole = Fraction(1)
         for prefs, mult in ballots:
             if mult < 1:
                 raise CountError("ballot multiplicity must be >= 1")
             ranking = expand_to_candidates(prefs, meta)
-            self.piles[ranking[0]].setdefault(Fraction(1), []).append((ranking, 0, mult))
+            self.piles[ranking[0]].setdefault(whole, []).append((ranking, 0, mult))
             self.tallies[ranking[0]] += mult
             total += mult
         if total == 0:
