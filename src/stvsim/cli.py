@@ -201,6 +201,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.matrix and args.model != "confusion":
+        raise CliUsageError(f"--matrix goes only with --model confusion, not --model {args.model}")
     election = read_election_file(args.election)
     confusion = None
     if args.model == "confusion":
@@ -234,9 +236,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     election = read_election_file(args.election)
-    rules = _formality_rules(args)
     if args.subcommand == "partition":
-        table = partition_by_preference(election, args.a, args.b, rules)
+        table = partition_by_preference(election, args.a, args.b, _formality_rules(args))
         lines = [
             "style,prefers_a,prefers_b,neither",
             f"ATL,{table.atl[0]},{table.atl[1]},{table.atl[2]}",
@@ -251,7 +252,7 @@ def cmd_analyze(args) -> int:
         text = anomaly_table_csv(rows)
         filename = "forensics.csv"
     else:  # histogram
-        hist = preference_position_histogram(election, args.candidate, rules)
+        hist = preference_position_histogram(election, args.candidate, _formality_rules(args))
         lines = ["style,rank,ballots"]
         for style in ("ATL", "BTL"):
             for rank, n in hist[style].items():
@@ -321,9 +322,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--election", required=True)
     p.add_argument("--model", choices=MODEL_FAMILIES, default="digit")
     p.add_argument("--rates", type=_rate_list, default=None,
-                   help="comma-separated error rates in [0,1]; a 0 baseline is always added")
+                   help="comma-separated digit or truncation error rates in [0,1]; a 0 baseline is always added")
     p.add_argument("--matrix", default=None,
-                   help="confusion table file (default: the bundled handwritten-digit table)")
+                   help="confusion table file for --model confusion (default: the bundled table)")
     p.add_argument("--runs", type=int, default=1000, help="simulated elections per grid point")
     p.add_argument("--seed", type=int, default=1, help="base seed for the run")
     p.add_argument("--btl-required", type=_int_list, default=[6],
@@ -354,7 +355,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     pf.add_argument("--election", required=True)
     pf.add_argument("--style", choices=("BTL", "ATL"), default="BTL")
     pf.add_argument("--max-pref", type=int, default=13)
-    _add_formality_flags(pf)
     pf.add_argument("--out", default=None)
     pf.set_defaults(func=cmd_analyze)
     registry["analyze forensics"] = pf

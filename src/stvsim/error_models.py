@@ -101,7 +101,7 @@ ErrorModel = Union[TruncationModel, UniformDigitModel, ConfusionModel]
 BUNDLED_CONFUSION_TABLE = os.path.join(os.path.dirname(__file__), "data", "digit_confusion.txt")
 
 
-def load_confusion_table(source) -> ConfusionModel:
+def load_confusion_table(path: str) -> ConfusionModel:
     """Read a plain-text 10x10 confusion table.
 
     Each non-comment line holds the ten column entries for one predicted
@@ -109,11 +109,8 @@ def load_confusion_table(source) -> ConfusionModel:
     means "below measurement resolution" and reads as zero.  Columns are
     normalised to sum to one.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

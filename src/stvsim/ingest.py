@@ -8,6 +8,9 @@ Two formats live here:
 * the canonical election file used by every other module, a human-diffable
   text format described below.
 
+Election files are read from and written to paths.  The CSV parser takes a
+path or a binary stream (``stvsim ingest`` passes an open binary file).
+
 Canonical election file grammar (UTF-8, LF or CRLF)::
 
     #stv-election v1
@@ -125,11 +128,11 @@ def parse_preference_csv(
 ) -> IngestResult:
     """Parse a published preference CSV into an ElectionFile.
 
-    Bad rows (wrong token count, missing column) are collected as issues so
-    a single damaged row cannot abort a large ingest; an unreadable stream
-    is a hard error.
+    ``stream`` is a path or a binary stream of UTF-8 text, and is closed on
+    return.  Bad rows (wrong token count, missing column) are collected as
+    issues so a single damaged row cannot abort a large ingest; an
+    unreadable stream is a hard error.
     """
-    own = isinstance(stream, (str, Path))
     text = _as_text(stream)
     boxes = list(meta.group_ids) + list(meta.candidate_ids)
     n_atl = len(meta.group_ids)
@@ -190,8 +193,7 @@ def parse_preference_csv(
     except (csv.Error, UnicodeDecodeError) as exc:
         raise IngestError(f"malformed CSV near row {row_no}: {exc}") from None
     finally:
-        if own:
-            text.close()
+        text.close()
 
     election = ElectionFile(meta, tuple(merged[k] for k in order), provenance)
     return IngestResult(election, issues)
@@ -200,8 +202,6 @@ def parse_preference_csv(
 def _as_text(stream) -> IO[str]:
     if isinstance(stream, (str, Path)):
         return open(stream, "r", encoding="utf-8", newline="")
-    if isinstance(stream, io.TextIOBase):
-        return stream
     return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
@@ -209,11 +209,9 @@ def _pairs(marks: dict[str, str]) -> str:
     return " ".join(f"{box}:{mark}" for box, mark in sorted(marks.items()))
 
 
-def write_election_file(election: ElectionFile, target) -> None:
+def write_election_file(election: ElectionFile, path: str | Path) -> None:
     """Write the canonical format.  Output is canonical: byte-stable for equal inputs."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = fh.write
         w(FORMAT_HEADER + "\n")
         w("[election]\n")
@@ -234,9 +232,6 @@ def write_election_file(election: ElectionFile, target) -> None:
         w("[sheets]\n")
         for sheet in election.sheets:
             w(f"{sheet.multiplicity}\t{_pairs(sheet.atl_marks)}\t{_pairs(sheet.btl_marks)}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def _check_field(kind: str, value: str) -> None:
@@ -256,15 +251,10 @@ def _parse_pairs(text: str, lineno: int) -> dict[str, str]:
     return marks
 
 
-def read_election_file(source) -> ElectionFile:
+def read_election_file(path: str | Path) -> ElectionFile:
     """Read the canonical format; raises SchemaError with a line number on violations."""
-    own = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
+    with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    finally:
-        if own:
-            fh.close()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         found = lines[0].strip() if lines else "<empty file>"
         raise SchemaError(f"line 1: expected header {FORMAT_HEADER!r}, found {found!r}")

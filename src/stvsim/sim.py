@@ -92,6 +92,10 @@ class SimConfig:
             raise SimError(f"model must be one of {MODEL_FAMILIES}, got {self.model!r}")
         if self.model == "confusion" and self.confusion is None:
             raise SimError("the confusion model needs a confusion matrix")
+        if self.model == "confusion" and self.rates:
+            raise SimError("the confusion model takes no rates: its table sets the error rate")
+        if self.model != "confusion" and self.confusion is not None:
+            raise SimError(f"a confusion matrix goes only with the confusion model, not {self.model!r}")
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
                 raise SimError(f"rates must lie in [0, 1], got {r}")
@@ -633,15 +637,15 @@ def formality_rate_report(
     model: ErrorModel,
     runs: int,
     base_seed: int,
-    rules: FormalityRules | None = None,
 ) -> PointResult:
     """One error model's per-ballot formality and retention, without counting.
 
-    The runs are seeded as point 0 of a sweep; ``winner_sets`` is empty.
+    Formality follows the default Senate rules.  The runs are seeded as
+    point 0 of a sweep; ``winner_sets`` is empty.
     """
     if runs < 1:
         raise SimError("runs must be >= 1")
-    rules = rules or FormalityRules()
+    rules = FormalityRules()
     point = _grid_point(0, rules.btl_required_prefs, model)
     return _run_chunk((_prepare(election, rules), election.meta, CountRules(), point, base_seed, 0, runs, False))
 
@@ -651,14 +655,13 @@ def truncation_stats(
     model: ErrorModel,
     runs: int,
     base_seed: int,
-    rules: FormalityRules | None = None,
 ) -> dict[int, float]:
     """Mean surviving preference count, bucketed by original preference count.
 
     Surviving count is the length of the re-interpreted ranking, or 0 when
-    the errors left the ballot informal.
+    the errors left the ballot informal under the default Senate rules.
     """
-    return formality_rate_report(election, model, runs, base_seed, rules).mean_surviving
+    return formality_rate_report(election, model, runs, base_seed).mean_surviving
 
 
 @dataclass

@@ -34,8 +34,8 @@ class RateEstimate:
         )
 
 
-def binomial_estimate(errors: int, trials: int, confidence: float = 0.95) -> RateEstimate:
-    """Binomial point estimate with an exact Clopper-Pearson interval.
+def binomial_estimate(errors: int, trials: int) -> RateEstimate:
+    """Binomial point estimate with an exact two-sided 95% Clopper-Pearson interval.
 
     The lower bound is 0 when no errors were seen and the upper bound is 1
     when every trial erred.
@@ -47,9 +47,8 @@ def binomial_estimate(errors: int, trials: int, confidence: float = 0.95) -> Rat
     # scipy.stats takes about a second to import; only this function needs it
     from scipy.stats import beta
 
-    alpha = 1.0 - confidence
-    low = 0.0 if errors == 0 else float(beta.ppf(alpha / 2, errors, trials - errors + 1))
-    high = 1.0 if errors == trials else float(beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
+    low = 0.0 if errors == 0 else float(beta.ppf(0.025, errors, trials - errors + 1))
+    high = 1.0 if errors == trials else float(beta.ppf(0.975, errors + 1, trials - errors))
     return RateEstimate(errors, trials, errors / trials, low, high)
 
 

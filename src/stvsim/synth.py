@@ -2,8 +2,10 @@
 
 The builders here construct small elections with known structure: a
 two-group contest engineered so that digitisation errors flip the winner,
-a ladder of long and short preference lists for truncation measurements,
-and uniformly random elections for cross-checking the counting engine.
+a ladder of long and short preference lists for truncation measurements
+(always 12 groups of 5 candidates, with 60-preference BTL and
+10-preference ATL ballots; only the two ballot counts vary), and uniformly
+random elections for cross-checking the counting engine.
 """
 from __future__ import annotations
 
@@ -17,11 +19,7 @@ def marks_for_ranking(boxes: list[str] | tuple[str, ...]) -> dict[str, str]:
     return {box: str(rank) for rank, box in enumerate(boxes, start=1)}
 
 
-def formality_bias_election(
-    atl_votes: int = 4950,
-    btl_votes: int = 5050,
-    name: str = "formality-bias fixture",
-) -> ElectionFile:
+def formality_bias_election(atl_votes: int = 4950, btl_votes: int = 5050) -> ElectionFile:
     """A one-seat contest where the winner depends on ballot style survival.
 
     Candidate ``a1`` is fed entirely by single-preference ATL votes (one
@@ -33,7 +31,7 @@ def formality_bias_election(
     of the ATL ballots and hands the seat to ``a1``.
     """
     meta = ElectionMeta(
-        name=name,
+        name="formality-bias fixture",
         seats=1,
         groups=(Group("A", "Group A"), Group("B", "Group B")),
         candidates=(
@@ -52,33 +50,24 @@ def formality_bias_election(
     return ElectionFile(meta, sheets, provenance="synthetic")
 
 
-def truncation_ladder_election(
-    long_ballots: int = 2000,
-    short_ballots: int = 2000,
-    long_prefs: int = 60,
-    short_prefs: int = 10,
-    name: str = "truncation ladder fixture",
-) -> ElectionFile:
+def truncation_ladder_election(long_ballots: int = 2000, short_ballots: int = 2000) -> ElectionFile:
     """Long BTL preference runs next to short ATL runs.
 
-    ``long_ballots`` papers rank ``long_prefs`` candidates below the line
-    (marks 1..60 by default) and ``short_ballots`` papers rank
-    ``short_prefs`` groups above the line, giving two clean buckets for
+    Twelve groups of five candidates each.  ``long_ballots`` papers rank all
+    60 candidates below the line (marks 1..60) and ``short_ballots`` papers
+    rank the first 10 groups above the line, giving two clean buckets for
     before/after preference-count comparisons.
     """
-    n_groups = max(short_prefs, 12)
-    per_group = -(-long_prefs // n_groups)  # ceil: enough BTL boxes for the long run
-    groups = tuple(Group(f"G{i:02d}", f"Group {i}") for i in range(1, n_groups + 1))
-    candidates = []
-    for g in range(n_groups):
-        for p in range(1, per_group + 1):
-            candidates.append(Candidate(f"c{g * per_group + p:03d}", f"Candidate {g},{p}", groups[g].id, p))
-    meta = ElectionMeta(name, 1, groups, tuple(candidates))
-    long_ranking = [f"c{i:03d}" for i in range(1, long_prefs + 1)]
-    short_ranking = [g.id for g in groups[:short_prefs]]
+    groups = tuple(Group(f"G{i:02d}", f"Group {i}") for i in range(1, 13))
+    candidates = tuple(
+        Candidate(f"c{g * 5 + p:03d}", f"Candidate {g},{p}", group.id, p)
+        for g, group in enumerate(groups)
+        for p in range(1, 6)
+    )
+    meta = ElectionMeta("truncation ladder fixture", 1, groups, candidates)
     sheets = (
-        MarkSheet({}, marks_for_ranking(long_ranking), long_ballots),
-        MarkSheet(marks_for_ranking(short_ranking), {}, short_ballots),
+        MarkSheet({}, marks_for_ranking([c.id for c in candidates]), long_ballots),
+        MarkSheet(marks_for_ranking([g.id for g in groups[:10]]), {}, short_ballots),
     )
     return ElectionFile(meta, sheets, provenance="synthetic")
 

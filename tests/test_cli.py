@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from stvsim import CountInvariantError, ElectionFile, count, read_election_file, write_election_file
+from stvsim import (
+    BUNDLED_CONFUSION_TABLE,
+    CountInvariantError,
+    ElectionFile,
+    count,
+    read_election_file,
+    write_election_file,
+)
 from stvsim.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from stvsim.synth import formality_bias_election
 
@@ -75,6 +83,12 @@ class TestCount:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["count", "--election", str(tmp_path / "none.stv")]) == EXIT_DATA
+
+    def test_malformed_file_is_data_error_naming_the_line(self, tmp_path, election_path, capsys):
+        bad = tmp_path / "bad.stv"
+        bad.write_text(Path(election_path).read_text(encoding="utf-8").replace("[groups]", "[parties]"))
+        assert main(["count", "--election", str(bad)]) == EXIT_DATA
+        assert "error: line 6: unknown section 'parties'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -152,6 +166,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path),
                      "--election", election_path, "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
+    def test_matrix_without_confusion_model_is_usage_error(self, tmp_path, election_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--election", election_path, "--model", "digit",
+                     "--matrix", BUNDLED_CONFUSION_TABLE, "--rates", "0.01", "--runs", "1",
+                     "--jobs", "1", "--out", str(out)]) == EXIT_USAGE
+        assert "--matrix goes only with --model confusion" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_confusion_model_with_rates_is_data_error(self, tmp_path, election_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--election", election_path, "--model", "confusion",
+                     "--rates", "0.01", "--runs", "1", "--jobs", "1", "--out", str(out)]) == EXIT_DATA
+        assert "the confusion model takes no rates" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_partition_stdout(self, election_path, capsys):
@@ -176,6 +205,26 @@ class TestAnalyze:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "preference,repeated,skipped"
         assert lines[1] == "1,1,0"
+
+    def test_forensics_takes_no_formality_flags(self, election_path):
+        assert main(["analyze", "forensics", "--election", election_path,
+                     "--btl-required", "1"]) == EXIT_USAGE
+
+    def test_forensics_out_writes_table_and_manifest(self, tmp_path, election_path):
+        out = tmp_path / "f"
+        assert main(["analyze", "forensics", "--election", election_path,
+                     "--max-pref", "2", "--out", str(out)]) == EXIT_OK
+        assert (out / "forensics.csv").read_text() == "preference,repeated,skipped\n1,0,0\n2,0,0\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "analyze forensics"
+        assert "btl_required" not in manifest["config"]
+        assert "atl_required" not in manifest["config"]
+
+    def test_old_forensics_manifest_names_the_dropped_keys(self, tmp_path, election_path, capsys):
+        config_path = tmp_path / "old.json"
+        config_path.write_text(json.dumps({"election": election_path, "btl_required": 6, "atl_required": 1}))
+        assert main(["analyze", "forensics", "--config", str(config_path)]) == EXIT_USAGE
+        assert "['atl_required', 'btl_required']" in capsys.readouterr().err
 
     def test_histogram(self, election_path, capsys):
         assert main(["analyze", "histogram", "--election", election_path,

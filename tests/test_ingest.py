@@ -15,6 +15,7 @@ from stvsim import (
     read_election_file,
     write_election_file,
 )
+from stvsim.ingest import RowIssue
 
 
 @pytest.fixture
@@ -151,3 +152,92 @@ class TestElectionFileRoundTrip:
         with pytest.raises(SchemaError) as err:
             read_election_file(path)
         assert "line" in str(err.value)
+
+
+GOOD_STV = (
+    "#stv-election v1\n"      # line 1
+    "[election]\n"            # 2
+    "name\tfixture\n"         # 3
+    "seats\t1\n"              # 4
+    "[groups]\n"              # 5
+    "gA\tAlpha\n"             # 6
+    "gB\tBeta\n"              # 7
+    "[candidates]\n"          # 8
+    "a1\tAnn\tgA\t1\n"        # 9
+    "b1\tBob\tgB\t1\n"        # 10
+    "[sheets]\n"              # 11
+    "2\tgA:1\t\n"             # 12
+    "1\t\ta1:1 b1:2\n"        # 13
+)
+CSV_META = ElectionMeta(
+    "csv fixture", 1, (Group("gA", "Alpha"),), (Candidate("a1", "Ann", "gA", 1), Candidate("b1", "Bob", "gA", 2))
+)
+
+# (id, input, exception type, message fragment).  A (str, str) input is
+# GOOD_STV with its first `old` replaced by `new` (an empty `old`: an empty
+# file); a (bytes, ColumnMap) input is a preference CSV.  Fragments name the
+# line, except for a field missing or wrong as a whole, a sheet checked after
+# reading (named by index) and an undecodable byte (decoded in chunks, so
+# the row named is only near it).
+BAD_INPUTS = [
+    ("empty-stv", ("", None), SchemaError, "line 1: expected header '#stv-election v1', found '<empty file>'"),
+    ("unknown-section", ("[groups]", "[parties]"), SchemaError, "line 5: unknown section 'parties'"),
+    ("before-section", ("[election]\n", "stray\n[election]\n"), SchemaError,
+     "line 2: content before any section header"),
+    ("election-fields", ("seats\t1", "seats 1"), SchemaError, "line 4: expected key<TAB>value"),
+    ("group-fields", ("gB\tBeta", "gB\tBeta\tmore"), SchemaError, "line 7: expected id<TAB>name"),
+    ("candidate-fields", ("b1\tBob\tgB\t1", "b1\tBob\tgB"), SchemaError,
+     "line 10: expected id<TAB>name<TAB>group<TAB>position"),
+    ("position", ("b1\tBob\tgB\t1", "b1\tBob\tgB\tfirst"), SchemaError,
+     "line 10: position 'first' is not an integer"),
+    ("sheet-fields", ("2\tgA:1\t\n", "2\tgA:1\n"), SchemaError, "line 12: expected multiplicity<TAB>atl<TAB>btl"),
+    ("multiplicity", ("2\tgA:1\t\n", "two\tgA:1\t\n"), SchemaError, "line 12: multiplicity 'two' is not an integer"),
+    ("pair", ("a1:1 b1:2", "a1:1 b1=2"), SchemaError, "line 13: bad box:mark pair 'b1=2'"),
+    ("box-twice", ("a1:1 b1:2", "a1:1 a1:2"), SchemaError, "line 13: box 'a1' listed twice"),
+    ("no-name", ("name\tfixture\n", ""), SchemaError, "missing [election] field 'name'"),
+    ("no-seats", ("seats\t1\n", ""), SchemaError, "missing [election] field 'seats'"),
+    ("seats", ("seats\t1", "seats\tone"), SchemaError, "seats 'one' is not an integer"),
+    ("seats-range", ("seats\t1", "seats\t2"), SchemaError, "seats must satisfy 1 <= seats < candidates"),
+    ("candidate-box", ("a1:1 b1:2", "a1:1 zz:2"), SchemaError, "sheet 1: unknown candidate box 'zz'"),
+    ("empty-csv", (b"", ColumnMap("Preferences")), IngestError, "CSV is empty"),
+    ("headerless-by-name", (b'"1,2"\n', ColumnMap("Preferences", header=False)), IngestError,
+     "a headerless CSV needs a numeric preference column index"),
+    ("undecodable", (b'Preferences\n"1,2"\n\xff\n', ColumnMap("Preferences")), IngestError,
+     "malformed CSV near row"),
+]
+
+
+@pytest.mark.parametrize("source, exc_type, fragment", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_is_rejected_with_its_line(source, exc_type, fragment, tmp_path):
+    if isinstance(source[0], bytes):
+        data, column_map = source
+        with pytest.raises(exc_type) as err:
+            parse_preference_csv(io.BytesIO(data), CSV_META, column_map)
+    else:
+        old, new = source
+        path = tmp_path / "bad.stv"
+        text = GOOD_STV.replace(old, new, 1) if old else ""
+        assert text != GOOD_STV
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(exc_type) as err:
+            read_election_file(path)
+    assert fragment in str(err.value)
+
+
+def test_good_fixture_reads(tmp_path):
+    path = tmp_path / "good.stv"
+    path.write_text(GOOD_STV, encoding="utf-8")
+    assert read_election_file(path).total_ballots == 3
+
+
+def test_tab_in_a_name_is_rejected_on_write(meta, tmp_path):
+    bad = ElectionMeta("two\twords", 1, meta.groups, meta.candidates)
+    with pytest.raises(SchemaError, match="name 'two\\\\twords' must not contain tabs or newlines"):
+        write_election_file(ElectionFile(bad, ()), tmp_path / "bad.stv")
+
+
+def test_headerless_csv_by_index_reports_short_rows(tmp_path):
+    result = parse_preference_csv(io.BytesIO(b'7,",1,2"\n\n8\n'), CSV_META, ColumnMap(1, header=False))
+    assert result.election.total_ballots == 1
+    assert result.issues == [RowIssue(3, "no column 1 in row of 1 fields")]

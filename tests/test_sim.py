@@ -7,6 +7,7 @@ import pytest
 from stvsim import (
     BallotError,
     Candidate,
+    ConfusionModel,
     CountInvariantError,
     CountRules,
     ElectionFile,
@@ -163,6 +164,12 @@ class TestRunSweep:
             SimConfig(base_seed=1, model="confusion")
         with pytest.raises(SimError):
             SimConfig(base_seed=1, rates=(1.5,))
+        table = ConfusionModel(np.eye(10))
+        with pytest.raises(SimError, match="takes no rates"):
+            SimConfig(base_seed=1, model="confusion", confusion=table, rates=(0.01,))
+        for model in ("digit", "truncation"):
+            with pytest.raises(SimError, match="only with the confusion model"):
+                SimConfig(base_seed=1, model=model, rates=(0.01,), confusion=table)
 
 
 class TestFormalityRateReport:
