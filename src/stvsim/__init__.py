@@ -68,7 +68,6 @@ from .sim import (
     partition_by_preference,
     preference_position_histogram,
     run_sweep,
-    truncation_stats,
     write_report,
 )
 from .stats import (

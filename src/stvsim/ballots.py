@@ -9,6 +9,9 @@ Marks are kept as digit strings rather than integers because the error
 models corrupt individual digits ("12" can become "82", "1" can become
 "0").  Interpretation is total: a mark of 0 or a non-numeric token is an
 unmarked box, and leading zeros are ignored ("07" ranks as 7).
+
+An election layout is checked when built: among other rules, every group
+has a candidate, so an ATL ranking always expands to candidates.
 """
 from __future__ import annotations
 
@@ -90,6 +93,9 @@ class ElectionMeta:
             if c.group not in known:
                 raise BallotError(f"candidate {c.id!r} references unknown group {c.group!r}")
             positions.setdefault(c.group, []).append(c.position)
+        for gid in group_ids:
+            if gid not in positions:
+                raise BallotError(f"group {gid!r} has no candidates")
         for gid, pos in positions.items():
             if sorted(pos) != list(range(1, len(pos) + 1)):
                 raise BallotError(
@@ -170,13 +176,6 @@ class MarkSheet:
             for box, mark in marks.items():
                 if not isinstance(mark, str) or not mark.isdigit():
                     raise BallotError(f"mark for box {box!r} must be a digit string, got {mark!r}")
-
-    def key(self) -> tuple:
-        """Hashable identity of the marks (ignoring multiplicity)."""
-        return (tuple(sorted(self.atl_marks.items())), tuple(sorted(self.btl_marks.items())))
-
-    def replicate(self, multiplicity: int) -> "MarkSheet":
-        return MarkSheet(self.atl_marks, self.btl_marks, multiplicity)
 
 
 @dataclass(frozen=True)

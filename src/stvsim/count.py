@@ -214,8 +214,10 @@ class _Count:
 
     def _pick_elimination(self, rec: RoundRecord) -> str:
         by_index = sorted(self.continuing, key=self.index.get)
-        loser = min(by_index, key=self._standing)
-        tied = [c for c in by_index if self.tallies[c] == self.tallies[loser]]
+        lowest = min(self.tallies[c] for c in by_index)
+        # Only the tied need their tally history.
+        tied = [c for c in by_index if self.tallies[c] == lowest]
+        loser = min(tied, key=self._standing)
         if len(tied) > 1:
             rec.ties.append(
                 f"elimination tie among {', '.join(tied)} "

@@ -9,7 +9,9 @@ Two formats live here:
   text format described below.
 
 Election files are read from and written to paths.  The CSV parser takes a
-path or a binary stream (``stvsim ingest`` passes an open binary file).
+path, which it opens and closes, or a binary stream, which it leaves open
+(``stvsim ingest`` passes an open binary file); either is decoded line by
+line.
 
 Canonical election file grammar (UTF-8, LF or CRLF)::
 
@@ -36,10 +38,10 @@ multiplicity.
 from __future__ import annotations
 
 import csv
-import io
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
 
 from .ballots import (
     BallotError,
@@ -128,81 +130,67 @@ def parse_preference_csv(
 ) -> IngestResult:
     """Parse a published preference CSV into an ElectionFile.
 
-    ``stream`` is a path or a binary stream of UTF-8 text, and is closed on
-    return.  Bad rows (wrong token count, missing column) are collected as
-    issues so a single damaged row cannot abort a large ingest; an
-    unreadable stream is a hard error.
+    ``stream`` is a path, opened and closed here, or a binary stream of UTF-8
+    text, left open; it is split at CR, LF and CRLF and decoded line by line.
+    Bad rows (wrong token count, missing column) are collected as issues; an
+    unreadable stream is a hard error that names the row.
     """
-    text = _as_text(stream)
     boxes = list(meta.group_ids) + list(meta.candidate_ids)
     n_atl = len(meta.group_ids)
-    try:
-        reader = csv.reader(text)
-        rows = iter(reader)
+    with open(stream, "rb") if isinstance(stream, (str, Path)) else nullcontext(stream) as source:
+        text = (piece.decode("utf-8") for line in source for piece in line.splitlines(keepends=True))
+        rows = csv.reader(text)
         col: int
         row_no = 0
-        if column_map.header:
-            header = next(rows, None)
-            row_no += 1
-            if header is None:
-                raise IngestError("CSV is empty")
-            if isinstance(column_map.preferences, int):
+        try:
+            if column_map.header:
+                header = next(rows, None)
+                row_no += 1
+                if header is None:
+                    raise IngestError("CSV is empty")
+                if isinstance(column_map.preferences, int):
+                    col = column_map.preferences
+                else:
+                    try:
+                        col = header.index(column_map.preferences)
+                    except ValueError:
+                        raise IngestError(
+                            f"preference column {column_map.preferences!r} not in header {header}"
+                        ) from None
+            else:
+                if not isinstance(column_map.preferences, int):
+                    raise IngestError("a headerless CSV needs a numeric preference column index")
                 col = column_map.preferences
-            else:
-                try:
-                    col = header.index(column_map.preferences)
-                except ValueError:
-                    raise IngestError(
-                        f"preference column {column_map.preferences!r} not in header {header}"
-                    ) from None
-        else:
-            if not isinstance(column_map.preferences, int):
-                raise IngestError("a headerless CSV needs a numeric preference column index")
-            col = column_map.preferences
 
-        issues: list[RowIssue] = []
-        merged: dict[tuple, MarkSheet] = {}
-        order: list[tuple] = []
-        for row in rows:
-            row_no += 1
-            if not row:
-                continue
-            if col >= len(row):
-                issues.append(RowIssue(row_no, f"no column {col} in row of {len(row)} fields"))
-                continue
-            tokens = row[col].split(",")
-            if len(tokens) != len(boxes):
-                issues.append(
-                    RowIssue(row_no, f"expected {len(boxes)} preference tokens, got {len(tokens)}")
-                )
-                continue
-            atl: dict[str, str] = {}
-            btl: dict[str, str] = {}
-            for i, raw in enumerate(tokens):
-                mark = _clean_token(raw)
-                if mark is None:
+            issues: list[RowIssue] = []
+            papers: Counter = Counter()  # (ATL pairs, BTL pairs) in box order -> rows
+            for row in rows:
+                row_no += 1
+                if not row:
                     continue
-                (atl if i < n_atl else btl)[boxes[i]] = mark
-            sheet = MarkSheet(atl, btl)
-            key = sheet.key()
-            if key in merged:
-                merged[key] = merged[key].replicate(merged[key].multiplicity + 1)
-            else:
-                merged[key] = sheet
-                order.append(key)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise IngestError(f"malformed CSV near row {row_no}: {exc}") from None
-    finally:
-        text.close()
+                if col >= len(row):
+                    issues.append(RowIssue(row_no, f"no column {col} in row of {len(row)} fields"))
+                    continue
+                tokens = row[col].split(",")
+                if len(tokens) != len(boxes):
+                    issues.append(
+                        RowIssue(row_no, f"expected {len(boxes)} preference tokens, got {len(tokens)}")
+                    )
+                    continue
+                atl: dict[str, str] = {}
+                btl: dict[str, str] = {}
+                for i, raw in enumerate(tokens):
+                    mark = _clean_token(raw)
+                    if mark is None:
+                        continue
+                    (atl if i < n_atl else btl)[boxes[i]] = mark
+                papers[tuple(atl.items()), tuple(btl.items())] += 1
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # Both are raised while the next row is read.
+            raise IngestError(f"malformed CSV near row {row_no + 1}: {exc}") from None
 
-    election = ElectionFile(meta, tuple(merged[k] for k in order), provenance)
-    return IngestResult(election, issues)
-
-
-def _as_text(stream) -> IO[str]:
-    if isinstance(stream, (str, Path)):
-        return open(stream, "r", encoding="utf-8", newline="")
-    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    sheets = tuple(MarkSheet(dict(atl), dict(btl), n) for (atl, btl), n in papers.items())
+    return IngestResult(ElectionFile(meta, sheets, provenance), issues)
 
 
 def _pairs(marks: dict[str, str]) -> str:
@@ -263,7 +251,7 @@ def read_election_file(path: str | Path) -> ElectionFile:
     fields: dict[str, str] = {}
     groups: list[Group] = []
     candidates: list[Candidate] = []
-    raw_sheets: list[tuple[int, dict[str, str], dict[str, str]]] = []
+    sheets: list[MarkSheet] = []
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -277,6 +265,8 @@ def read_election_file(path: str | Path) -> ElectionFile:
             key, sep, value = line.partition("\t")
             if not sep:
                 raise SchemaError(f"line {lineno}: expected key<TAB>value")
+            if key.strip() in fields:
+                raise SchemaError(f"line {lineno}: [election] field {key.strip()!r} given twice")
             fields[key.strip()] = value.strip()
         elif section == "groups":
             parts = line.split("\t")
@@ -300,7 +290,10 @@ def read_election_file(path: str | Path) -> ElectionFile:
                 mult = int(parts[0])
             except ValueError:
                 raise SchemaError(f"line {lineno}: multiplicity {parts[0]!r} is not an integer") from None
-            raw_sheets.append((mult, _parse_pairs(parts[1], lineno), _parse_pairs(parts[2], lineno)))
+            try:
+                sheets.append(MarkSheet(_parse_pairs(parts[1], lineno), _parse_pairs(parts[2], lineno), mult))
+            except BallotError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from None
         else:
             raise SchemaError(f"line {lineno}: content before any section header")
 
@@ -313,7 +306,6 @@ def read_election_file(path: str | Path) -> ElectionFile:
         raise SchemaError(f"seats {fields['seats']!r} is not an integer") from None
     try:
         meta = ElectionMeta(fields["name"], seats, tuple(groups), tuple(candidates))
-        sheets = tuple(MarkSheet(atl, btl, mult) for mult, atl, btl in raw_sheets)
-        return ElectionFile(meta, sheets, fields.get("provenance", ""))
+        return ElectionFile(meta, tuple(sheets), fields.get("provenance", ""))
     except BallotError as exc:
         raise SchemaError(str(exc)) from None

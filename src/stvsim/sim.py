@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -156,8 +155,8 @@ class _Prepared:
     """One formality variant's formal ballots in the flat layout.
 
     Each distinct formal sheet (one set of canonical preferences) is kept
-    once: its ranked boxes in canonical digit order (sorted ids), each box's
-    clean value (its rank) and the digits that write it.  A formal physical
+    once: the clean value (its rank) of each ranked box, in canonical digit
+    order (sorted ids), and the digits that write it.  A formal physical
     ballot is only a sheet id.
     """
 
@@ -167,11 +166,9 @@ class _Prepared:
     bucket_counts: dict[int, int]
     # per distinct formal sheet
     sheets: list[Preferences]
-    box_order: list[tuple[str, ...]]  # ranked boxes in canonical digit order
     required: np.ndarray  # preferences it needs to stay formal
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
     n_digits: np.ndarray
-    box_start: np.ndarray  # offset of its boxes in box_values
     digit_start: np.ndarray  # offset of its digits in digits/place/digit_box
     key_start: np.ndarray  # offset of its (sheet, prefix length) keys, n_boxes + 1 of them
     box_values: np.ndarray  # int32 per box: the clean value, its rank
@@ -209,11 +206,9 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
     baseline = physical_sheet >= 0
     ballot_sheet = physical_sheet[baseline]
 
-    box_order = []
     values: list[int] = []
     for prefs in sheets:
         order = sorted(range(len(prefs.ranking)), key=prefs.ranking.__getitem__)
-        box_order.append(tuple(prefs.ranking[i] for i in order))
         values.extend(i + 1 for i in order)
     box_values = np.array(values, dtype=np.int32)
     widths = np.searchsorted(_POWERS_OF_TEN, box_values, side="right") + 1
@@ -246,11 +241,9 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
         orig_prefs=orig,
         bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
         sheets=sheets,
-        box_order=box_order,
         required=np.array([rules.required(p.style) for p in sheets], dtype=np.int64),
         n_boxes=n_boxes,
         n_digits=n_digits,
-        box_start=box_start,
         digit_start=digit_start,
         key_start=np.cumsum(n_boxes + 1) - (n_boxes + 1),
         box_values=box_values,
@@ -354,11 +347,12 @@ def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple
         plain[moved] = False
         keys.append(prep.key_start[sheet[plain]] + prefix[plain])
         for b, i, j in zip(moved, np.searchsorted(ballot, moved), np.searchsorted(ballot, moved, "right")):
-            s = sheet[b]
-            marks = prep.box_values[prep.box_start[s]:prep.box_start[s] + prep.n_boxes[s]].copy()
-            marks[box[i:j] - prep.box_start[s]] = value[i:j]
-            ranking = interpret_marks(dict(zip(prep.box_order[s], marks.tolist())))
-            moved_rankings[Preferences(prep.sheets[s].style, ranking)] += 1
+            prefs = prep.sheets[sheet[b]]
+            marks = {name: rank for rank, name in enumerate(prefs.ranking, start=1)}
+            # A changed box is the one its clean value ranks.
+            for rank, new in zip(prep.box_values[box[i:j]].tolist(), value[i:j].tolist()):
+                marks[prefs.ranking[rank - 1]] = new
+            moved_rankings[Preferences(prefs.style, interpret_marks(marks))] += 1
     ballots = _rankings(prep, np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64))
     ballots.update(moved_rankings)
     return lengths, ballots
@@ -607,6 +601,7 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     if config.jobs == 1:
         parts = [_run_chunk(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: import only for a pool
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             parts = list(pool.map(_run_chunk, tasks))
     per_point = -(-runs // chunk)
@@ -650,20 +645,6 @@ def formality_rate_report(
     return _run_chunk((_prepare(election, rules), election.meta, CountRules(), point, base_seed, 0, runs, False))
 
 
-def truncation_stats(
-    election: ElectionFile,
-    model: ErrorModel,
-    runs: int,
-    base_seed: int,
-) -> dict[int, float]:
-    """Mean surviving preference count, bucketed by original preference count.
-
-    Surviving count is the length of the re-interpreted ranking, or 0 when
-    the errors left the ballot informal under the default Senate rules.
-    """
-    return formality_rate_report(election, model, runs, base_seed).mean_surviving
-
-
 @dataclass
 class PartitionTable:
     candidate_a: str
@@ -695,17 +676,10 @@ def partition_by_preference(
     for cid in (candidate_a, candidate_b):
         if cid not in meta.candidate_index:
             raise BallotError(f"unknown candidate {cid!r}")
-    group_a = meta.group_of_candidate[candidate_a]
-    group_b = meta.group_of_candidate[candidate_b]
     cells = {VoteStyle.ATL: [0, 0, 0], VoteStyle.BTL: [0, 0, 0]}
     for prefs, papers in formal_ballots(election, rules):
-        if prefs.style is VoteStyle.ATL:
-            targets = (group_a, group_b)
-        else:
-            targets = (candidate_a, candidate_b)
-        position = {box: i for i, box in enumerate(prefs.ranking)}
-        pos_a = position.get(targets[0], len(prefs.ranking))
-        pos_b = position.get(targets[1], len(prefs.ranking))
+        pos_a = _place(prefs, meta, candidate_a)
+        pos_b = _place(prefs, meta, candidate_b)
         if pos_a < pos_b:
             cell = 0
         elif pos_b < pos_a:
@@ -734,13 +708,22 @@ def _position_histogram(
 ) -> dict[str, dict[int, int]]:
     if candidate not in meta.candidate_index:
         raise BallotError(f"unknown candidate {candidate!r}")
-    group = meta.group_of_candidate[candidate]
     hist = {"ATL": Counter(), "BTL": Counter()}
     for prefs, papers in ballots:
-        target = group if prefs.style is VoteStyle.ATL else candidate
-        if target in prefs.ranking:
-            hist[prefs.style.value][prefs.ranking.index(target) + 1] += papers
+        index = _place(prefs, meta, candidate)
+        if index < len(prefs.ranking):
+            hist[prefs.style.value][index + 1] += papers
     return {style: dict(sorted(counter.items())) for style, counter in hist.items()}
+
+
+def _place(prefs: Preferences, meta, candidate: str) -> int:
+    """Index in the ranking of the candidate's group on an ATL ballot, or of
+    the candidate on a BTL ballot; the ranking's length when it is absent."""
+    target = meta.group_of_candidate[candidate] if prefs.style is VoteStyle.ATL else candidate
+    try:
+        return prefs.ranking.index(target)
+    except ValueError:
+        return len(prefs.ranking)
 
 
 # -- serialisation ---------------------------------------------------------------

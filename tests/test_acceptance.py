@@ -39,10 +39,10 @@ from stvsim import (
     binomial_estimate,
     count_stv,
     droop_quota,
+    formality_rate_report,
     load_confusion_table,
     read_election_file,
     run_sweep,
-    truncation_stats,
     write_election_file,
 )
 from stvsim.cli import main as cli_main
@@ -236,7 +236,7 @@ def test_criterion_8_truncation_of_long_preference_lists():
     }
     with criterion(8, "mean surviving preferences for 60- and 10-pref ballots", 60.0):
         election = truncation_ladder_election(long_ballots=per_bucket, short_ballots=per_bucket)
-        stats = truncation_stats(election, UniformDigitModel(rate), runs, base_seed=88)
+        stats = formality_rate_report(election, UniformDigitModel(rate), runs, base_seed=88).mean_surviving
         failures = []
         for length, (reference, sd) in references.items():
             # the reference is a lower bound; swaps of values between

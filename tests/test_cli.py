@@ -90,6 +90,13 @@ class TestCount:
         assert main(["count", "--election", str(bad)]) == EXIT_DATA
         assert "error: line 6: unknown section 'parties'" in capsys.readouterr().err
 
+    def test_empty_group_is_data_error_naming_it(self, tmp_path, election_path, capsys):
+        bad = tmp_path / "bad.stv"
+        text = Path(election_path).read_text(encoding="utf-8")
+        bad.write_text(text.replace("B\tGroup B\n", "B\tGroup B\nE\tEmpty\n") + "5\tE:1\t\n")
+        assert main(["count", "--election", str(bad)]) == EXIT_DATA
+        assert "error: group 'E' has no candidates" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_baseline_only(self, tmp_path, election_path):

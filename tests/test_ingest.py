@@ -98,6 +98,21 @@ class TestCsvParsing:
             {"gA": "1"}, {"gB": "1"}, {"gC": "1"}]
         assert result.election.total_ballots == 4
 
+    def test_a_passed_stream_is_left_open(self, meta):
+        stream = io.BytesIO(b'Preferences\n"1,,,,,"\n')
+        parse_preference_csv(stream, meta, ColumnMap("Preferences"))
+        assert not stream.closed
+
+    def test_line_endings_parse_alike(self, meta):
+        def csv_text(end):
+            rows = ["id,Preferences", '1,"1,,2,,,"', '2,"1,2"', f'"three{end}line{end}id","1,,2,,,"', '4,",,,1,2,3"']
+            return end.join(rows) + end
+
+        lf, cr, crlf = (parse(csv_text(end), meta) for end in ("\n", "\r", "\r\n"))
+        assert lf == cr == crlf
+        assert [s.multiplicity for s in lf.election.sheets] == [2, 1]
+        assert lf.issues == [RowIssue(3, "expected 6 preference tokens, got 2")]
+
 
 class TestElectionFileRoundTrip:
     def test_meta_only_round_trips(self, meta, tmp_path):
@@ -176,15 +191,16 @@ CSV_META = ElectionMeta(
 # (id, input, exception type, message fragment).  A (str, str) input is
 # GOOD_STV with its first `old` replaced by `new` (an empty `old`: an empty
 # file); a (bytes, ColumnMap) input is a preference CSV.  Fragments name the
-# line, except for a field missing or wrong as a whole, a sheet checked after
-# reading (named by index) and an undecodable byte (decoded in chunks, so
-# the row named is only near it).
+# line, or the CSV row, except for a field missing or wrong as a whole, a
+# layout or a sheet checked after reading (a sheet is named by index).
 BAD_INPUTS = [
     ("empty-stv", ("", None), SchemaError, "line 1: expected header '#stv-election v1', found '<empty file>'"),
     ("unknown-section", ("[groups]", "[parties]"), SchemaError, "line 5: unknown section 'parties'"),
     ("before-section", ("[election]\n", "stray\n[election]\n"), SchemaError,
      "line 2: content before any section header"),
     ("election-fields", ("seats\t1", "seats 1"), SchemaError, "line 4: expected key<TAB>value"),
+    ("election-field-twice", ("seats\t1\n", "seats\t1\nseats\t3\n"), SchemaError,
+     "line 5: [election] field 'seats' given twice"),
     ("group-fields", ("gB\tBeta", "gB\tBeta\tmore"), SchemaError, "line 7: expected id<TAB>name"),
     ("candidate-fields", ("b1\tBob\tgB\t1", "b1\tBob\tgB"), SchemaError,
      "line 10: expected id<TAB>name<TAB>group<TAB>position"),
@@ -192,6 +208,7 @@ BAD_INPUTS = [
      "line 10: position 'first' is not an integer"),
     ("sheet-fields", ("2\tgA:1\t\n", "2\tgA:1\n"), SchemaError, "line 12: expected multiplicity<TAB>atl<TAB>btl"),
     ("multiplicity", ("2\tgA:1\t\n", "two\tgA:1\t\n"), SchemaError, "line 12: multiplicity 'two' is not an integer"),
+    ("multiplicity-range", ("2\tgA:1\t\n", "0\tgA:1\t\n"), SchemaError, "line 12: multiplicity must be >= 1"),
     ("pair", ("a1:1 b1:2", "a1:1 b1=2"), SchemaError, "line 13: bad box:mark pair 'b1=2'"),
     ("box-twice", ("a1:1 b1:2", "a1:1 a1:2"), SchemaError, "line 13: box 'a1' listed twice"),
     ("no-name", ("name\tfixture\n", ""), SchemaError, "missing [election] field 'name'"),
@@ -199,11 +216,16 @@ BAD_INPUTS = [
     ("seats", ("seats\t1", "seats\tone"), SchemaError, "seats 'one' is not an integer"),
     ("seats-range", ("seats\t1", "seats\t2"), SchemaError, "seats must satisfy 1 <= seats < candidates"),
     ("candidate-box", ("a1:1 b1:2", "a1:1 zz:2"), SchemaError, "sheet 1: unknown candidate box 'zz'"),
+    ("empty-group", ("gB\tBeta\n", "gB\tBeta\ngE\tEmpty\n"), SchemaError, "group 'gE' has no candidates"),
     ("empty-csv", (b"", ColumnMap("Preferences")), IngestError, "CSV is empty"),
     ("headerless-by-name", (b'"1,2"\n', ColumnMap("Preferences", header=False)), IngestError,
      "a headerless CSV needs a numeric preference column index"),
     ("undecodable", (b'Preferences\n"1,2"\n\xff\n', ColumnMap("Preferences")), IngestError,
-     "malformed CSV near row"),
+     "malformed CSV near row 3: "),
+    ("undecodable-far", (b'Preferences\n' + b'"1,2"\n' * 3001 + b'\xff\n', ColumnMap("Preferences")),
+     IngestError, "malformed CSV near row 3003: "),
+    ("oversized-field", (b'Preferences\n"1,2"\n"' + b"1" * 200_000 + b'"\n', ColumnMap("Preferences")),
+     IngestError, "malformed CSV near row 3: field larger than field limit"),
 ]
 
 

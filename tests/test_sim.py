@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,6 @@ from stvsim import (
     preference_position_histogram,
     run_sweep,
     read_election_file,
-    truncation_stats,
     write_election_file,
     write_report,
 )
@@ -111,6 +113,13 @@ class TestRunSweep:
         for a, b in zip(serial.points, parallel.points):
             assert np.array_equal(a.formal_runs_per_ballot, b.formal_runs_per_ballot)
             assert np.array_equal(a.atl_formal_by_run, b.atl_formal_by_run)
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # Only a sweep with jobs > 1 needs the process pool.
+        src = str(Path(sim.__file__).parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import stvsim; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_atl_formality_dominates_btl(self, small_election):
         config = SimConfig(base_seed=5, runs_per_point=60, model="digit", rates=(0.01, 0.05))
@@ -224,17 +233,17 @@ class TestFormalityRateReport:
 
 class TestTruncationStats:
     def test_zero_rate_preserves_counts(self, small_election):
-        stats = truncation_stats(small_election, UniformDigitModel(0.0), 5, base_seed=1)
+        stats = formality_rate_report(small_election, UniformDigitModel(0.0), 5, base_seed=1).mean_surviving
         assert stats == {1: 1.0, 2: 2.0, 6: 6.0}
 
     def test_ten_pref_ballots_keep_almost_ten(self):
         election = truncation_ladder_election(long_ballots=1, short_ballots=1500)
-        stats = truncation_stats(election, UniformDigitModel(0.01), 120, base_seed=6)
+        stats = formality_rate_report(election, UniformDigitModel(0.01), 120, base_seed=6).mean_surviving
         assert abs(stats[10] - 10) <= 1.0  # "almost 10": within one preference
 
     def test_sixty_pref_ballots_lose_heavily(self):
         election = truncation_ladder_election(long_ballots=1500, short_ballots=1)
-        stats = truncation_stats(election, UniformDigitModel(0.01), 120, base_seed=6)
+        stats = formality_rate_report(election, UniformDigitModel(0.01), 120, base_seed=6).mean_surviving
         assert stats[60] < 45  # severe truncation, unlike the 10-pref bucket
 
 
