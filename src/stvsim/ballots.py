@@ -36,6 +36,11 @@ class VoteStyle(Enum):
     BTL = "BTL"
 
 
+def _is_digits(mark: object) -> bool:
+    """A mark is a non-empty string of ASCII digits (``str.isdigit`` also takes '²' and '١')."""
+    return isinstance(mark, str) and mark.isascii() and mark.isdigit()
+
+
 def _check_id(kind: str, value: str) -> None:
     if not value or any(ch in _ID_FORBIDDEN for ch in value):
         raise BallotError(
@@ -174,7 +179,7 @@ class MarkSheet:
             raise BallotError("multiplicity must be >= 1")
         for marks in (self.atl_marks, self.btl_marks):
             for box, mark in marks.items():
-                if not isinstance(mark, str) or not mark.isdigit():
+                if not _is_digits(mark):
                     raise BallotError(f"mark for box {box!r} must be a digit string, got {mark!r}")
 
 
@@ -204,7 +209,7 @@ def numeric_marks(marks: Mapping[str, str]) -> dict[str, int]:
     """Parse digit-string marks to integers; non-numeric tokens become 0 (unmarked)."""
     out = {}
     for box, mark in marks.items():
-        out[box] = int(mark) if isinstance(mark, str) and mark.isdigit() else 0
+        out[box] = int(mark) if _is_digits(mark) else 0
     return out
 
 

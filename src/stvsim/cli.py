@@ -378,15 +378,44 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _apply_config_file(parser, registry, argv: list[str]) -> None:
+def _config_value(action: argparse.Action, value):
+    """What ``action``'s flag gives for a config-file value, checked as the flag is checked."""
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise ValueError("must be true or false")
+        return value
+    if value is None and action.default is None and not action.required:
+        return None
+    if isinstance(action, argparse._AppendAction):  # --track
+        if not isinstance(value, list):
+            raise ValueError("must be a list")
+        return [_config_text(v) for v in value]
+    if isinstance(value, list) and action.type in (_rate_list, _int_list):
+        text = ",".join(_config_text(v) for v in value)
+    else:
+        text = _config_text(value)
+    converted = action.type(text) if action.type else text
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"must be one of {list(action.choices)}")
+    return converted
+
+
+def _config_text(value) -> str:
+    # the text a flag would be given on the command line
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"must be a string or a number, not {json.dumps(value)}")
+    return str(value)
+
+
+def _apply_config_file(registry, argv: list[str]) -> None:
     # a plain scan: the config file must be read before a full parse because
-    # required flags may live in the file
+    # required flags may live in the file; like argparse, it takes any
+    # abbreviation of --config (argparse refuses an ambiguous one later)
     path = None
     for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+        flag, eq, value = token.partition("=")
+        if len(flag) > 2 and "--config".startswith(flag):
+            path = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
     if not path:
         return
     command = argv[0] if argv and not argv[0].startswith("-") else None
@@ -394,27 +423,34 @@ def _apply_config_file(parser, registry, argv: list[str]) -> None:
     if command == "analyze" and len(argv) > 1 and not argv[1].startswith("-"):
         key = f"analyze {argv[1]}"
     with open(path, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise CliUsageError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(values, dict):
         raise CliUsageError(f"config file {path} must hold a JSON object")
     sp = registry.get(key)
     if sp is None:
         return
-    known = {a.dest for a in sp._actions}
-    unknown = set(values) - known
+    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    unknown = set(values) - set(actions)
     if unknown:
         raise CliUsageError(f"config file {path} has unknown keys: {sorted(unknown)}")
-    sp.set_defaults(**values)
-    for action in sp._actions:
-        if action.dest in values:
-            action.required = False
+    checked = {}
+    for name, value in values.items():
+        try:
+            checked[name] = _config_value(actions[name], value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise CliUsageError(f"config file {path}: {name}: {exc}") from None
+        actions[name].required = False
+    sp.set_defaults(**checked)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
-        _apply_config_file(parser, registry, argv)
+        _apply_config_file(registry, argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -169,8 +169,8 @@ class _Count:
         self.meta = meta
         self.rules = rules
         self.trunc = rules.tally_rounding is TallyRounding.TRUNCATE_TO_INTEGER
-        self.index = meta.candidate_index
-        self.continuing: set[str] = set(meta.candidate_ids)
+        #: In ballot-paper order, as is ``tallies`` (which drops the eliminated).
+        self.continuing: dict[str, None] = dict.fromkeys(meta.candidate_ids)
         self.elected: list[str] = []
         #: Each candidate's pile, as parcels of papers that share one exact weight.
         self.piles: dict[str, dict[Fraction, list[_Papers]]] = {cid: {} for cid in meta.candidate_ids}
@@ -208,15 +208,14 @@ class _Count:
         return (self.tallies[cid], *(rec.tallies.get(cid, -1) for rec in reversed(self.transcript.rounds)))
 
     def _order_descending(self, cids: list[str]) -> list[str]:
-        # highest standing first; a full-history tie goes to the lowest
-        # candidate index (the sort is stable under reverse)
-        return sorted(sorted(cids, key=self.index.get), key=self._standing, reverse=True)
+        # highest standing first; ``cids`` come in ballot-paper order and the
+        # sort is stable under reverse, so a full-history tie keeps that order
+        return sorted(cids, key=self._standing, reverse=True)
 
     def _pick_elimination(self, rec: RoundRecord) -> str:
-        by_index = sorted(self.continuing, key=self.index.get)
-        lowest = min(self.tallies[c] for c in by_index)
+        lowest = min(self.tallies[c] for c in self.continuing)
         # Only the tied need their tally history.
-        tied = [c for c in by_index if self.tallies[c] == lowest]
+        tied = [c for c in self.continuing if self.tallies[c] == lowest]
         loser = min(tied, key=self._standing)
         if len(tied) > 1:
             rec.ties.append(
@@ -263,24 +262,20 @@ class _Count:
         settle = (lambda v: v.numerator // v.denominator) if self.trunc else (lambda v: v)
         delivered = settle(received.pop(None, Fraction(0)))
         self.exhausted += delivered
-        for cid in sorted(received, key=self.index.get):
-            got = settle(received[cid])
+        for cid, amount in received.items():
+            got = settle(amount)
             self.tallies[cid] += got
             delivered += got
         self.loss += moved_out - delivered
 
     # -- rounds ------------------------------------------------------------
 
-    def _snapshot(self) -> dict[str, int | Fraction]:
-        alive = self.continuing | set(self.elected)
-        return {cid: self.tallies[cid] for cid in sorted(alive, key=self.index.get)}
-
     def _close_round(self, rec: RoundRecord) -> None:
         self._record(rec)
         self._elect_reachers(rec)
 
     def _record(self, rec: RoundRecord) -> None:
-        rec.tallies = self._snapshot()
+        rec.tallies = dict(self.tallies)
         rec.exhausted = self.exhausted
         rec.rounding_loss = self.loss
         self.transcript.rounds.append(rec)
@@ -307,13 +302,13 @@ class _Count:
         for tally, group in by_tally.items():
             if len(group) > 1:
                 rec.ties.append(
-                    f"election-order tie among {', '.join(sorted(group, key=self.index.get))} "
+                    f"election-order tie among {', '.join(group)} "
                     f"at {tally}; ordered by countback/index"
                 )
         for cid in ordered:
             if len(self.elected) == self.meta.seats:
                 break
-            self.continuing.remove(cid)
+            del self.continuing[cid]
             self.elected.append(cid)
             surplus = self.tallies[cid] - self.quota
             rec.elected.append((cid, surplus))
@@ -343,7 +338,7 @@ class _Count:
         loser = self._pick_elimination(rec)
         rec.source = loser
         rec.eliminated = loser
-        self.continuing.remove(loser)
+        del self.continuing[loser]
         removed = self.tallies.pop(loser)
         pile = self.piles.pop(loser)
         self._move_pile(pile, lambda w: w, removed)
@@ -361,7 +356,7 @@ class _Count:
                     number=number, kind="remaining-seats", source=None, transfer_value=None, tallies={}
                 )
                 for cid in self._order_descending(list(self.continuing)):
-                    self.continuing.remove(cid)
+                    del self.continuing[cid]
                     self.elected.append(cid)
                     rec.elected.append((cid, None))
                 self._record(rec)

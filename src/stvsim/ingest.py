@@ -28,12 +28,13 @@ Canonical election file grammar (UTF-8, LF or CRLF)::
     <multiplicity><TAB><atl pairs><TAB><btl pairs>
 
 Sheet pairs are space-separated ``box:mark`` tokens with marks kept as the
-digit strings that were read ("07" round-trips as "07"); an empty field
-means no marks in that section.  A group id of ``-`` marks an ungrouped
+ASCII digit strings that were read ("07" round-trips as "07"); an empty
+field means no marks in that section.  A group id of ``-`` marks an ungrouped
 candidate (no ATL box).  Blank lines and ``#`` comment lines are ignored
 after the version header.  Most voters mark only a handful of boxes, so
-sheets are stored sparsely and identical sheets are merged by summing
-multiplicity.
+sheets are stored sparsely.  The CSV parser merges identical rows into one
+sheet by summing multiplicity; an election file's sheets are read as written,
+identical ones included.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ from .ballots import (
     ElectionMeta,
     Group,
     MarkSheet,
+    _is_digits,
 )
 
 FORMAT_HEADER = "#stv-election v1"
@@ -103,7 +105,7 @@ class ColumnMap:
 
 @dataclass(frozen=True)
 class RowIssue:
-    row: int  # 1-based physical row number, header included
+    row: int  # 1-based physical line on which the row ends, header included
     reason: str
 
 
@@ -120,9 +122,7 @@ def _clean_token(token: str) -> str | None:
         return None
     if token in ("/", "*"):  # published tick-mark conventions for a first preference
         return "1"
-    if token.isdigit():
-        return token
-    return None
+    return token if _is_digits(token) else None
 
 
 def parse_preference_csv(
@@ -141,11 +141,9 @@ def parse_preference_csv(
         text = (piece.decode("utf-8") for line in source for piece in line.splitlines(keepends=True))
         rows = csv.reader(text)
         col: int
-        row_no = 0
         try:
             if column_map.header:
                 header = next(rows, None)
-                row_no += 1
                 if header is None:
                     raise IngestError("CSV is empty")
                 if isinstance(column_map.preferences, int):
@@ -165,16 +163,15 @@ def parse_preference_csv(
             issues: list[RowIssue] = []
             papers: Counter = Counter()  # (ATL pairs, BTL pairs) in box order -> rows
             for row in rows:
-                row_no += 1
                 if not row:
                     continue
                 if col >= len(row):
-                    issues.append(RowIssue(row_no, f"no column {col} in row of {len(row)} fields"))
+                    issues.append(RowIssue(rows.line_num, f"no column {col} in row of {len(row)} fields"))
                     continue
                 tokens = row[col].split(",")
                 if len(tokens) != len(boxes):
                     issues.append(
-                        RowIssue(row_no, f"expected {len(boxes)} preference tokens, got {len(tokens)}")
+                        RowIssue(rows.line_num, f"expected {len(boxes)} preference tokens, got {len(tokens)}")
                     )
                     continue
                 atl: dict[str, str] = {}
@@ -185,9 +182,11 @@ def parse_preference_csv(
                         continue
                     (atl if i < n_atl else btl)[boxes[i]] = mark
                 papers[tuple(atl.items()), tuple(btl.items())] += 1
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # Both are raised while the next row is read.
-            raise IngestError(f"malformed CSV near row {row_no + 1}: {exc}") from None
+        except csv.Error as exc:
+            raise IngestError(f"malformed CSV near row {rows.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # The decode fails before csv.reader is handed the line.
+            raise IngestError(f"malformed CSV near row {rows.line_num + 1}: {exc}") from None
 
     sheets = tuple(MarkSheet(dict(atl), dict(btl), n) for (atl, btl), n in papers.items())
     return IngestResult(ElectionFile(meta, sheets, provenance), issues)
@@ -231,7 +230,7 @@ def _parse_pairs(text: str, lineno: int) -> dict[str, str]:
     marks: dict[str, str] = {}
     for token in text.split():
         box, sep, mark = token.partition(":")
-        if not sep or not box or not mark.isdigit():
+        if not sep or not box or not _is_digits(mark):
             raise SchemaError(f"line {lineno}: bad box:mark pair {token!r}")
         if box in marks:
             raise SchemaError(f"line {lineno}: box {box!r} listed twice")
@@ -265,9 +264,12 @@ def read_election_file(path: str | Path) -> ElectionFile:
             key, sep, value = line.partition("\t")
             if not sep:
                 raise SchemaError(f"line {lineno}: expected key<TAB>value")
-            if key.strip() in fields:
-                raise SchemaError(f"line {lineno}: [election] field {key.strip()!r} given twice")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in ("name", "seats", "provenance"):
+                raise SchemaError(f"line {lineno}: unknown [election] field {key!r}")
+            if key in fields:
+                raise SchemaError(f"line {lineno}: [election] field {key!r} given twice")
+            fields[key] = value.strip()
         elif section == "groups":
             parts = line.split("\t")
             if len(parts) != 2:

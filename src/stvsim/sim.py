@@ -535,7 +535,6 @@ class SimReport:
 
     def to_json_dict(self) -> dict:
         points = []
-        order = {c: i for i, c in enumerate(self.candidate_order)}
         for p in self.points:
             winner_rows = [
                 {"winners": list(k), "runs": v, "frequency": v / p.runs}
@@ -544,7 +543,7 @@ class SimReport:
             wins = p.candidate_wins
             candidate_rows = [
                 {"candidate": c, "wins": wins[c], "frequency": wins[c] / p.runs}
-                for c in sorted(wins, key=lambda c: (order.get(c, len(order)), c))
+                for c in self.candidate_order if c in wins
             ]
             points.append(
                 {

@@ -15,6 +15,7 @@ from stvsim import (
     expand_to_candidates,
     interpret_marks,
     marks_from_preferences,
+    numeric_marks,
 )
 
 from oracles import random_marksheet
@@ -196,6 +197,13 @@ class TestValidation:
             MarkSheet({"A": "x"}, {})
         with pytest.raises(BallotError):
             MarkSheet({}, {"c": ""})
+
+    def test_a_mark_is_ascii_digits(self):
+        # str.isdigit also takes superscript two and the Arabic-Indic one.
+        for mark in ("²", "\u0661", "1²"):
+            with pytest.raises(BallotError):
+                MarkSheet({}, {"c": mark})
+        assert numeric_marks({"A": "²", "B": "\u0661", "C": "07"}) == {"A": 0, "B": 0, "C": 7}
 
     def test_marksheet_rejects_zero_multiplicity(self):
         with pytest.raises(BallotError):

@@ -97,6 +97,12 @@ class TestCount:
         assert main(["count", "--election", str(bad)]) == EXIT_DATA
         assert "error: group 'E' has no candidates" in capsys.readouterr().err
 
+    def test_non_ascii_digit_mark_is_data_error_naming_the_line(self, tmp_path, election_path, capsys):
+        bad = tmp_path / "bad.stv"
+        bad.write_text(Path(election_path).read_text(encoding="utf-8").replace("A:1\t", "A:²\t"), encoding="utf-8")
+        assert main(["count", "--election", str(bad)]) == EXIT_DATA
+        assert "error: line 17: bad box:mark pair 'A:²'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_baseline_only(self, tmp_path, election_path):
@@ -113,6 +119,14 @@ class TestSimulate:
         assert manifest["base_seed"] == 5
         assert manifest["command"] == "simulate"
         assert "inputs" in manifest and manifest["tool_version"]
+
+    def test_btl_required_variants_from_the_command_line(self, tmp_path, election_path):
+        argv = ["simulate", "--election", election_path, "--runs", "1", "--rates", "0", "--jobs", "1"]
+        out = tmp_path / "v"
+        assert main(argv + ["--btl-required", "6,1", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert [p["btl_required"] for p in report["points"]] == [6, 1]
+        assert main(argv + ["--btl-required", "x", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
     def test_invalid_rate_is_usage_error(self, tmp_path, election_path):
         code = main([
@@ -251,6 +265,57 @@ class TestEstimateRate:
 
     def test_bad_counts_are_data_errors(self):
         assert main(["estimate-rate", "--errors", "5", "--trials", "4"]) == EXIT_DATA
+
+
+class TestConfigFile:
+    # A --config value passes its flag's type, choices and on/off checks.
+    @pytest.mark.parametrize("command, values, fragment", [
+        (["count"], {"surplus": "bogus"}, "surplus: must be one of ['weighted', 'unweighted']"),
+        (["count"], {"rounding": "bogus"}, "rounding: must be one of ['truncate', 'exact']"),
+        (["analyze", "forensics"], {"style": "XYZ"}, "style: must be one of ['BTL', 'ATL']"),
+        (["simulate"], {"seed": 1.5}, "seed: invalid literal for int()"),
+        (["simulate"], {"runs": [1]}, "runs: must be a string or a number, not [1]"),
+        (["simulate"], {"rates": ["abc"]}, "rates: bad rate 'abc'"),
+        (["simulate"], {"btl_required": [True]}, "btl_required: must be a string or a number, not true"),
+        (["simulate"], {"ballot_rates": "no"}, "ballot_rates: must be true or false"),
+        (["simulate"], {"track": "a1"}, "track: must be a list"),
+        (["simulate"], {"jobs": None}, "jobs: must be a string or a number, not null"),
+    ], ids=["surplus", "rounding", "style", "seed", "runs", "rates", "btl_required", "ballot_rates", "track", "jobs"])
+    def test_bad_value_is_usage_error_naming_the_key(self, tmp_path, election_path, capsys, command, values, fragment):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps(values))
+        out = tmp_path / "x"
+        argv = command + ["--election", election_path, "--out", str(out), "--config", str(config_path)]
+        assert main(argv) == EXIT_USAGE
+        assert f"usage error: config file {config_path}: {fragment}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scalar_list_and_on_off_values_take_effect(self, tmp_path, election_path):
+        out = tmp_path / "s"
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({
+            "election": election_path, "btl_required": 1, "rates": [0.01], "runs": 1, "jobs": 1,
+            "ballot_rates": True, "track": ["b1"], "out": str(out)}))
+        assert main(["simulate", "--config", str(config_path)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert [(p["rate"], p["btl_required"]) for p in report["points"]] == [(0.0, 1), (0.01, 1)]
+        assert list(report["position_histograms"]) == ["b1"]
+        assert (out / "ballot_rates_00.csv").exists()
+
+    def test_abbreviated_config_flag_is_read(self, tmp_path, election_path):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({"election": election_path}))
+        assert main(["count", "--conf", str(config_path)]) == EXIT_OK
+        assert main(["count", f"--con={config_path}"]) == EXIT_OK
+        config_path.write_text(json.dumps({"election": election_path, "surplus": "bogus"}))
+        assert main(["count", "--conf", str(config_path)]) == EXIT_USAGE
+
+    def test_config_that_is_not_json_is_usage_error(self, tmp_path, election_path):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text("{election: x}")
+        assert main(["count", "--election", election_path, "--config", str(config_path)]) == EXIT_USAGE
+        config_path.write_bytes(b'{"seats": "\xff"}')
+        assert main(["count", "--election", election_path, "--config", str(config_path)]) == EXIT_USAGE
 
 
 class TestUsage:

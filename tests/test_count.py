@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stvsim
 from stvsim import (
     Candidate,
     CountError,
@@ -145,6 +150,29 @@ class TestTieBreaks:
         winners, tr = count_stv(ballots, meta)
         first_elim = next(r for r in tr.rounds if r.eliminated)
         assert first_elim.eliminated == "c0"
+
+    def test_tie_notes_do_not_depend_on_hash_order(self):
+        # Two election-order ties in one round (quota 23): the notes follow
+        # ballot-paper order under every hash seed.
+        code = (
+            "from stvsim import Candidate, ElectionMeta, Group, Preferences, VoteStyle, count_stv\n"
+            "meta = ElectionMeta('tie', 4, (Group('G', 'G'),),\n"
+            "    tuple(Candidate(c, c, 'G', i) for i, c in enumerate('abcde', 1)))\n"
+            "ballots = [(Preferences(VoteStyle.BTL, (c,)), n) for c, n in zip('abcd', (30, 30, 25, 25))]\n"
+            "print(count_stv(ballots, meta)[1].to_text(), end='')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(stvsim.__file__).resolve().parents[1])}
+        texts = {
+            subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("1", "2", "3", "4")
+        }
+        assert len(texts) == 1
+        notes = [line for line in texts.pop().splitlines() if line.startswith("  tie")]
+        assert notes == [
+            "  tie\telection-order tie among a, b at 30; ordered by countback/index",
+            "  tie\telection-order tie among c, d at 25; ordered by countback/index",
+        ]
 
     def test_deterministic_repeat(self):
         rng = random.Random(314)

@@ -81,9 +81,11 @@ class TestCsvParsing:
             parse('Nope\n"1,,,,,"\n', meta)
 
     def test_non_numeric_tokens_are_unmarked(self, meta):
-        result = parse('Preferences\n"1,x,?,,,"\n', meta)
+        # '²' and '١' (Arabic-Indic one) pass str.isdigit but are no marks.
+        result = parse('Preferences\n"1,x,?,²,\u0661,"\n', meta)
         (sheet,) = result.election.sheets
         assert sheet.atl_marks == {"gA": "1"}
+        assert sheet.btl_marks == {}
 
     def test_parse_from_path(self, meta, tmp_path):
         path = tmp_path / "prefs.csv"
@@ -112,6 +114,14 @@ class TestCsvParsing:
         assert lf == cr == crlf
         assert [s.multiplicity for s in lf.election.sheets] == [2, 1]
         assert lf.issues == [RowIssue(3, "expected 6 preference tokens, got 2")]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_a_row_is_named_by_the_line_it_ends_on(self, end):
+        # The quoted field spans lines 2-3, so the short row is on line 4.
+        text = end.join(["id,Preferences", f'"two{end}line",",1,2"', '9,"1,2"']) + end
+        result = parse(text, CSV_META)
+        assert result.election.total_ballots == 1
+        assert result.issues == [RowIssue(4, "expected 3 preference tokens, got 2")]
 
 
 class TestElectionFileRoundTrip:
@@ -211,6 +221,9 @@ BAD_INPUTS = [
     ("multiplicity-range", ("2\tgA:1\t\n", "0\tgA:1\t\n"), SchemaError, "line 12: multiplicity must be >= 1"),
     ("pair", ("a1:1 b1:2", "a1:1 b1=2"), SchemaError, "line 13: bad box:mark pair 'b1=2'"),
     ("box-twice", ("a1:1 b1:2", "a1:1 a1:2"), SchemaError, "line 13: box 'a1' listed twice"),
+    ("unicode-mark", ("a1:1 b1:2", "a1:1 b1:²"), SchemaError, "line 13: bad box:mark pair 'b1:²'"),
+    ("unknown-election-field", ("seats\t1\n", "seats\t1\nprovenence\ttypo\n"), SchemaError,
+     "line 5: unknown [election] field 'provenence'"),
     ("no-name", ("name\tfixture\n", ""), SchemaError, "missing [election] field 'name'"),
     ("no-seats", ("seats\t1\n", ""), SchemaError, "missing [election] field 'seats'"),
     ("seats", ("seats\t1", "seats\tone"), SchemaError, "seats 'one' is not an integer"),
