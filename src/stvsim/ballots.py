@@ -116,10 +116,6 @@ class ElectionMeta:
         return tuple(c.id for c in self.candidates)
 
     @cached_property
-    def candidate_index(self) -> dict[str, int]:
-        return {c.id: i for i, c in enumerate(self.candidates)}
-
-    @cached_property
     def group_of_candidate(self) -> dict[str, str]:
         return {c.id: c.group for c in self.candidates}
 
@@ -258,7 +254,7 @@ def expand_to_candidates(prefs: Preferences, meta: ElectionMeta) -> tuple[str, .
     """
     if prefs.style is VoteStyle.BTL:
         for cid in prefs.ranking:
-            if cid not in meta.candidate_index:
+            if cid not in meta.group_of_candidate:
                 raise BallotError(f"ranking references unknown candidate {cid!r}")
         return prefs.ranking
     out: list[str] = []

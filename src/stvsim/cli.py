@@ -289,6 +289,15 @@ def _add_count_rule_flags(p: argparse.ArgumentParser) -> None:
                    help="tally arithmetic (default truncate to integers)")
 
 
+class _ReplaceConfigList(argparse._AppendAction):
+    """Repeatable flag whose first use replaces a config file's list instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="stvsim",
@@ -331,7 +340,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="comma-separated formality variants (BTL preferences required)")
     p.add_argument("--atl-required", type=int, default=1)
     _add_count_rule_flags(p)
-    p.add_argument("--track", action="append", default=None,
+    p.add_argument("--track", action=_ReplaceConfigList, default=None,
                    help="candidate id to emit preference-position histograms for (repeatable)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (default: available cores)")

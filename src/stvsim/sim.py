@@ -27,7 +27,7 @@ ballot whose surviving ranking is a prefix of its sheet's is tallied by
 (sheet, prefix length); only a ballot where a changed box took a rank inside
 the prefix is interpreted on its own.  The truncation model draws one
 number per preference in the same layout.  The zero-error point is the
-clean election in every run, so it is counted once per chunk of runs.
+clean election in every run, so it is one task, counted once per variant.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
@@ -166,6 +167,7 @@ class _Prepared:
     bucket_counts: dict[int, int]
     # per distinct formal sheet
     sheets: list[Preferences]
+    papers: list[int]  # formal physical ballots
     required: np.ndarray  # preferences it needs to stay formal
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
     n_digits: np.ndarray
@@ -241,6 +243,7 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
         orig_prefs=orig,
         bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
         sheets=sheets,
+        papers=np.bincount(ballot_sheet, minlength=len(sheets)).tolist(),
         required=np.array([rules.required(p.style) for p in sheets], dtype=np.int64),
         n_boxes=n_boxes,
         n_digits=n_digits,
@@ -361,11 +364,12 @@ def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple
 def _run_chunk(args: tuple) -> PointResult:
     """Simulate runs [run_lo, run_hi) of one grid point; pure and picklable.
 
-    Without ``do_count`` no run is counted and ``winner_sets`` is empty.  A
-    count that breaks an invariant is re-raised naming the grid point, run
-    and base seed that reproduce it (for the zero-error point, its first run).
+    Without count rules no run is counted and ``winner_sets`` is empty; the
+    zero-error point counts the variant's formal sheets in its first run
+    only.  A count that breaks an invariant is re-raised naming the grid
+    point, run and base seed that reproduce it.
     """
-    prep, meta, count_rules, point, base_seed, run_lo, run_hi, do_count = args
+    prep, meta, count_rules, point, base_seed, run_lo, run_hi = args
     n_runs = run_hi - run_lo
     formal_runs = np.zeros(prep.n_physical, dtype=np.int64)
     atl_by_run = np.zeros(n_runs, dtype=np.int64)
@@ -374,35 +378,26 @@ def _run_chunk(args: tuple) -> PointResult:
     outcomes: Counter = Counter()  # winner set (None: no formal ballot) -> runs
     atl_mask = prep.style_codes == 0
     btl_mask = prep.style_codes == 1
-
-    def perturbed():
-        for run in range(run_lo, run_hi):
+    for i, run in enumerate(range(run_lo, run_hi)):
+        if point.model is None:
+            lengths, ballots = prep.orig_prefs, dict(zip(prep.sheets, prep.papers)) if i == 0 else None
+        else:
             seeds = seed_vector((base_seed, point.index, run), 0, prep.n_physical)
-            yield run - run_lo, 1, *_perturb_run(prep, point.model, seeds)
-
-    if point.model is None:
-        # Every run of the zero-error point sees the clean election: take it
-        # once, weighted by the number of runs.
-        sheet = prep.ballot_sheet
-        clean = _rankings(prep, prep.key_start[sheet] + prep.n_boxes[sheet])
-        passes = [(0, n_runs, prep.orig_prefs, clean)]
-    else:
-        passes = perturbed()
-    for first, weight, lengths, ballots in passes:
+            lengths, ballots = _perturb_run(prep, point.model, seeds)
         formal = lengths > 0
-        formal_runs += weight * formal
-        atl_by_run[first:first + weight] = np.count_nonzero(formal & atl_mask)
-        btl_by_run[first:first + weight] = np.count_nonzero(formal & btl_mask)
-        by_bucket = np.bincount(prep.orig_prefs, weights=lengths, minlength=len(surviving))
-        surviving += weight * by_bucket.astype(np.int64)
-        if not do_count:
+        formal_runs += formal
+        atl_by_run[i] = np.count_nonzero(formal & atl_mask)
+        btl_by_run[i] = np.count_nonzero(formal & btl_mask)
+        surviving += np.bincount(prep.orig_prefs, weights=lengths, minlength=len(surviving)).astype(np.int64)
+        if count_rules is None:
             continue
-        try:
-            winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
-        except CountInvariantError as exc:
-            where = f"grid point {point.index}, run {run_lo + first}, base seed {base_seed}"
-            raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
-        outcomes[winners] += weight
+        if ballots is not None:  # a later zero-error run keeps the first run's winners
+            try:
+                winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
+            except CountInvariantError as exc:
+                where = f"grid point {point.index}, run {run}, base seed {base_seed}"
+                raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
+        outcomes[winners] += 1
 
     return PointResult(
         model=point.model_name,
@@ -584,18 +579,18 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     # Tracked candidates' histograms, one per formality variant from that
     # variant's formal ballots, before any run, so that an unknown candidate
     # fails fast.
-    papers = {v: np.bincount(p.ballot_sheet, minlength=len(p.sheets)).tolist() for v, p in prepared.items()}
     histograms = {
-        cid: {v: _position_histogram(zip(p.sheets, papers[v]), election.meta, cid) for v, p in prepared.items()}
+        cid: {v: _position_histogram(zip(p.sheets, p.papers), election.meta, cid) for v, p in prepared.items()}
         for cid in config.track_candidates
     }
     runs = config.runs_per_point
     chunk = runs if config.jobs == 1 else max(1, -(-runs // (config.jobs * 4)))
     tasks = [
         (prepared[point.btl_required], election.meta, config.count_rules, point, config.base_seed,
-         lo, min(runs, lo + chunk), True)
+         lo, min(runs, lo + step))
         for point in points
-        for lo in range(0, runs, chunk)
+        for step in [runs if point.model is None else chunk]  # the clean election is counted once
+        for lo in range(0, runs, step)
     ]
     if config.jobs == 1:
         parts = [_run_chunk(t) for t in tasks]
@@ -603,12 +598,12 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: import only for a pool
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             parts = list(pool.map(_run_chunk, tasks))
-    per_point = -(-runs // chunk)
     results = []
-    for i, point in enumerate(points):
-        merged = reduce(PointResult.merge, parts[i * per_point:(i + 1) * per_point])
+    # Tasks come in point order and each point's in run order, so a point's parts are adjacent.
+    for index, group in groupby(zip(tasks, parts), key=lambda task_part: task_part[0][3].index):
+        merged = reduce(PointResult.merge, (part for _, part in group))
         # Workers return copies of the variant's arrays; share the originals.
-        prep = prepared[point.btl_required]
+        prep = prepared[points[index].btl_required]
         results.append(replace(merged, style_codes=prep.style_codes, orig_prefs=prep.orig_prefs))
 
     return SimReport(
@@ -641,7 +636,7 @@ def formality_rate_report(
         raise SimError("runs must be >= 1")
     rules = FormalityRules()
     point = _grid_point(0, rules.btl_required_prefs, model)
-    return _run_chunk((_prepare(election, rules), election.meta, CountRules(), point, base_seed, 0, runs, False))
+    return _run_chunk((_prepare(election, rules), election.meta, None, point, base_seed, 0, runs))
 
 
 @dataclass
@@ -673,7 +668,7 @@ def partition_by_preference(
     if candidate_a == candidate_b:
         raise BallotError("partition candidates must be distinct")
     for cid in (candidate_a, candidate_b):
-        if cid not in meta.candidate_index:
+        if cid not in meta.group_of_candidate:
             raise BallotError(f"unknown candidate {cid!r}")
     cells = {VoteStyle.ATL: [0, 0, 0], VoteStyle.BTL: [0, 0, 0]}
     for prefs, papers in formal_ballots(election, rules):
@@ -705,7 +700,7 @@ def preference_position_histogram(
 def _position_histogram(
     ballots: Iterable[tuple[Preferences, int]], meta, candidate: str
 ) -> dict[str, dict[int, int]]:
-    if candidate not in meta.candidate_index:
+    if candidate not in meta.group_of_candidate:
         raise BallotError(f"unknown candidate {candidate!r}")
     hist = {"ATL": Counter(), "BTL": Counter()}
     for prefs, papers in ballots:

@@ -169,6 +169,20 @@ class TestSimulate:
         assert not (tmp_path / "a").exists()
         assert (tmp_path / "b" / "report.json").exists()
 
+    @pytest.mark.parametrize("flags, tracked", [
+        ([], ["a1"]),
+        (["--track", "b1"], ["b1"]),
+        (["--track", "b1", "--track", "a2"], ["b1", "a2"]),
+    ], ids=["file", "flag", "flags"])
+    def test_track_flags_replace_the_config_files_list(self, tmp_path, election_path, flags, tracked):
+        out = tmp_path / "s"
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({
+            "election": election_path, "runs": 1, "rates": "0", "jobs": 1, "track": ["a1"], "out": str(out)}))
+        assert main(["simulate", "--config", str(config_path)] + flags) == EXIT_OK
+        assert set(json.loads((out / "report.json").read_text())["position_histograms"]) == set(tracked)
+        assert json.loads((out / "manifest.json").read_text())["config"]["track"] == tracked
+
     def test_count_failure_exits_4_naming_point_run_and_seed(self, tmp_path, election_path, monkeypatch, capsys):
         def fail(self, rec):
             raise CountInvariantError("injected fault", self.transcript)
@@ -316,6 +330,12 @@ class TestConfigFile:
         assert main(["count", "--election", election_path, "--config", str(config_path)]) == EXIT_USAGE
         config_path.write_bytes(b'{"seats": "\xff"}')
         assert main(["count", "--election", election_path, "--config", str(config_path)]) == EXIT_USAGE
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, election_path, capsys):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps(["--election", election_path]))
+        assert main(["count", "--config", str(config_path)]) == EXIT_USAGE
+        assert f"usage error: config file {config_path} must hold a JSON object" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -58,7 +58,8 @@ def write_sweep(name: str, outdir: Path, jobs: int = 1) -> list[str]:
     return write_report(report, outdir, ballot_rates=ballot_rates)
 
 
-# At jobs=2 each point's 10 runs are split into 5 chunks and merged.
+# At jobs=2 each perturbed point's 10 runs are split into 5 chunks and merged;
+# the zero-error point is one task of all 10.
 @pytest.mark.parametrize("name, jobs", [
     pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs2")
     for jobs in (1, 2) for name in SWEEPS

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from stvsim import (
 )
 from stvsim import count, sim
 from stvsim.cli import EXIT_OK, main
-from stvsim.synth import marks_for_ranking, truncation_ladder_election
+from stvsim.synth import formality_bias_election, marks_for_ranking, truncation_ladder_election
 
 from test_differential import mixed_election
 
@@ -312,6 +313,34 @@ class TestReportSerialisation:
             "model,rate,btl_required,candidate,wins,frequency"
         assert (tmp_path / "report.json").exists()
 
+    def test_no_formal_atl_ballot_writes_empty_atl_formality(self, small_election, tmp_path):
+        election = ElectionFile(small_election.meta, small_election.sheets[2:])  # BTL sheets only
+        config = SimConfig(base_seed=21, runs_per_point=2, model="digit", rates=(0.05,))
+        write_report(run_sweep(election, config), tmp_path)
+        rows = (tmp_path / "formality.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3:6] for row in rows] == [["0", "200", ""]] * 2
+        points = json.loads((tmp_path / "report.json").read_text())["points"]
+        assert [p["formality"]["mean_atl"] for p in points] == [None, None]
+
+
+class TestOneCleanCount:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_count_builds_do_not_depend_on_jobs(self, monkeypatch, tmp_path, jobs):
+        # Patched before the pool forks, so workers log their builds too.
+        log = tmp_path / "builds"
+        init = count._Count.__init__
+
+        def logged(self, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(".")
+            init(self, *args)
+
+        monkeypatch.setattr(count._Count, "__init__", logged)
+        config = SimConfig(base_seed=1, runs_per_point=8, model="digit", rates=(0.01,),
+                           btl_required_grid=(6, 1), jobs=jobs)
+        run_sweep(formality_bias_election(60, 60), config)
+        assert len(log.read_text()) == 2 * (1 + 8)  # per variant: one clean count, one per perturbed run
+
 
 class TestCountFailureContext:
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -337,8 +366,7 @@ class TestCountFailureContext:
         monkeypatch.setattr(count._Count, "_check_conservation", fail)
         config = SimConfig(base_seed=3, runs_per_point=4)
         (point,) = sim._build_points(config)
-        chunk = (sim._prepare(small_election, config.rules_for(6)), small_election.meta, CountRules(),
-                 point, 3, 2, 4, True)
+        chunk = (sim._prepare(small_election, config.rules_for(6)), small_election.meta, CountRules(), point, 3, 2, 4)
         with pytest.raises(CountInvariantError, match=r"^grid point 0, run 2, base seed 3: "):
             sim._run_chunk(chunk)
 
