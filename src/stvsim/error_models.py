@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -215,50 +215,65 @@ def perturb_ballot(
 # as the scalar functions above.  They work on the flat form the simulation
 # harness uses: every element carries its own substream seed and its index
 # in that stream's canonical order, so one call covers the ballots of many
-# mark sheets.
+# mark sheets.  One call also covers several models of one family: the
+# draws are made once and each model reads them, so model j's outcome is
+# the scalar function's under model j, whatever the other models are.
 
 
-def truncation_lengths_batch(n_prefs: np.ndarray, rate: float, seeds: np.ndarray) -> np.ndarray:
-    """Surviving length of each ballot under the truncation model.
+def truncation_lengths_batch(n_prefs: np.ndarray, rates: Sequence[float], seeds: np.ndarray) -> np.ndarray:
+    """Surviving length of each ballot under the truncation model, one row per rate.
 
     Ballot i ranks ``n_prefs[i]`` preferences and owns substream ``seeds[i]``.
     Preference k consumes draw k of it, and the list ends before the first
-    preference whose draw falls below ``rate``.
+    preference whose draw falls below the rate, so a ballot's length never
+    grows as the rate rises.
     """
-    lengths = np.array(n_prefs, dtype=np.int64)
-    owner, index = flat_layout(lengths)
-    fired = draw_matrix(seeds[owner], index) < rate
-    np.minimum.at(lengths, owner[fired], index[fired])
+    lengths = np.tile(np.asarray(n_prefs, dtype=np.int64), (len(rates), 1))
+    owner, index = flat_layout(lengths[0])
+    draws = draw_matrix(seeds[owner], index)
+    low = np.flatnonzero(draws < max(rates))
+    owner, index, draws = owner[low], index[low], draws[low]
+    for row, rate in zip(lengths, rates):
+        fired = draws < rate
+        np.minimum.at(row, owner[fired], index[fired])
     return lengths
 
 
 def corrupt_digits_batch(
-    digits: np.ndarray, model: ErrorModel, seeds: np.ndarray, positions: np.ndarray
+    digits: np.ndarray, models: Sequence[ErrorModel], seeds: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """Corrupted copy of a flat digit array.
+    """Corrupted copies of a flat digit array, one row per model.
 
     ``digits[i]`` (uint8, 0-9) is digit ``positions[i]`` of its ballot's
     digit sequence in canonical order, and ``seeds[i]`` is that ballot's
-    substream seed.  Matches the scalar draw discipline: under the uniform
-    model digit k fires on draw 2k and takes its replacement from draw
-    2k + 1 (read only where it fired); the confusion model resamples digit k
-    from draw k.
+    substream seed.  The models are all uniform or all confusion models.
+    Matches the scalar draw discipline: under the uniform model digit k
+    fires on draw 2k and takes its replacement from draw 2k + 1 (read only
+    where it fired at the highest rate), so the digits changed at a lower
+    rate are a subset of those changed at a higher one, with the same new
+    values; the confusion model resamples digit k from draw k.
     """
-    if isinstance(model, UniformDigitModel):
-        out = digits.copy()
-        fired = np.flatnonzero(draw_matrix(seeds, 2 * positions) < model.rate)
-        out[fired] = (draw_matrix(seeds[fired], 2 * positions[fired] + 1) * 10).astype(np.uint8)
+    if all(isinstance(m, UniformDigitModel) for m in models):
+        fire = draw_matrix(seeds, 2 * positions)
+        fired = np.flatnonzero(fire < max(m.rate for m in models))
+        fire = fire[fired]
+        new = (draw_matrix(seeds[fired], 2 * positions[fired] + 1) * 10).astype(np.uint8)
+        out = np.tile(digits, (len(models), 1))
+        for row, model in zip(out, models):
+            keep = fire < model.rate
+            row[fired[keep]] = new[keep]
         return out
-    if isinstance(model, ConfusionModel):
+    if all(isinstance(m, ConfusionModel) for m in models):
         draws = draw_matrix(seeds, positions)
-        cdfs = model.column_cdfs  # (predicted, actual)
-        # The new digit is the number of CDF values in column d at or below
-        # the draw (at most 9).  That number is d itself exactly when
-        # cdfs[d-1, d] <= draw < cdfs[d, d], so only the other digits need
-        # the full count.
-        low = np.append(0.0, np.diagonal(cdfs, offset=1))[digits]
-        moved = np.flatnonzero((draws < low) | (draws >= np.diagonal(cdfs)[digits]))
-        out = digits.copy()
-        out[moved] = np.minimum((draws[moved] >= cdfs[:, digits[moved]]).sum(axis=0), 9)
+        out = np.tile(digits, (len(models), 1))
+        for row, model in zip(out, models):
+            cdfs = model.column_cdfs  # (predicted, actual)
+            # The new digit is the number of CDF values in column d at or
+            # below the draw (at most 9).  That number is d itself exactly
+            # when cdfs[d-1, d] <= draw < cdfs[d, d], so only the other
+            # digits need the full count.
+            low = np.append(0.0, np.diagonal(cdfs, offset=1))[digits]
+            moved = np.flatnonzero((draws < low) | (draws >= np.diagonal(cdfs)[digits]))
+            row[moved] = np.minimum((draws[moved] >= cdfs[:, digits[moved]]).sum(axis=0), 9)
         return out
-    raise ErrorModelError(f"model {model!r} does not corrupt digits")
+    raise ErrorModelError(f"models {models!r} do not corrupt digits as one family")

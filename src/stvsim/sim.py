@@ -5,11 +5,14 @@ harness perturbs each formal ballot independently, re-checks formality,
 counts the survivors, and aggregates winner frequencies, per-ballot
 formality rates and truncation statistics.
 
-Reproducibility: the substream used for physical ballot i in run r at grid
-point p is seeded with ``derive_seed(base_seed, p, r, i)``.  Fresh
-substreams are drawn per grid point (perturbations are not reused across
-rates), and aggregation sums fixed-indexed counters, so reports are
-byte-identical no matter how runs are scheduled across processes.
+Reproducibility: the substream used for physical ballot i in run r is
+seeded with ``derive_seed(base_seed, r, i)``, with no grid-point index, so
+every rate of a formality variant sees the same draws (common random
+numbers).  Each point's own distribution is what fresh draws would give,
+while differences between rates lose the noise their points share.
+Aggregation sums fixed-indexed counters, so reports are byte-identical no
+matter how runs are scheduled across processes, and a point's results do
+not depend on which other rates are in the grid.
 
 One "physical ballot" is one paper: a mark sheet with multiplicity m covers
 m consecutive physical indices in file order.
@@ -26,8 +29,12 @@ that is no longer held by exactly one box cuts the ballot's ranking.  A
 ballot whose surviving ranking is a prefix of its sheet's is tallied by
 (sheet, prefix length); only a ballot where a changed box took a rank inside
 the prefix is interpreted on its own.  The truncation model draws one
-number per preference in the same layout.  The zero-error point is the
-clean election in every run, so it is one task, counted once per variant.
+number per preference in the same layout.  A run's draws and corruption are
+made once for all of a variant's rates, at the highest: a digit that fires
+at one rate fires, with the same new value, at every higher rate, and a
+list cut at one rate is cut no later at a higher one, so each rate keeps
+its own subset of the changes.  The zero-error point is the clean election
+in every run, so it is one task, counted once per variant.
 """
 from __future__ import annotations
 
@@ -35,9 +42,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import groupby
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -263,29 +269,28 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
 
 
 def _changed_boxes(
-    prep: _Prepared, model: ErrorModel, sheet: np.ndarray, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    prep: _Prepared, models: list[ErrorModel], sheet: np.ndarray, seeds: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Corrupt the digits of a block's ballots and read the boxes that changed.
 
     ``sheet`` and ``seeds`` give each ballot's sheet id and substream seed.
-    Returns, per changed box in ballot order, the ballot's index in the
-    block, the box's index in ``box_values`` and its new value.  A changed
-    digit always changes its box's value.
+    Yields, for each model in turn, per changed box in ballot order, the
+    ballot's index in the block, the box's index in ``box_values`` and its
+    new value.  A changed digit always changes its box's value.
     """
     owner, position = flat_layout(prep.n_digits[sheet])
     at = prep.digit_start[sheet][owner] + position
     clean = prep.digits[at]
-    digits = corrupt_digits_batch(clean, model, seeds[owner], position)
-    hit = np.flatnonzero(digits != clean)
-    ballot, at = owner[hit], at[hit]
-    box = prep.digit_box[at]
-    delta = (digits[hit].astype(np.int32) - clean[hit]) * prep.place[at]
-    # A box's digits are adjacent, so its changed digits are too.
-    first = np.ones(len(hit), dtype=bool)
-    first[1:] = (box[1:] != box[:-1]) | (ballot[1:] != ballot[:-1])
-    starts = np.flatnonzero(first)
-    box = box[starts]
-    return ballot[starts], box, prep.box_values[box] + np.add.reduceat(delta, starts)
+    for digits in corrupt_digits_batch(clean, models, seeds[owner], position):
+        hit = np.flatnonzero(digits != clean)
+        ballot, hit_at = owner[hit], at[hit]
+        box = prep.digit_box[hit_at]
+        delta = (digits[hit].astype(np.int32) - clean[hit]) * prep.place[hit_at]
+        # A box's digits are adjacent, so its changed digits are too.
+        first = np.ones(len(hit), dtype=bool)
+        first[1:] = (box[1:] != box[:-1]) | (ballot[1:] != ballot[:-1])
+        starts = np.flatnonzero(first)
+        yield ballot[starts], box[starts], prep.box_values[box[starts]] + np.add.reduceat(delta, starts)
 
 
 def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, value: np.ndarray) -> None:
@@ -321,99 +326,120 @@ def _rankings(prep: _Prepared, keys: np.ndarray) -> Counter:
     return ballots
 
 
-def _perturb_run(prep: _Prepared, model: ErrorModel, seeds: np.ndarray) -> tuple[np.ndarray, Counter]:
-    """One run's flat pass over the formal ballots, block by block.
+def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -> list[tuple[np.ndarray, Counter]]:
+    """One run's flat pass over the formal ballots, block by block, for every model.
 
-    ``seeds`` holds every physical ballot's substream seed.  Returns each
-    physical ballot's surviving preference count (0 if informal) and the
-    multiset of formal ``Preferences``.  A ballot whose ranking is a
+    ``models`` are one family's, and ``seeds`` holds every physical
+    ballot's substream seed.  Each block is drawn and corrupted once for
+    all models; each model then reads its own changes.  Returns, per model,
+    each physical ballot's surviving preference count (0 if informal) and
+    the multiset of formal ``Preferences``.  A ballot whose ranking is a
     prefix of its sheet's is tallied by (sheet, prefix length); one where a
     changed box took a rank inside the prefix is interpreted on its own.
     """
-    lengths = np.zeros(prep.n_physical, dtype=np.int64)
-    keys = []
-    moved_rankings: Counter = Counter()
+    lengths = np.zeros((len(models), prep.n_physical), dtype=np.int64)
+    keys: list[list[np.ndarray]] = [[] for _ in models]
+    moved_rankings = [Counter() for _ in models]
+    none = np.zeros(0, dtype=np.int64)
     for lo, hi in prep.blocks:
         sheet = prep.ballot_sheet[lo:hi]
         index = prep.ballot_index[lo:hi]
-        prefix = prep.n_boxes[sheet]
-        if isinstance(model, TruncationModel):
-            prefix = truncation_lengths_batch(prefix, model.rate, seeds[index])
-            ballot = box = value = np.zeros(0, dtype=np.int64)
+        if isinstance(models[0], TruncationModel):
+            rows = truncation_lengths_batch(prep.n_boxes[sheet], [m.rate for m in models], seeds[index])
+            changes = ((prefix, none, none, none) for prefix in rows)
         else:
-            ballot, box, value = _changed_boxes(prep, model, sheet, seeds[index])
+            changes = (
+                (prep.n_boxes[sheet], ballot, box, value)
+                for ballot, box, value in _changed_boxes(prep, models, sheet, seeds[index])
+            )
+        for j, (prefix, ballot, box, value) in enumerate(changes):
             _cut_prefixes(prefix, ballot, prep.box_values[box], value)
-        formal = prefix >= prep.required[sheet]
-        lengths[index] = np.where(formal, prefix, 0)
-        moved = np.unique(ballot[formal[ballot] & (prep.box_values[box] <= prefix[ballot])])
-        plain = formal.copy()
-        plain[moved] = False
-        keys.append(prep.key_start[sheet[plain]] + prefix[plain])
-        for b, i, j in zip(moved, np.searchsorted(ballot, moved), np.searchsorted(ballot, moved, "right")):
-            prefs = prep.sheets[sheet[b]]
-            marks = {name: rank for rank, name in enumerate(prefs.ranking, start=1)}
-            # A changed box is the one its clean value ranks.
-            for rank, new in zip(prep.box_values[box[i:j]].tolist(), value[i:j].tolist()):
-                marks[prefs.ranking[rank - 1]] = new
-            moved_rankings[Preferences(prefs.style, interpret_marks(marks))] += 1
-    ballots = _rankings(prep, np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64))
-    ballots.update(moved_rankings)
-    return lengths, ballots
+            formal = prefix >= prep.required[sheet]
+            lengths[j, index] = np.where(formal, prefix, 0)
+            moved = np.unique(ballot[formal[ballot] & (prep.box_values[box] <= prefix[ballot])])
+            plain = formal.copy()
+            plain[moved] = False
+            keys[j].append(prep.key_start[sheet[plain]] + prefix[plain])
+            for b, i, k in zip(moved, np.searchsorted(ballot, moved), np.searchsorted(ballot, moved, "right")):
+                prefs = prep.sheets[sheet[b]]
+                marks = {name: rank for rank, name in enumerate(prefs.ranking, start=1)}
+                # A changed box is the one its clean value ranks.
+                for rank, new in zip(prep.box_values[box[i:k]].tolist(), value[i:k].tolist()):
+                    marks[prefs.ranking[rank - 1]] = new
+                moved_rankings[j][Preferences(prefs.style, interpret_marks(marks))] += 1
+    results = []
+    for row, model_keys, moved_ballots in zip(lengths, keys, moved_rankings):
+        ballots = _rankings(prep, np.concatenate(model_keys) if model_keys else none)
+        ballots.update(moved_ballots)
+        results.append((row, ballots))
+    return results
 
 
-def _run_chunk(args: tuple) -> PointResult:
-    """Simulate runs [run_lo, run_hi) of one grid point; pure and picklable.
+def _run_chunk(args: tuple) -> list[PointResult]:
+    """Simulate runs [run_lo, run_hi) of one formality variant's points; pure and picklable.
 
-    Without count rules no run is counted and ``winner_sets`` is empty; the
-    zero-error point counts the variant's formal sheets in its first run
-    only.  A count that breaks an invariant is re-raised naming the grid
-    point, run and base seed that reproduce it.
+    ``points`` is the variant's zero-error point alone, or all of its
+    perturbed points, whose runs share one flat pass.  Returns one part per
+    point.  The clean election is the same in every run, so its statistics
+    and count are taken once and weighted by the runs.  Without count rules
+    no run is counted and ``winner_sets`` is empty.  A count that breaks an
+    invariant is re-raised naming the grid point, run and base seed that
+    reproduce it.
     """
-    prep, meta, count_rules, point, base_seed, run_lo, run_hi = args
+    prep, meta, count_rules, points, base_seed, run_lo, run_hi = args
     n_runs = run_hi - run_lo
-    formal_runs = np.zeros(prep.n_physical, dtype=np.int64)
-    atl_by_run = np.zeros(n_runs, dtype=np.int64)
-    btl_by_run = np.zeros(n_runs, dtype=np.int64)
-    surviving = np.zeros(int(prep.orig_prefs.max(initial=0)) + 1, dtype=np.int64)
-    outcomes: Counter = Counter()  # winner set (None: no formal ballot) -> runs
+    formal_runs = np.zeros((len(points), prep.n_physical), dtype=np.int64)
+    atl_by_run = np.zeros((len(points), n_runs), dtype=np.int64)
+    btl_by_run = np.zeros((len(points), n_runs), dtype=np.int64)
+    surviving = np.zeros((len(points), int(prep.orig_prefs.max(initial=0)) + 1), dtype=np.int64)
+    outcomes = [Counter() for _ in points]  # winner set (None: no formal ballot) -> runs
     atl_mask = prep.style_codes == 0
     btl_mask = prep.style_codes == 1
-    for i, run in enumerate(range(run_lo, run_hi)):
-        if point.model is None:
-            lengths, ballots = prep.orig_prefs, dict(zip(prep.sheets, prep.papers)) if i == 0 else None
-        else:
-            seeds = seed_vector((base_seed, point.index, run), 0, prep.n_physical)
-            lengths, ballots = _perturb_run(prep, point.model, seeds)
-        formal = lengths > 0
-        formal_runs += formal
-        atl_by_run[i] = np.count_nonzero(formal & atl_mask)
-        btl_by_run[i] = np.count_nonzero(formal & btl_mask)
-        surviving += np.bincount(prep.orig_prefs, weights=lengths, minlength=len(surviving)).astype(np.int64)
-        if count_rules is None:
-            continue
-        if ballots is not None:  # a later zero-error run keeps the first run's winners
-            try:
-                winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
-            except CountInvariantError as exc:
-                where = f"grid point {point.index}, run {run}, base seed {base_seed}"
-                raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
-        outcomes[winners] += 1
 
-    return PointResult(
-        model=point.model_name,
-        rate=point.rate,
-        btl_required=point.btl_required,
-        runs=n_runs,
-        style_codes=prep.style_codes,
-        orig_prefs=prep.orig_prefs,
-        bucket_counts=prep.bucket_counts,
-        winner_sets=dict(sorted((k, v) for k, v in outcomes.items() if k is not None)),
-        no_result_runs=outcomes[None],
-        formal_runs_per_ballot=formal_runs,
-        atl_formal_by_run=atl_by_run,
-        btl_formal_by_run=btl_by_run,
-        surviving_sums={k: int(surviving[k]) for k in prep.bucket_counts},
-    )
+    def record(j: int, i: int, runs: int, lengths: np.ndarray, ballots) -> None:
+        """Add to point j the ``runs`` runs from the chunk's run i, which all left these ballots."""
+        formal = lengths > 0
+        formal_runs[j] += runs * formal
+        atl_by_run[j, i:i + runs] = np.count_nonzero(formal & atl_mask)
+        btl_by_run[j, i:i + runs] = np.count_nonzero(formal & btl_mask)
+        survived = np.bincount(prep.orig_prefs, weights=lengths, minlength=surviving.shape[1])
+        surviving[j] += runs * survived.astype(np.int64)
+        if count_rules is None:
+            return
+        try:
+            winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
+        except CountInvariantError as exc:
+            where = f"grid point {points[j].index}, run {run_lo + i}, base seed {base_seed}"
+            raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
+        outcomes[j][winners] += runs
+
+    if points[0].model is None:
+        record(0, 0, n_runs, prep.orig_prefs, dict(zip(prep.sheets, prep.papers)))
+    else:
+        models = [point.model for point in points]
+        for i, run in enumerate(range(run_lo, run_hi)):
+            seeds = seed_vector((base_seed, run), 0, prep.n_physical)
+            for j, (lengths, ballots) in enumerate(_perturb_run(prep, models, seeds)):
+                record(j, i, 1, lengths, ballots)
+
+    return [
+        PointResult(
+            model=point.model_name,
+            rate=point.rate,
+            btl_required=point.btl_required,
+            runs=n_runs,
+            style_codes=prep.style_codes,
+            orig_prefs=prep.orig_prefs,
+            bucket_counts=prep.bucket_counts,
+            winner_sets=dict(sorted((k, v) for k, v in outcomes[j].items() if k is not None)),
+            no_result_runs=outcomes[j][None],
+            formal_runs_per_ballot=formal_runs[j],
+            atl_formal_by_run=atl_by_run[j],
+            btl_formal_by_run=btl_by_run[j],
+            surviving_sums={k: int(surviving[j, k]) for k in prep.bucket_counts},
+        )
+        for j, point in enumerate(points)
+    ]
 
 
 # -- results -------------------------------------------------------------------
@@ -585,25 +611,32 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     }
     runs = config.runs_per_point
     chunk = runs if config.jobs == 1 else max(1, -(-runs // (config.jobs * 4)))
-    tasks = [
-        (prepared[point.btl_required], election.meta, config.count_rules, point, config.base_seed,
-         lo, min(runs, lo + step))
-        for point in points
-        for step in [runs if point.model is None else chunk]  # the clean election is counted once
-        for lo in range(0, runs, step)
-    ]
+    tasks = []
+    for variant in config.btl_required_grid:
+        # The zero-error point is one task of all runs, so the clean election
+        # is counted once; the perturbed points share each run's flat pass.
+        clean, *perturbed = (p for p in points if p.btl_required == variant)
+        groups = [([clean], 0, runs)] + [(perturbed, lo, min(runs, lo + chunk)) for lo in range(0, runs, chunk)]
+        tasks += [
+            (prepared[variant], election.meta, config.count_rules, group, config.base_seed, lo, hi)
+            for group, lo, hi in groups
+            if group
+        ]
     if config.jobs == 1:
         parts = [_run_chunk(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: import only for a pool
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             parts = list(pool.map(_run_chunk, tasks))
+    by_point: dict[int, list[PointResult]] = {p.index: [] for p in points}
+    for task, task_parts in zip(tasks, parts):  # each point's tasks come in run order
+        for point, part in zip(task[3], task_parts):
+            by_point[point.index].append(part)
     results = []
-    # Tasks come in point order and each point's in run order, so a point's parts are adjacent.
-    for index, group in groupby(zip(tasks, parts), key=lambda task_part: task_part[0][3].index):
-        merged = reduce(PointResult.merge, (part for _, part in group))
+    for point in points:
+        merged = reduce(PointResult.merge, by_point[point.index])
         # Workers return copies of the variant's arrays; share the originals.
-        prep = prepared[points[index].btl_required]
+        prep = prepared[point.btl_required]
         results.append(replace(merged, style_codes=prep.style_codes, orig_prefs=prep.orig_prefs))
 
     return SimReport(
@@ -629,14 +662,16 @@ def formality_rate_report(
 ) -> PointResult:
     """One error model's per-ballot formality and retention, without counting.
 
-    Formality follows the default Senate rules.  The runs are seeded as
-    point 0 of a sweep; ``winner_sets`` is empty.
+    Formality follows the default Senate rules.  The runs are seeded as a
+    sweep's runs are, so they see the same draws as a sweep's point for this
+    model with the same base seed; ``winner_sets`` is empty.
     """
     if runs < 1:
         raise SimError("runs must be >= 1")
     rules = FormalityRules()
     point = _grid_point(0, rules.btl_required_prefs, model)
-    return _run_chunk((_prepare(election, rules), election.meta, None, point, base_seed, 0, runs))
+    (result,) = _run_chunk((_prepare(election, rules), election.meta, None, [point], base_seed, 0, runs))
+    return result
 
 
 @dataclass

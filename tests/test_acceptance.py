@@ -166,7 +166,7 @@ def test_criterion_4_error_model_calibration():
         digits = np.tile(np.arange(10, dtype=np.uint8), 5 * streams)
         positions = np.tile(np.arange(50), streams)
         seeds = np.repeat(seed_vector((8888, 0), 0, streams), 50)
-        out = corrupt_digits_batch(digits, UniformDigitModel(0.01), seeds, positions)
+        (out,) = corrupt_digits_batch(digits, [UniformDigitModel(0.01)], seeds, positions)
         n_digits = len(digits)
         changed = int((out != digits).sum())
         p = 0.009
@@ -176,7 +176,7 @@ def test_criterion_4_error_model_calibration():
         # shipped confusion table: mean per-digit change rate 0.89% +/- 0.05%
         table = load_confusion_table(BUNDLED_CONFUSION_TABLE)
         seeds = np.repeat(seed_vector((8888, 1), 0, streams), 50)
-        out = corrupt_digits_batch(digits, table, seeds, positions)
+        (out,) = corrupt_digits_batch(digits, [table], seeds, positions)
         observed = int((out != digits).sum()) / n_digits
         assert abs(observed - 0.0089) < 0.0005
 

@@ -1,11 +1,11 @@
 """The sweep's flat pass against the scalar path, ballot by ballot.
 
-``perturb_ballot`` with ``RandomStream(derive_seed(base_seed, point, run, i))``
-is the reference for physical ballot i.  At high error rates, on an
-election with repeated sheets, two-digit boxes and both vote styles, every
-run of every grid point must give each ballot the same formality and
-surviving length, the same multiset of formal rankings, and so the same
-winners.
+``perturb_ballot`` with ``RandomStream(derive_seed(base_seed, run, i))`` is
+the reference for physical ballot i at every rate.  At high error rates, on
+an election with repeated sheets, two-digit boxes and both vote styles,
+every rate of a run's shared pass must give each ballot the same formality
+and surviving length, the same multiset of formal rankings, and so the same
+winners, in whole-election blocks and in blocks of at most 16 digits.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def mixed_election() -> ElectionFile:
     return ElectionFile(meta, sheets)
 
 
-def scalar_run(election, rules, model, point, run):
+def scalar_run(election, rules, model, run):
     """Per-ballot surviving lengths and the formal multiset, one ballot at a time."""
     lengths, ballots, moved = [], Counter(), 0
     i = 0
@@ -73,7 +73,7 @@ def scalar_run(election, rules, model, point, run):
         for _ in range(sheet.multiplicity):
             out = prefs
             if prefs is not None and model is not None:
-                stream = RandomStream(derive_seed(BASE_SEED, point, run, i))
+                stream = RandomStream(derive_seed(BASE_SEED, run, i))
                 out = perturb_ballot(prefs, model, rules, stream)
             lengths.append(0 if out is None else len(out.ranking))
             if out is not None:
@@ -106,35 +106,40 @@ def test_sweep_matches_scalar_path(family):
     points = _build_points(config)
     assert len(points) == len(report.points)
     moved_total = 0
-    for point, result in zip(points, report.points):
-        rules = config.rules_for(point.btl_required)
+    for variant in config.btl_required_grid:
+        rules = config.rules_for(variant)
         prep = _prepare(election, rules)
         # the same ballots in blocks of at most 16 digits, or one ballot
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "BLOCK_DIGITS", 16)
             small_blocks = _prepare(election, rules)
         assert len(small_blocks.blocks) > len(prep.blocks)
-        formal_runs = np.zeros(election.total_ballots, dtype=np.int64)
-        surviving = Counter()
-        outcomes = Counter()
-        for run in range(RUNS):
-            lengths, ballots, moved = scalar_run(election, rules, point.model, point.index, run)
-            moved_total += moved
-            if point.model is not None:
-                seeds = seed_vector((BASE_SEED, point.index, run), 0, election.total_ballots)
-                flat_lengths, flat_ballots = _perturb_run(prep, point.model, seeds)
-                assert flat_lengths.tolist() == lengths.tolist(), (point.index, run)
-                assert flat_ballots == ballots, (point.index, run)
-                block_lengths, block_ballots = _perturb_run(small_blocks, point.model, seeds)
-                assert block_lengths.tolist() == lengths.tolist() and block_ballots == ballots
-            formal_runs += lengths > 0
-            for k, n in zip(prep.orig_prefs.tolist(), lengths.tolist()):
-                surviving[k] += n
-            outcomes[winner_set(ballots, election.meta)] += 1
-        assert result.formal_runs_per_ballot.tolist() == formal_runs.tolist()
-        assert result.surviving_sums == {k: surviving[k] for k in result.bucket_counts}
-        assert result.winner_sets == {k: v for k, v in outcomes.items() if k is not None}
-        assert result.no_result_runs == outcomes[None]
+        group = [(point, result) for point, result in zip(points, report.points) if point.btl_required == variant]
+        models = [point.model for point, _ in group[1:]]
+        for point, result in group:
+            formal_runs = np.zeros(election.total_ballots, dtype=np.int64)
+            surviving = Counter()
+            outcomes = Counter()
+            for run in range(RUNS):
+                lengths, ballots, moved = scalar_run(election, rules, point.model, run)
+                moved_total += moved
+                if point.model is not None:
+                    # every rate of the run's shared pass
+                    seeds = seed_vector((BASE_SEED, run), 0, election.total_ballots)
+                    j = models.index(point.model)
+                    flat_lengths, flat_ballots = _perturb_run(prep, models, seeds)[j]
+                    assert flat_lengths.tolist() == lengths.tolist(), (point.index, run)
+                    assert flat_ballots == ballots, (point.index, run)
+                    block_lengths, block_ballots = _perturb_run(small_blocks, models, seeds)[j]
+                    assert block_lengths.tolist() == lengths.tolist() and block_ballots == ballots
+                formal_runs += lengths > 0
+                for k, n in zip(prep.orig_prefs.tolist(), lengths.tolist()):
+                    surviving[k] += n
+                outcomes[winner_set(ballots, election.meta)] += 1
+            assert result.formal_runs_per_ballot.tolist() == formal_runs.tolist()
+            assert result.surviving_sums == {k: surviving[k] for k in result.bucket_counts}
+            assert result.winner_sets == {k: v for k, v in outcomes.items() if k is not None}
+            assert result.no_result_runs == outcomes[None]
     if family != "truncation":
         assert moved_total > 0  # swapped boxes did occur and were read correctly
 

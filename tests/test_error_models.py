@@ -47,7 +47,7 @@ def stream(*parts):
 def corrupt_rows(digits, model, seeds):
     """One corrupted copy of ``digits`` per seed, through the flat batch form."""
     n, d = len(seeds), len(digits)
-    flat = corrupt_digits_batch(np.tile(digits, n), model, np.repeat(seeds, d), np.tile(np.arange(d), n))
+    (flat,) = corrupt_digits_batch(np.tile(digits, n), [model], np.repeat(seeds, d), np.tile(np.arange(d), n))
     return flat.reshape(n, d)
 
 
@@ -66,7 +66,7 @@ class TestTruncationModel:
         # length-3 list at rate 0.5: P(len) = (0.5, 0.25, 0.125, 0.125)
         prefs = btl_prefs(3)
         trials = 120_000
-        lengths = truncation_lengths_batch(np.full(trials, 3), 0.5, seed_vector((42,), 0, trials))
+        (lengths,) = truncation_lengths_batch(np.full(trials, 3), [0.5], seed_vector((42,), 0, trials))
         pmf = truncation_length_pmf(3, 0.5)
         assert pmf == [0.5, 0.25, 0.125, 0.125]
         for length, p in enumerate(pmf):
@@ -77,7 +77,7 @@ class TestTruncationModel:
     def test_scalar_matches_batch(self):
         prefs = btl_prefs(7)
         seeds = seed_vector((9, 0, 0), 0, 200)
-        lengths = truncation_lengths_batch(np.full(200, 7), 0.3, seeds)
+        (lengths,) = truncation_lengths_batch(np.full(200, 7), [0.3], seeds)
         for i in range(200):
             out = apply_truncation_model(prefs, 0.3, RandomStream(int(seeds[i])))
             assert len(out) == lengths[i]

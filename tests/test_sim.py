@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,19 @@ from stvsim import (
     FormalityRules,
     Group,
     MarkSheet,
+    Preferences,
+    RandomStream,
     SimConfig,
     SimError,
     UniformDigitModel,
+    VoteStyle,
+    apply_digit_model,
+    apply_truncation_model,
     classify_formality,
     count_stv,
     formal_ballots,
     formality_rate_report,
+    marks_from_preferences,
     partition_by_preference,
     preference_position_histogram,
     run_sweep,
@@ -35,6 +42,8 @@ from stvsim import (
 )
 from stvsim import count, sim
 from stvsim.cli import EXIT_OK, main
+from stvsim.error_models import corrupt_digits_batch, truncation_lengths_batch
+from stvsim.rng import seed_vector
 from stvsim.synth import formality_bias_election, marks_for_ranking, truncation_ladder_election
 
 from test_differential import mixed_election
@@ -342,6 +351,61 @@ class TestOneCleanCount:
         assert len(log.read_text()) == 2 * (1 + 8)  # per variant: one clean count, one per perturbed run
 
 
+class TestCoupledDraws:
+    """Every rate reads the same draws: ballot i of run r is seeded by (base seed, r, i)."""
+
+    @pytest.mark.parametrize("model", ["digit", "truncation"])
+    def test_point_does_not_depend_on_the_other_rates(self, model):
+        election = mixed_election()
+        a, b = (0.3, 0.1) if model == "digit" else (0.1, 0.3)  # a is the higher rate once and the lower once
+
+        def point_a(rates):
+            config = SimConfig(base_seed=31, runs_per_point=5, model=model, rates=rates, btl_required_grid=(6, 1))
+            report = run_sweep(election, config)
+            return [json.dumps(p, sort_keys=True) for p in report.to_json_dict()["points"] if p["rate"] == a], [
+                (p.formal_runs_per_ballot.tolist(), p.atl_formal_by_run.tolist(), p.btl_formal_by_run.tolist())
+                for p in report.points if p.rate == a
+            ]
+
+        alone = point_a((a,))
+        assert len(alone[0]) == 2  # one point per formality variant
+        assert point_a((a, b)) == alone
+        assert point_a((b, a)) == alone
+
+    def test_lower_rates_change_a_subset(self):
+        # 13 preferences: one- and two-digit marks.
+        prefs = Preferences(VoteStyle.BTL, tuple(f"c{i}" for i in range(1, 14)))
+        sheet = marks_from_preferences(prefs)
+        order = sorted(sheet.btl_marks)
+        digits = np.array([int(ch) for box in order for ch in sheet.btl_marks[box]], dtype=np.uint8)
+        rates = (0.4, 0.05, 0.2, 1.0)
+        models = [UniformDigitModel(r) for r in rates]
+        n, d = 40, len(digits)
+        for run in range(3):
+            seeds = seed_vector((12, run), 0, n)
+            rows = corrupt_digits_batch(np.tile(digits, n), models, np.repeat(seeds, d), np.tile(np.arange(d), n))
+            rows = rows.reshape(len(rates), n, d)
+            lengths = truncation_lengths_batch(np.full(n, len(prefs.ranking)), rates, seeds)
+            for i, seed in enumerate(seeds.tolist()):
+                for j, rate in enumerate(rates):  # each row is the scalar path's outcome at its rate
+                    scalar = apply_digit_model(sheet, rate, RandomStream(seed))
+                    assert rows[j, i].tolist() == [int(ch) for box in order for ch in scalar.btl_marks[box]]
+                    assert lengths[j, i] == len(apply_truncation_model(prefs, rate, RandomStream(seed)))
+                for low, high in pairwise(sorted(range(len(rates)), key=rates.__getitem__)):
+                    changed = rows[low, i] != digits
+                    assert not (changed & (rows[high, i] == digits)).any()
+                    assert np.array_equal(rows[low, i][changed], rows[high, i][changed])
+                    assert lengths[high, i] <= lengths[low, i]
+
+    def test_uneven_chunks_give_the_same_report(self, tmp_path):
+        # 13 runs at jobs=3 are chunks of 2, 2, 2, 2, 2, 2 and 1.
+        election = truncation_ladder_election(long_ballots=40, short_ballots=40)
+        config = dict(base_seed=17, runs_per_point=13, model="truncation", rates=(0.02, 0.005, 0.01))
+        for jobs in (1, 3):
+            write_report(run_sweep(election, SimConfig(**config, jobs=jobs)), tmp_path / str(jobs))
+        assert (tmp_path / "3" / "report.json").read_bytes() == (tmp_path / "1" / "report.json").read_bytes()
+
+
 class TestCountFailureContext:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_names_point_run_and_seed(self, small_election, monkeypatch, jobs):
@@ -366,7 +430,7 @@ class TestCountFailureContext:
         monkeypatch.setattr(count._Count, "_check_conservation", fail)
         config = SimConfig(base_seed=3, runs_per_point=4)
         (point,) = sim._build_points(config)
-        chunk = (sim._prepare(small_election, config.rules_for(6)), small_election.meta, CountRules(), point, 3, 2, 4)
+        chunk = (sim._prepare(small_election, config.rules_for(6)), small_election.meta, CountRules(), [point], 3, 2, 4)
         with pytest.raises(CountInvariantError, match=r"^grid point 0, run 2, base seed 3: "):
             sim._run_chunk(chunk)
 
