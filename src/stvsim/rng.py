@@ -6,8 +6,8 @@ counter based: draw k of a stream with seed s is ``mix64(s + (k+1)*GAMMA)``.
 Two properties make it the right fit here:
 
 * independent substreams are derived by hashing tuples such as
-  (base seed, grid point, run, ballot), so parallel execution order cannot
-  change results;
+  (base seed, run, ballot), so parallel execution order cannot change
+  results, and every rate of a sweep can read the same draws;
 * a whole matrix of draws can be produced with vectorised numpy uint64
   arithmetic that matches the scalar stream bit for bit.
 

@@ -340,13 +340,13 @@ def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -
     lengths = np.zeros((len(models), prep.n_physical), dtype=np.int64)
     keys: list[list[np.ndarray]] = [[] for _ in models]
     moved_rankings = [Counter() for _ in models]
-    none = np.zeros(0, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
     for lo, hi in prep.blocks:
         sheet = prep.ballot_sheet[lo:hi]
         index = prep.ballot_index[lo:hi]
         if isinstance(models[0], TruncationModel):
             rows = truncation_lengths_batch(prep.n_boxes[sheet], [m.rate for m in models], seeds[index])
-            changes = ((prefix, none, none, none) for prefix in rows)
+            changes = ((prefix, empty, empty, empty) for prefix in rows)
         else:
             changes = (
                 (prep.n_boxes[sheet], ballot, box, value)
@@ -369,7 +369,7 @@ def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -
                 moved_rankings[j][Preferences(prefs.style, interpret_marks(marks))] += 1
     results = []
     for row, model_keys, moved_ballots in zip(lengths, keys, moved_rankings):
-        ballots = _rankings(prep, np.concatenate(model_keys) if model_keys else none)
+        ballots = _rankings(prep, np.concatenate(model_keys) if model_keys else empty)
         ballots.update(moved_ballots)
         results.append((row, ballots))
     return results

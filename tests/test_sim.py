@@ -361,14 +361,14 @@ class TestCoupledDraws:
 
         def point_a(rates):
             config = SimConfig(base_seed=31, runs_per_point=5, model=model, rates=rates, btl_required_grid=(6, 1))
-            report = run_sweep(election, config)
-            return [json.dumps(p, sort_keys=True) for p in report.to_json_dict()["points"] if p["rate"] == a], [
-                (p.formal_runs_per_ballot.tolist(), p.atl_formal_by_run.tolist(), p.btl_formal_by_run.tolist())
-                for p in report.points if p.rate == a
+            return [
+                (p.winner_sets, p.no_result_runs, p.surviving_sums, p.formal_runs_per_ballot.tolist(),
+                 p.atl_formal_by_run.tolist(), p.btl_formal_by_run.tolist())
+                for p in run_sweep(election, config).points if p.rate == a
             ]
 
         alone = point_a((a,))
-        assert len(alone[0]) == 2  # one point per formality variant
+        assert len(alone) == 2  # one point per formality variant
         assert point_a((a, b)) == alone
         assert point_a((b, a)) == alone
 
