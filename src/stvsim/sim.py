@@ -7,34 +7,34 @@ formality rates and truncation statistics.
 
 Reproducibility: the substream used for physical ballot i in run r is
 seeded with ``derive_seed(base_seed, r, i)``, with no grid-point index, so
-every rate of a formality variant sees the same draws (common random
-numbers).  Each point's own distribution is what fresh draws would give,
-while differences between rates lose the noise their points share.
-Aggregation sums fixed-indexed counters, so reports are byte-identical no
-matter how runs are scheduled across processes, and a point's results do
-not depend on which other rates are in the grid.
+every grid point sees the same draws (common random numbers).  Each
+point's own distribution is what fresh draws would give, while differences
+between points lose the noise they share.  Aggregation sums fixed-indexed
+counters, so reports are byte-identical no matter how runs are scheduled
+across processes, and a point's results do not depend on which other rates
+or formality variants are in the grid.
 
 One "physical ballot" is one paper: a mark sheet with multiplicity m covers
 m consecutive physical indices in file order.
 
-Layout.  For each formality variant, every distinct formal sheet is stored
-once: its ranked boxes in canonical digit order, their clean values and the
-digits that write them.  A formal physical ballot is just a sheet id.  A run
-is one flat pass over all formal ballots, in blocks of consecutive ballots
-holding at most ``BLOCK_DIGITS`` digits, so per-ballot arrays never outgrow
-one block.  In each block, every (ballot, digit) gets draw k of its
-ballot's substream (the scalar path's draw discipline); the changed digits
-give the changed boxes and their new values; and the first number 1, 2, ...
-that is no longer held by exactly one box cuts the ballot's ranking.  A
-ballot whose surviving ranking is a prefix of its sheet's is tallied by
-(sheet, prefix length); only a ballot where a changed box took a rank inside
-the prefix is interpreted on its own.  The truncation model draws one
-number per preference in the same layout.  A run's draws and corruption are
-made once for all of a variant's rates, at the highest: a digit that fires
-at one rate fires, with the same new value, at every higher rate, and a
-list cut at one rate is cut no later at a higher one, so each rate keeps
-its own subset of the changes.  The zero-error point is the clean election
-in every run, so it is one task, counted once per variant.
+Layout.  Formality variants that classify every record alike form one
+group, which stores every distinct formal sheet once: its ranked boxes in
+canonical digit order, their clean values, the digits that write them, and
+the preferences each variant needs.  A formal physical ballot is just a
+sheet id.  A run is one flat pass over all formal ballots, in blocks of
+consecutive ballots holding at most ``BLOCK_DIGITS`` digits, so per-ballot
+arrays never outgrow one block.  In each block, every (ballot, digit) gets
+draw k of its ballot's substream (the scalar path's draw discipline), drawn
+and corrupted once at the highest rate: a digit that fires at one rate
+fires, with the same new value, at every higher rate, and a list cut at one
+rate is cut no later at a higher one.  Each (rate, ballot) row reads its own
+changed boxes, and the first number 1, 2, ... no longer held by exactly one
+box cuts its ranking; one comparison decides formality for every (variant,
+rate, ballot).  A ballot whose surviving ranking is a prefix of its sheet's
+is tallied by (variant, rate, sheet, prefix length); only a ballot where a
+changed box took a rank inside the prefix is interpreted on its own.  The
+truncation model draws one number per preference in the same layout.  A
+group's zero-error points, the clean election in every run, are one task.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def _build_points(config: SimConfig) -> list[GridPoint]:
     return points
 
 
-# -- prepared per-variant ballot data -----------------------------------------
+# -- prepared ballot data, one per classification group --------------------------
 
 #: Digit budget of one block of a run's flat pass: the per-ballot arrays
 #: (digits, draws, changed boxes) exist for one block at a time, so a run's
@@ -159,14 +159,15 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 10)
 
 @dataclass
 class _Prepared:
-    """One formality variant's formal ballots in the flat layout.
+    """The formal ballots of formality variants that classify alike, in the flat layout.
 
     Each distinct formal sheet (one set of canonical preferences) is kept
     once: the clean value (its rank) of each ranked box, in canonical digit
-    order (sorted ids), and the digits that write it.  A formal physical
-    ballot is only a sheet id.
+    order (sorted ids), the digits that write it, and the preferences each
+    variant needs.  A formal physical ballot is only a sheet id.
     """
 
+    rules: list[FormalityRules]  # the variants, one per row of required
     n_physical: int
     style_codes: np.ndarray  # int8: -1 informal, 0 ATL, 1 BTL
     orig_prefs: np.ndarray  # int32: baseline preference count (0 if informal)
@@ -174,7 +175,7 @@ class _Prepared:
     # per distinct formal sheet
     sheets: list[Preferences]
     papers: list[int]  # formal physical ballots
-    required: np.ndarray  # preferences it needs to stay formal
+    required: np.ndarray  # (variant, sheet): preferences it needs to stay formal
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
     n_digits: np.ndarray
     digit_start: np.ndarray  # offset of its digits in digits/place/digit_box
@@ -209,8 +210,20 @@ def formal_ballots(election: ElectionFile, rules: FormalityRules | None = None) 
     return list(zip(sheets, np.bincount(physical_sheet[physical_sheet >= 0], minlength=len(sheets)).tolist()))
 
 
-def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
-    sheets, physical_sheet = _classify(election, rules)
+def _prepare(election: ElectionFile, variants: Iterable[FormalityRules]) -> list[_Prepared]:
+    """One ``_Prepared`` per group of variants that classify alike, in order of their first variant."""
+    groups: list[tuple[list[Preferences], np.ndarray, list[FormalityRules]]] = []
+    for rules in variants:
+        sheets, physical_sheet = _classify(election, rules)
+        group = next((g for g in groups if np.array_equal(g[1], physical_sheet) and g[0] == sheets), None)
+        if group is None:
+            groups.append(group := (sheets, physical_sheet, []))
+        group[2].append(rules)
+    return [_layout(*group) for group in groups]
+
+
+def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: list[FormalityRules]) -> _Prepared:
+    n_physical = len(physical_sheet)
     baseline = physical_sheet >= 0
     ballot_sheet = physical_sheet[baseline]
 
@@ -238,19 +251,20 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
         lo = hi
 
     sheet_style = np.array([0 if p.style is VoteStyle.ATL else 1 for p in sheets], dtype=np.int8)
-    styles = np.full(election.total_ballots, -1, dtype=np.int8)
+    styles = np.full(n_physical, -1, dtype=np.int8)
     styles[baseline] = sheet_style[ballot_sheet]
-    orig = np.zeros(election.total_ballots, dtype=np.int32)
+    orig = np.zeros(n_physical, dtype=np.int32)
     orig[baseline] = n_boxes[ballot_sheet]
     buckets = np.bincount(orig[baseline])
     return _Prepared(
-        n_physical=election.total_ballots,
+        rules=variants,
+        n_physical=n_physical,
         style_codes=styles,
         orig_prefs=orig,
         bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
         sheets=sheets,
         papers=np.bincount(ballot_sheet, minlength=len(sheets)).tolist(),
-        required=np.array([rules.required(p.style) for p in sheets], dtype=np.int64),
+        required=np.array([[rules.required(p.style) for p in sheets] for rules in variants], dtype=np.int64),
         n_boxes=n_boxes,
         n_digits=n_digits,
         digit_start=digit_start,
@@ -270,27 +284,27 @@ def _prepare(election: ElectionFile, rules: FormalityRules) -> _Prepared:
 
 def _changed_boxes(
     prep: _Prepared, models: list[ErrorModel], sheet: np.ndarray, seeds: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Corrupt the digits of a block's ballots and read the boxes that changed.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corrupt the digits of a block's ballots under every model and read the boxes that changed.
 
     ``sheet`` and ``seeds`` give each ballot's sheet id and substream seed.
-    Yields, for each model in turn, per changed box in ballot order, the
-    ballot's index in the block, the box's index in ``box_values`` and its
+    Returns, per changed box in (model, ballot) order, its row
+    ``model * len(sheet) + ballot``, the box's index in ``box_values`` and its
     new value.  A changed digit always changes its box's value.
     """
     owner, position = flat_layout(prep.n_digits[sheet])
     at = prep.digit_start[sheet][owner] + position
     clean = prep.digits[at]
-    for digits in corrupt_digits_batch(clean, models, seeds[owner], position):
-        hit = np.flatnonzero(digits != clean)
-        ballot, hit_at = owner[hit], at[hit]
-        box = prep.digit_box[hit_at]
-        delta = (digits[hit].astype(np.int32) - clean[hit]) * prep.place[hit_at]
-        # A box's digits are adjacent, so its changed digits are too.
-        first = np.ones(len(hit), dtype=bool)
-        first[1:] = (box[1:] != box[:-1]) | (ballot[1:] != ballot[:-1])
-        starts = np.flatnonzero(first)
-        yield ballot[starts], box[starts], prep.box_values[box[starts]] + np.add.reduceat(delta, starts)
+    digits = corrupt_digits_batch(clean, models, seeds[owner], position)
+    model, hit = np.nonzero(digits != clean)
+    row, hit_at = model * len(sheet) + owner[hit], at[hit]
+    box = prep.digit_box[hit_at]
+    delta = (digits[model, hit].astype(np.int32) - clean[hit]) * prep.place[hit_at]
+    # A box's digits are adjacent, so its changed digits are too.
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = (box[1:] != box[:-1]) | (row[1:] != row[:-1])
+    starts = np.flatnonzero(first)
+    return row[starts], box[starts], prep.box_values[box[starts]] + np.add.reduceat(delta, starts)
 
 
 def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, value: np.ndarray) -> None:
@@ -314,9 +328,8 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
     np.minimum.at(prefix, broken // stride, broken % stride - 1)
 
 
-def _rankings(prep: _Prepared, keys: np.ndarray) -> Counter:
-    """Multiset of formal ``Preferences`` from keys key_start[sheet] + prefix length."""
-    found = np.bincount(keys)
+def _rankings(prep: _Prepared, found: np.ndarray) -> Counter:
+    """Multiset of formal ``Preferences`` from the number of ballots with each key key_start[sheet] + prefix length."""
     present = np.flatnonzero(found)
     sheet = np.searchsorted(prep.key_start, present, side="right") - 1
     ballots: Counter = Counter()
@@ -327,64 +340,71 @@ def _rankings(prep: _Prepared, keys: np.ndarray) -> Counter:
 
 
 def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -> list[tuple[np.ndarray, Counter]]:
-    """One run's flat pass over the formal ballots, block by block, for every model.
+    """One run's flat pass over the formal ballots, block by block, for every variant and model.
 
     ``models`` are one family's, and ``seeds`` holds every physical
     ballot's substream seed.  Each block is drawn and corrupted once for
-    all models; each model then reads its own changes.  Returns, per model,
-    each physical ballot's surviving preference count (0 if informal) and
-    the multiset of formal ``Preferences``.  A ballot whose ranking is a
-    prefix of its sheet's is tallied by (sheet, prefix length); one where a
-    changed box took a rank inside the prefix is interpreted on its own.
+    all models, its prefixes are cut once over the (model, ballot) rows,
+    and one comparison decides formality for every (variant, model,
+    ballot).  Returns, per (variant, model) in variant-major order, each
+    physical ballot's surviving preference count (0 if informal) and the
+    multiset of formal ``Preferences``.
     """
-    lengths = np.zeros((len(models), prep.n_physical), dtype=np.int64)
-    keys: list[list[np.ndarray]] = [[] for _ in models]
-    moved_rankings = [Counter() for _ in models]
+    n_rows = len(prep.rules) * len(models)
+    n_keys = int((prep.n_boxes + 1).sum())
+    lengths = np.zeros((len(prep.rules), len(models), prep.n_physical), dtype=np.int64)
+    # A (variant, model) row's keys follow those of the rows before it.
+    offsets = np.arange(n_rows).reshape(len(prep.rules), len(models), 1) * n_keys
     empty = np.zeros(0, dtype=np.int64)
+    keys = [empty]
+    moved_rankings = [Counter() for _ in range(n_rows)]
     for lo, hi in prep.blocks:
         sheet = prep.ballot_sheet[lo:hi]
         index = prep.ballot_index[lo:hi]
         if isinstance(models[0], TruncationModel):
-            rows = truncation_lengths_batch(prep.n_boxes[sheet], [m.rate for m in models], seeds[index])
-            changes = ((prefix, empty, empty, empty) for prefix in rows)
+            prefix = truncation_lengths_batch(prep.n_boxes[sheet], [m.rate for m in models], seeds[index])
+            row = box = value = empty
         else:
-            changes = (
-                (prep.n_boxes[sheet], ballot, box, value)
-                for ballot, box, value in _changed_boxes(prep, models, sheet, seeds[index])
-            )
-        for j, (prefix, ballot, box, value) in enumerate(changes):
-            _cut_prefixes(prefix, ballot, prep.box_values[box], value)
-            formal = prefix >= prep.required[sheet]
-            lengths[j, index] = np.where(formal, prefix, 0)
-            moved = np.unique(ballot[formal[ballot] & (prep.box_values[box] <= prefix[ballot])])
-            plain = formal.copy()
-            plain[moved] = False
-            keys[j].append(prep.key_start[sheet[plain]] + prefix[plain])
-            for b, i, k in zip(moved, np.searchsorted(ballot, moved), np.searchsorted(ballot, moved, "right")):
-                prefs = prep.sheets[sheet[b]]
-                marks = {name: rank for rank, name in enumerate(prefs.ranking, start=1)}
-                # A changed box is the one its clean value ranks.
-                for rank, new in zip(prep.box_values[box[i:k]].tolist(), value[i:k].tolist()):
-                    marks[prefs.ranking[rank - 1]] = new
-                moved_rankings[j][Preferences(prefs.style, interpret_marks(marks))] += 1
+            prefix = np.tile(prep.n_boxes[sheet], (len(models), 1))
+            row, box, value = _changed_boxes(prep, models, sheet, seeds[index])
+        _cut_prefixes(prefix.reshape(-1), row, prep.box_values[box], value)
+        formal = prefix >= prep.required[:, None, sheet]  # (variant, model, ballot)
+        lengths[:, :, index] = np.where(formal, prefix, 0)
+        # (model, ballot) rows where a changed box took a rank inside the prefix
+        inside = np.zeros(prefix.size, dtype=bool)
+        inside[row[prep.box_values[box] <= prefix.reshape(-1)[row]]] = True
+        moved = formal & inside.reshape(prefix.shape)
+        keys.append((offsets + prep.key_start[sheet] + prefix)[formal & ~moved])
+        moved_row, moved_ballot = np.nonzero(moved.reshape(n_rows, -1))
+        change_row = moved_row % len(models) * len(sheet) + moved_ballot
+        starts, ends = np.searchsorted(row, change_row), np.searchsorted(row, change_row, "right")
+        for j, b, i, k in zip(moved_row.tolist(), moved_ballot.tolist(), starts.tolist(), ends.tolist()):
+            prefs = prep.sheets[sheet[b]]
+            marks = {name: rank for rank, name in enumerate(prefs.ranking, start=1)}
+            # A changed box is the one its clean value ranks.
+            for rank, new in zip(prep.box_values[box[i:k]].tolist(), value[i:k].tolist()):
+                marks[prefs.ranking[rank - 1]] = new
+            moved_rankings[j][Preferences(prefs.style, interpret_marks(marks))] += 1
+    found = np.bincount(np.concatenate(keys), minlength=n_rows * n_keys).reshape(n_rows, n_keys)
     results = []
-    for row, model_keys, moved_ballots in zip(lengths, keys, moved_rankings):
-        ballots = _rankings(prep, np.concatenate(model_keys) if model_keys else empty)
+    for row_lengths, row_found, moved_ballots in zip(lengths.reshape(n_rows, prep.n_physical), found, moved_rankings):
+        ballots = _rankings(prep, row_found)
         ballots.update(moved_ballots)
-        results.append((row, ballots))
+        results.append((row_lengths, ballots))
     return results
 
 
 def _run_chunk(args: tuple) -> list[PointResult]:
-    """Simulate runs [run_lo, run_hi) of one formality variant's points; pure and picklable.
+    """Simulate runs [run_lo, run_hi) of one classification group's points; pure and picklable.
 
-    ``points`` is the variant's zero-error point alone, or all of its
-    perturbed points, whose runs share one flat pass.  Returns one part per
-    point.  The clean election is the same in every run, so its statistics
-    and count are taken once and weighted by the runs.  Without count rules
-    no run is counted and ``winner_sets`` is empty.  A count that breaks an
-    invariant is re-raised naming the grid point, run and base seed that
-    reproduce it.
+    ``points`` is the group's zero-error points alone, or all of its
+    perturbed points, variant by variant, whose runs share one flat pass.
+    Returns one part per point.  The clean election is the same in every
+    run and variant of the group, so its statistics and count are taken
+    once for all zero-error points and weighted by the runs.  Without count
+    rules no run is counted and ``winner_sets`` is empty.  A count that
+    breaks an invariant is re-raised naming the grid point, run and base
+    seed that reproduce it.
     """
     prep, meta, count_rules, points, base_seed, run_lo, run_hi = args
     n_runs = run_hi - run_lo
@@ -396,31 +416,32 @@ def _run_chunk(args: tuple) -> list[PointResult]:
     atl_mask = prep.style_codes == 0
     btl_mask = prep.style_codes == 1
 
-    def record(j: int, i: int, runs: int, lengths: np.ndarray, ballots) -> None:
-        """Add to point j the ``runs`` runs from the chunk's run i, which all left these ballots."""
+    def record(rows: slice, i: int, runs: int, lengths: np.ndarray, ballots) -> None:
+        """Add to the points of ``rows`` the ``runs`` runs from the chunk's run i, which all left these ballots."""
         formal = lengths > 0
-        formal_runs[j] += runs * formal
-        atl_by_run[j, i:i + runs] = np.count_nonzero(formal & atl_mask)
-        btl_by_run[j, i:i + runs] = np.count_nonzero(formal & btl_mask)
+        formal_runs[rows] += runs * formal
+        atl_by_run[rows, i:i + runs] = np.count_nonzero(formal & atl_mask)
+        btl_by_run[rows, i:i + runs] = np.count_nonzero(formal & btl_mask)
         survived = np.bincount(prep.orig_prefs, weights=lengths, minlength=surviving.shape[1])
-        surviving[j] += runs * survived.astype(np.int64)
+        surviving[rows] += runs * survived.astype(np.int64)
         if count_rules is None:
             return
         try:
             winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
         except CountInvariantError as exc:
-            where = f"grid point {points[j].index}, run {run_lo + i}, base seed {base_seed}"
+            where = f"grid point {points[rows][0].index}, run {run_lo + i}, base seed {base_seed}"
             raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
-        outcomes[j][winners] += runs
+        for outcome in outcomes[rows]:
+            outcome[winners] += runs
 
     if points[0].model is None:
-        record(0, 0, n_runs, prep.orig_prefs, dict(zip(prep.sheets, prep.papers)))
+        record(slice(None), 0, n_runs, prep.orig_prefs, dict(zip(prep.sheets, prep.papers)))
     else:
-        models = [point.model for point in points]
+        models = [point.model for point in points if point.btl_required == points[0].btl_required]
         for i, run in enumerate(range(run_lo, run_hi)):
             seeds = seed_vector((base_seed, run), 0, prep.n_physical)
             for j, (lengths, ballots) in enumerate(_perturb_run(prep, models, seeds)):
-                record(j, i, 1, lengths, ballots)
+                record(slice(j, j + 1), i, 1, lengths, ballots)
 
     return [
         PointResult(
@@ -601,7 +622,8 @@ class SimReport:
 def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     """Run the full Monte Carlo sweep described by ``config``."""
     points = _build_points(config)
-    prepared = {v: _prepare(election, config.rules_for(v)) for v in config.btl_required_grid}
+    groups = _prepare(election, map(config.rules_for, config.btl_required_grid))
+    prepared = {v: next(p for p in groups if config.rules_for(v) in p.rules) for v in config.btl_required_grid}
     # Tracked candidates' histograms, one per formality variant from that
     # variant's formal ballots, before any run, so that an unknown candidate
     # fails fast.
@@ -612,14 +634,16 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     runs = config.runs_per_point
     chunk = runs if config.jobs == 1 else max(1, -(-runs // (config.jobs * 4)))
     tasks = []
-    for variant in config.btl_required_grid:
-        # The zero-error point is one task of all runs, so the clean election
-        # is counted once; the perturbed points share each run's flat pass.
-        clean, *perturbed = (p for p in points if p.btl_required == variant)
-        groups = [([clean], 0, runs)] + [(perturbed, lo, min(runs, lo + chunk)) for lo in range(0, runs, chunk)]
+    for prep in groups:
+        # The zero-error points are one task of all runs, so the clean election
+        # is counted once per group; the perturbed points share each run's flat pass.
+        ours = [p for p in points if prepared[p.btl_required] is prep]
+        clean = [p for p in ours if p.model is None]
+        perturbed = [p for p in ours if p.model is not None]
+        chunks = [(clean, 0, runs)] + [(perturbed, lo, min(runs, lo + chunk)) for lo in range(0, runs, chunk)]
         tasks += [
-            (prepared[variant], election.meta, config.count_rules, group, config.base_seed, lo, hi)
-            for group, lo, hi in groups
+            (prep, election.meta, config.count_rules, group, config.base_seed, lo, hi)
+            for group, lo, hi in chunks
             if group
         ]
     if config.jobs == 1:
@@ -670,7 +694,8 @@ def formality_rate_report(
         raise SimError("runs must be >= 1")
     rules = FormalityRules()
     point = _grid_point(0, rules.btl_required_prefs, model)
-    (result,) = _run_chunk((_prepare(election, rules), election.meta, None, [point], base_seed, 0, runs))
+    (prep,) = _prepare(election, [rules])
+    (result,) = _run_chunk((prep, election.meta, None, [point], base_seed, 0, runs))
     return result
 
 

@@ -3,9 +3,11 @@
 ``perturb_ballot`` with ``RandomStream(derive_seed(base_seed, run, i))`` is
 the reference for physical ballot i at every rate.  At high error rates, on
 an election with repeated sheets, two-digit boxes and both vote styles,
-every rate of a run's shared pass must give each ballot the same formality
-and surviving length, the same multiset of formal rankings, and so the same
-winners, in whole-election blocks and in blocks of at most 16 digits.
+every (formality variant, rate) row of a run's shared pass must give each
+ballot the same formality and surviving length, the same multiset of formal
+rankings, and so the same winners, in whole-election blocks and in blocks
+of at most 16 digits, both where each variant classifies the election its
+own way and where two variants share one pass.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from stvsim import (
 from stvsim.rng import seed_vector
 from stvsim import sim
 from stvsim.sim import _build_points, _perturb_run, _prepare
-from stvsim.synth import marks_for_ranking
+from stvsim.synth import formality_bias_election, marks_for_ranking
 
 BASE_SEED = 2024
 RUNS = 6
@@ -97,40 +99,56 @@ CONFIGS = {
 }
 
 
-# The ids name the precedence rule: a formal BTL ranking beats ATL marks.
-@pytest.mark.parametrize("family", sorted(CONFIGS), ids=[f"{f}-btl-first" for f in sorted(CONFIGS)])
-def test_sweep_matches_scalar_path(family):
-    election = mixed_election()
+# The mixed fixture's variants classify it differently (a formal BTL
+# ranking beats ATL marks, and a 3-preference BTL sheet is formal under 1
+# only), so each is a group of its own; the bias fixture's share one group.
+ELECTIONS = {"btl-first": (mixed_election, 2), "shared": (lambda: formality_bias_election(60, 60), 1)}
+
+
+@pytest.mark.parametrize(
+    "family, fixture", [pytest.param(f, e, id=f"{f}-{e}") for e in ELECTIONS for f in sorted(CONFIGS)]
+)
+def test_sweep_matches_scalar_path(family, fixture):
+    make, n_groups = ELECTIONS[fixture]
+    election = make()
     config = SimConfig(base_seed=BASE_SEED, runs_per_point=RUNS, btl_required_grid=(6, 1), **CONFIGS[family])
     report = run_sweep(election, config)
     points = _build_points(config)
     assert len(points) == len(report.points)
+    groups = _prepare(election, map(config.rules_for, config.btl_required_grid))
+    # the same ballots in blocks of at most 16 digits, or one ballot
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "BLOCK_DIGITS", 16)
+        small_groups = _prepare(election, map(config.rules_for, config.btl_required_grid))
+    assert len(groups) == len(small_groups) == n_groups
     moved_total = 0
-    for variant in config.btl_required_grid:
-        rules = config.rules_for(variant)
-        prep = _prepare(election, rules)
-        # the same ballots in blocks of at most 16 digits, or one ballot
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "BLOCK_DIGITS", 16)
-            small_blocks = _prepare(election, rules)
+    for prep, small_blocks in zip(groups, small_groups):
         assert len(small_blocks.blocks) > len(prep.blocks)
-        group = [(point, result) for point, result in zip(points, report.points) if point.btl_required == variant]
-        models = [point.model for point, _ in group[1:]]
+        variants = [rules.btl_required_prefs for rules in prep.rules]
+        group = [(point, result) for point, result in zip(points, report.points) if point.btl_required in variants]
+        perturbed = [point for point, _ in group if point.model is not None]
+        models = [point.model for point in perturbed if point.btl_required == variants[0]]
+        # one shared pass per run, in whole-election blocks and in small ones;
+        # its rows are the group's perturbed points, variant by variant
+        passes = []
+        for run in range(RUNS):
+            seeds = seed_vector((BASE_SEED, run), 0, election.total_ballots)
+            passes.append((_perturb_run(prep, models, seeds), _perturb_run(small_blocks, models, seeds)))
+            assert len(passes[-1][0]) == len(passes[-1][1]) == len(perturbed)
         for point, result in group:
+            rules = config.rules_for(point.btl_required)
             formal_runs = np.zeros(election.total_ballots, dtype=np.int64)
             surviving = Counter()
             outcomes = Counter()
-            for run in range(RUNS):
+            for run, (flat, blocks) in enumerate(passes):
                 lengths, ballots, moved = scalar_run(election, rules, point.model, run)
                 moved_total += moved
                 if point.model is not None:
-                    # every rate of the run's shared pass
-                    seeds = seed_vector((BASE_SEED, run), 0, election.total_ballots)
-                    j = models.index(point.model)
-                    flat_lengths, flat_ballots = _perturb_run(prep, models, seeds)[j]
+                    j = perturbed.index(point)
+                    flat_lengths, flat_ballots = flat[j]
                     assert flat_lengths.tolist() == lengths.tolist(), (point.index, run)
                     assert flat_ballots == ballots, (point.index, run)
-                    block_lengths, block_ballots = _perturb_run(small_blocks, models, seeds)[j]
+                    block_lengths, block_ballots = blocks[j]
                     assert block_lengths.tolist() == lengths.tolist() and block_ballots == ballots
                 formal_runs += lengths > 0
                 for k, n in zip(prep.orig_prefs.tolist(), lengths.tolist()):

@@ -333,8 +333,15 @@ class TestReportSerialisation:
 
 
 class TestOneCleanCount:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_count_builds_do_not_depend_on_jobs(self, monkeypatch, tmp_path, jobs):
+    # Variants 6 and 1 classify the bias fixture alike, so they share one
+    # clean count; the mixed fixture reads a 3-preference BTL sheet as ATL
+    # under 6 only, so each variant counts its own clean election.
+    @pytest.mark.parametrize(
+        "fixture, groups, jobs",
+        [pytest.param(lambda: formality_bias_election(60, 60), 1, jobs, id=str(jobs)) for jobs in (1, 2)]
+        + [pytest.param(mixed_election, 2, jobs, id=f"own-classifications-{jobs}") for jobs in (1, 2)],
+    )
+    def test_count_builds_do_not_depend_on_jobs(self, monkeypatch, tmp_path, fixture, groups, jobs):
         # Patched before the pool forks, so workers log their builds too.
         log = tmp_path / "builds"
         init = count._Count.__init__
@@ -347,12 +354,14 @@ class TestOneCleanCount:
         monkeypatch.setattr(count._Count, "__init__", logged)
         config = SimConfig(base_seed=1, runs_per_point=8, model="digit", rates=(0.01,),
                            btl_required_grid=(6, 1), jobs=jobs)
-        run_sweep(formality_bias_election(60, 60), config)
-        assert len(log.read_text()) == 2 * (1 + 8)  # per variant: one clean count, one per perturbed run
+        election = fixture()
+        assert len(sim._prepare(election, map(config.rules_for, (6, 1)))) == groups
+        run_sweep(election, config)
+        assert len(log.read_text()) == groups + 2 * 8  # one clean count per group, one per run and variant
 
 
 class TestCoupledDraws:
-    """Every rate reads the same draws: ballot i of run r is seeded by (base seed, r, i)."""
+    """Every point reads the same draws: ballot i of run r is seeded by (base seed, r, i)."""
 
     @pytest.mark.parametrize("model", ["digit", "truncation"])
     def test_point_does_not_depend_on_the_other_rates(self, model):
@@ -371,6 +380,34 @@ class TestCoupledDraws:
         assert len(alone) == 2  # one point per formality variant
         assert point_a((a, b)) == alone
         assert point_a((b, a)) == alone
+
+    @pytest.mark.parametrize("model", ["digit", "truncation"])
+    @pytest.mark.parametrize(
+        "fixture",
+        [mixed_election, lambda: formality_bias_election(60, 60)],
+        ids=["own-classifications", "shared-classification"],
+    )
+    def test_point_does_not_depend_on_the_other_variants(self, model, fixture):
+        election = fixture()
+        reports = {
+            grid: run_sweep(election, SimConfig(base_seed=31, runs_per_point=5, model=model, rates=(0.1, 0.3),
+                                                btl_required_grid=grid))
+            for grid in [(6,), (1,), (6, 1), (1, 6)]
+        }
+
+        def points_of(variant, grid):
+            report = reports[grid]
+            return [
+                (json.dumps(doc, sort_keys=True), p.formal_runs_per_ballot.tolist(),
+                 p.atl_formal_by_run.tolist(), p.btl_formal_by_run.tolist())
+                for doc, p in zip(report.to_json_dict()["points"], report.points) if p.btl_required == variant
+            ]
+
+        for variant in (6, 1):
+            alone = points_of(variant, (variant,))
+            assert len(alone) == 3  # the zero-error point and two rates
+            assert points_of(variant, (6, 1)) == alone
+            assert points_of(variant, (1, 6)) == alone
 
     def test_lower_rates_change_a_subset(self):
         # 13 preferences: one- and two-digit marks.
@@ -430,7 +467,8 @@ class TestCountFailureContext:
         monkeypatch.setattr(count._Count, "_check_conservation", fail)
         config = SimConfig(base_seed=3, runs_per_point=4)
         (point,) = sim._build_points(config)
-        chunk = (sim._prepare(small_election, config.rules_for(6)), small_election.meta, CountRules(), [point], 3, 2, 4)
+        (prep,) = sim._prepare(small_election, [config.rules_for(6)])
+        chunk = (prep, small_election.meta, CountRules(), [point], 3, 2, 4)
         with pytest.raises(CountInvariantError, match=r"^grid point 0, run 2, base seed 3: "):
             sim._run_chunk(chunk)
 

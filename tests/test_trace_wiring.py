@@ -5,8 +5,10 @@
 layer some other way (a direct import, a local alias) would leave that
 layer reading 0 calls and 0 s without failing anything.  This test
 installs the tracer, runs a digit sweep and a truncation sweep, and checks
-that every wrapped layer recorded spans and that formality is classified
-exactly once per sheet record and formality variant.
+that every wrapped layer recorded spans, that formality is classified
+exactly once per sheet record and formality variant, and that the digit
+sweep's two formality variants, which classify the bias fixture alike,
+share one corruption call per run and block.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from stvsim import SimConfig, run_sweep
+from stvsim.sim import _prepare
 from stvsim.synth import formality_bias_election, truncation_ladder_election
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -31,12 +34,16 @@ def tracing():
 
 def test_every_wrapped_layer_records_spans(tracing):
     tracer = tracing.Tracer()
+    bias = formality_bias_election(60, 60)
+    bias_config = SimConfig(base_seed=7, runs_per_point=3, model="digit", rates=(0.3,), btl_required_grid=(6, 1))
     sweeps = [
-        (formality_bias_election(60, 60),
-         SimConfig(base_seed=7, runs_per_point=3, model="digit", rates=(0.3,), btl_required_grid=(6, 1))),
+        (bias, bias_config),
         (truncation_ladder_election(20, 20),
          SimConfig(base_seed=8, runs_per_point=3, model="truncation", rates=(0.1,))),
     ]
+    # Variants 6 and 1 classify the bias fixture alike, so they share one pass.
+    groups = _prepare(bias, map(bias_config.rules_for, bias_config.btl_required_grid))
+    assert len(groups) == 1
     tracer.install()
     try:
         for election, config in sweeps:
@@ -44,6 +51,8 @@ def test_every_wrapped_layer_records_spans(tracing):
             tracer.sweep(run_sweep, election, config)
             records = len(election.sheets) * len(config.btl_required_grid)
             assert tracer.counts["ballots.classify_calls"] == records
+            if config is bias_config:
+                assert tracer.counts["error_models.corrupt_calls"] == config.runs_per_point * len(groups[0].blocks)
     finally:
         tracer.remove()
     missing = {name for _, _, name in tracing.WRAPPED} - {span[0] for span in tracer.spans}
