@@ -296,10 +296,11 @@ def _changed_boxes(
     at = prep.digit_start[sheet][owner] + position
     clean = prep.digits[at]
     digits = corrupt_digits_batch(clean, models, seeds[owner], position)
-    model, hit = np.nonzero(digits != clean)
+    changed = np.flatnonzero(digits != clean)  # over the (model, digit) rows
+    model, hit = np.divmod(changed, len(clean))
     row, hit_at = model * len(sheet) + owner[hit], at[hit]
     box = prep.digit_box[hit_at]
-    delta = (digits[model, hit].astype(np.int32) - clean[hit]) * prep.place[hit_at]
+    delta = (digits.ravel()[changed].astype(np.int32) - clean[hit]) * prep.place[hit_at]
     # A box's digits are adjacent, so its changed digits are too.
     first = np.ones(len(hit), dtype=bool)
     first[1:] = (box[1:] != box[:-1]) | (row[1:] != row[:-1])
@@ -342,13 +343,12 @@ def _rankings(prep: _Prepared, found: np.ndarray) -> Counter:
 def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -> list[tuple[np.ndarray, Counter]]:
     """One run's flat pass over the formal ballots, block by block, for every variant and model.
 
-    ``models`` are one family's, and ``seeds`` holds every physical
-    ballot's substream seed.  Each block is drawn and corrupted once for
-    all models, its prefixes are cut once over the (model, ballot) rows,
-    and one comparison decides formality for every (variant, model,
-    ballot).  Returns, per (variant, model) in variant-major order, each
-    physical ballot's surviving preference count (0 if informal) and the
-    multiset of formal ``Preferences``.
+    ``models`` are one family's; ``seeds`` holds every physical ballot's
+    substream seed.  Each block is drawn and corrupted once for all models,
+    its prefixes are cut once over the (model, ballot) rows, and one
+    comparison decides formality for every (variant, model, ballot).  Returns,
+    per (variant, model), variant-major, each physical ballot's surviving
+    preference count (0 if informal) and the multiset of formal ``Preferences``.
     """
     n_rows = len(prep.rules) * len(models)
     n_keys = int((prep.n_boxes + 1).sum())
@@ -368,14 +368,14 @@ def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -
             prefix = np.tile(prep.n_boxes[sheet], (len(models), 1))
             row, box, value = _changed_boxes(prep, models, sheet, seeds[index])
         _cut_prefixes(prefix.reshape(-1), row, prep.box_values[box], value)
-        formal = prefix >= prep.required[:, None, sheet]  # (variant, model, ballot)
-        lengths[:, :, index] = np.where(formal, prefix, 0)
+        # (variant, model, ballot), in C order: required[:, sheet] would be F order, and slow.
+        formal = prefix >= prep.required.take(sheet, axis=1)[:, None]
+        lengths[:, :, index] = formal * prefix
         # (model, ballot) rows where a changed box took a rank inside the prefix
-        inside = np.zeros(prefix.size, dtype=bool)
-        inside[row[prep.box_values[box] <= prefix.reshape(-1)[row]]] = True
-        moved = formal & inside.reshape(prefix.shape)
-        keys.append((offsets + prep.key_start[sheet] + prefix)[formal & ~moved])
-        moved_row, moved_ballot = np.nonzero(moved.reshape(n_rows, -1))
+        inside = np.zeros(prefix.shape, dtype=bool)
+        inside.reshape(-1)[row[prep.box_values[box] <= prefix.reshape(-1)[row]]] = True
+        keys.append((offsets + (prep.key_start[sheet] + prefix))[formal & ~inside])
+        moved_row, moved_ballot = np.nonzero((formal & inside).reshape(n_rows, -1))
         change_row = moved_row % len(models) * len(sheet) + moved_ballot
         starts, ends = np.searchsorted(row, change_row), np.searchsorted(row, change_row, "right")
         for j, b, i, k in zip(moved_row.tolist(), moved_ballot.tolist(), starts.tolist(), ends.tolist()):
