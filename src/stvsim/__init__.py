@@ -22,7 +22,6 @@ from .ballots import (
     expand_to_candidates,
     interpret_marks,
     marks_from_preferences,
-    numeric_marks,
 )
 from .count import (
     CountError,

@@ -7,8 +7,11 @@ preference list and decides whether the ballot is formal (countable).
 
 Marks are kept as digit strings rather than integers because the error
 models corrupt individual digits ("12" can become "82", "1" can become
-"0").  Interpretation is total: a mark of 0 or a non-numeric token is an
-unmarked box, and leading zeros are ignored ("07" ranks as 7).
+"0").  A ``MarkSheet`` refuses any mark that is not ASCII digits, so its
+marks are checked once, when it is built; a non-numeric CSV token is read
+as an unmarked box before a sheet is built (see ``ingest``).
+Interpretation is total: a mark of 0 is an unmarked box, and leading zeros
+are ignored ("07" ranks as 7).
 
 An election layout is checked when built: among other rules, every group
 has a candidate, so an ATL ranking always expands to candidates.
@@ -201,14 +204,6 @@ class Preferences:
         return len(self.ranking)
 
 
-def numeric_marks(marks: Mapping[str, str]) -> dict[str, int]:
-    """Parse digit-string marks to integers; non-numeric tokens become 0 (unmarked)."""
-    out = {}
-    for box, mark in marks.items():
-        out[box] = int(mark) if _is_digits(mark) else 0
-    return out
-
-
 def interpret_marks(marks: Mapping[Hashable, int]) -> tuple:
     """Extract the longest usable preference prefix from numeric marks.
 
@@ -217,18 +212,14 @@ def interpret_marks(marks: Mapping[Hashable, int]) -> tuple:
     repeated.  Marks <= 0 count as unmarked.  Total: never raises, and the
     result may be empty.
     """
-    boxes_by_rank: dict[int, list] = {}
+    holder: dict[int, Hashable | None] = {}  # None once a second box holds the number
     for box, value in marks.items():
         if value > 0:
-            boxes_by_rank.setdefault(value, []).append(box)
+            holder[value] = None if value in holder else box
     ranking = []
-    rank = 1
-    while True:
-        boxes = boxes_by_rank.get(rank)
-        if boxes is None or len(boxes) != 1:
-            return tuple(ranking)
-        ranking.append(boxes[0])
-        rank += 1
+    while (box := holder.get(len(ranking) + 1)) is not None:
+        ranking.append(box)
+    return tuple(ranking)
 
 
 def classify_formality(sheet: MarkSheet, rules: FormalityRules | None = None) -> Preferences | None:
@@ -240,7 +231,7 @@ def classify_formality(sheet: MarkSheet, rules: FormalityRules | None = None) ->
     """
     rules = rules or FormalityRules()
     for style, marks in ((VoteStyle.BTL, sheet.btl_marks), (VoteStyle.ATL, sheet.atl_marks)):
-        ranking = interpret_marks(numeric_marks(marks))
+        ranking = interpret_marks({box: int(mark) for box, mark in marks.items()})
         if len(ranking) >= rules.required(style):
             return Preferences(style, ranking)
     return None
@@ -263,6 +254,11 @@ def expand_to_candidates(prefs: Preferences, meta: ElectionMeta) -> tuple[str, .
     return tuple(out)
 
 
+def marks_for_ranking(boxes: list[str] | tuple[str, ...]) -> dict[str, str]:
+    """The clean marks of a ranking: "1" in its first box, "2" in its second, and so on."""
+    return {box: str(rank) for rank, box in enumerate(boxes, start=1)}
+
+
 def marks_from_preferences(prefs: Preferences) -> MarkSheet:
     """Render canonical preferences back to a clean mark sheet.
 
@@ -270,7 +266,7 @@ def marks_from_preferences(prefs: Preferences) -> MarkSheet:
     leaves every other box unmarked.  This is the substrate the digit error
     models corrupt.
     """
-    marks = {box: str(rank) for rank, box in enumerate(prefs.ranking, start=1)}
+    marks = marks_for_ranking(prefs.ranking)
     if prefs.style is VoteStyle.ATL:
         return MarkSheet(atl_marks=marks, btl_marks={})
     return MarkSheet(atl_marks={}, btl_marks=marks)

@@ -104,7 +104,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _column(text: str) -> str | int:
-    return int(text) if text.lstrip("-").isdigit() else text
+    return int(text) if text.isdecimal() else text
 
 
 def _count_rules(args) -> CountRules:

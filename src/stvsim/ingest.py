@@ -131,34 +131,32 @@ def parse_preference_csv(
     """Parse a published preference CSV into an ElectionFile.
 
     ``stream`` is a path, opened and closed here, or a binary stream of UTF-8
-    text, left open; it is split at CR, LF and CRLF and decoded line by line.
+    text, left open; it is split at CR, LF and CRLF and decoded line by line,
+    skipping one byte-order mark at the start (spreadsheet exports write one).
     Bad rows (wrong token count, missing column) are collected as issues; an
     unreadable stream is a hard error that names the row.
     """
     boxes = list(meta.group_ids) + list(meta.candidate_ids)
     n_atl = len(meta.group_ids)
     with open(stream, "rb") if isinstance(stream, (str, Path)) else nullcontext(stream) as source:
-        text = (piece.decode("utf-8") for line in source for piece in line.splitlines(keepends=True))
+        pieces = (piece for line in source for piece in line.splitlines(keepends=True))
+        text = (piece.decode("utf-8" if i else "utf-8-sig") for i, piece in enumerate(pieces))
         rows = csv.reader(text)
-        col: int
+        col = column_map.preferences
         try:
             if column_map.header:
                 header = next(rows, None)
                 if header is None:
                     raise IngestError("CSV is empty")
-                if isinstance(column_map.preferences, int):
-                    col = column_map.preferences
-                else:
+                if isinstance(col, str):
                     try:
-                        col = header.index(column_map.preferences)
+                        col = header.index(col)
                     except ValueError:
-                        raise IngestError(
-                            f"preference column {column_map.preferences!r} not in header {header}"
-                        ) from None
-            else:
-                if not isinstance(column_map.preferences, int):
-                    raise IngestError("a headerless CSV needs a numeric preference column index")
-                col = column_map.preferences
+                        raise IngestError(f"preference column {col!r} not in header {header}") from None
+            elif isinstance(col, str):
+                raise IngestError(f"a headerless CSV needs a numeric preference column index, got {col!r}")
+            if col < 0:
+                raise IngestError(f"preference column index {col} is negative")
 
             issues: list[RowIssue] = []
             papers: Counter = Counter()  # (ATL pairs, BTL pairs) in box order -> rows

@@ -632,7 +632,7 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
         for cid in config.track_candidates
     }
     runs = config.runs_per_point
-    chunk = runs if config.jobs == 1 else max(1, -(-runs // (config.jobs * 4)))
+    chunk = -(-runs // config.jobs)  # one task per worker and group: each task pickles its _Prepared
     tasks = []
     for prep in groups:
         # The zero-error points are one task of all runs, so the clean election

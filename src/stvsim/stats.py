@@ -8,10 +8,11 @@ marks, the observable residue of errors that did not invalidate a ballot.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ballots import MarkSheet, VoteStyle, numeric_marks
+from .ballots import MarkSheet, VoteStyle
 
 
 class StatsError(ValueError):
@@ -88,18 +89,11 @@ def repeated_and_skipped_table(
     skipped = [0] * (max_pref + 1)
     for sheet in sheets:
         marks = sheet.btl_marks if style is VoteStyle.BTL else sheet.atl_marks
-        tallies: dict[int, int] = {}
-        for value in numeric_marks(marks).values():
-            if value > 0:
-                tallies[value] = tallies.get(value, 0) + 1
+        tallies = Counter(map(int, marks.values()))  # boxes per number; 0 is never read
         for p in range(1, max_pref + 1):
-            if tallies.get(p, 0) >= 2:
+            if tallies[p] >= 2:
                 repeated[p] += sheet.multiplicity
-            if (
-                tallies.get(p, 0) == 0
-                and tallies.get(p + 1, 0) >= 1
-                and (p == 1 or tallies.get(p - 1, 0) >= 1)
-            ):
+            if not tallies[p] and tallies[p + 1] and (p == 1 or tallies[p - 1]):
                 skipped[p] += sheet.multiplicity
     return [PreferenceAnomalyRow(p, repeated[p], skipped[p]) for p in range(1, max_pref + 1)]
 

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .ballots import Candidate, ElectionMeta, Group, MarkSheet, Preferences, VoteStyle
+from .ballots import Candidate, ElectionMeta, Group, MarkSheet, Preferences, VoteStyle, marks_for_ranking
 from .ingest import ElectionFile
-
-
-def marks_for_ranking(boxes: list[str] | tuple[str, ...]) -> dict[str, str]:
-    return {box: str(rank) for rank, box in enumerate(boxes, start=1)}
 
 
 def formality_bias_election(atl_votes: int = 4950, btl_votes: int = 5050) -> ElectionFile:

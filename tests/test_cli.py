@@ -55,8 +55,24 @@ class TestIngest:
         assert main(["ingest", "--csv", csv_path, "--meta", meta_path, "--out", str(out)]) == EXIT_OK
         election = read_election_file(out)
         assert election.total_ballots == 4
-        report = (tmp_path / "out.stv.parse-errors.txt").read_text()
-        assert "row 3" in report
+        report = tmp_path / "out.stv.parse-errors.txt"
+        assert "row 3" in report.read_text()
+        # A re-ingest that rejects no row deletes the stale report.
+        csv_path = write_csv(tmp_path, rows[:1])
+        assert main(["ingest", "--csv", csv_path, "--meta", meta_path, "--out", str(out)]) == EXIT_OK
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--no-header"], "a headerless CSV needs a numeric preference column index, got '-1'"),
+        ([], "preference column '-1' not in header"),
+    ], ids=["headerless", "header"])
+    def test_negative_column_is_not_an_index(self, tmp_path, meta_path, capsys, flags, fragment):
+        csv_path = write_csv(tmp_path, ['7,"1,,,,,,,"'], header="id,Preferences")
+        out = tmp_path / "out.stv"
+        code = main(["ingest", "--csv", csv_path, "--meta", meta_path, "--column", "-1", *flags, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_meta_fails_without_output(self, tmp_path):
         csv_path = write_csv(tmp_path, ['"1,,,,,,,"'])
@@ -128,12 +144,21 @@ class TestSimulate:
         assert [p["btl_required"] for p in report["points"]] == [6, 1]
         assert main(argv + ["--btl-required", "x", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
-    def test_invalid_rate_is_usage_error(self, tmp_path, election_path):
-        code = main([
-            "simulate", "--election", election_path, "--rates", "1.5",
-            "--out", str(tmp_path / "x"),
-        ])
-        assert code == EXIT_USAGE
+    def test_invalid_rate_is_usage_error(self, tmp_path, election_path, capsys):
+        for rates, fragment in (("1.5", "rate 1.5 outside [0, 1]"), (" , ", "empty rate list")):
+            code = main([
+                "simulate", "--election", election_path, "--rates", rates,
+                "--out", str(tmp_path / "x"),
+            ])
+            assert code == EXIT_USAGE
+            assert fragment in capsys.readouterr().err
+
+    def test_empty_rate_items_are_skipped(self, tmp_path, election_path):
+        out = tmp_path / "r"
+        argv = ["simulate", "--election", election_path, "--runs", "1", "--rates", "0.01,,0.02", "--jobs", "1"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert [p["rate"] for p in report["points"]] == [0.0, 0.01, 0.02]
 
     def test_confusion_model_uses_bundled_table(self, tmp_path, election_path):
         out = tmp_path / "sim_conf"

@@ -210,9 +210,9 @@ class TestPerturbBallot:
         sheet = marks_from_preferences(prefs)
         mutated = dict(sheet.btl_marks)
         mutated["c3"] = "8"
-        from stvsim import classify_formality, interpret_marks, numeric_marks
+        from stvsim import classify_formality, interpret_marks
 
-        ranking = interpret_marks(numeric_marks(mutated))
+        ranking = interpret_marks({box: int(mark) for box, mark in mutated.items()})
         assert ranking == ("c1", "c2")
         assert classify_formality(MarkSheet({}, mutated), RULES) is None
 

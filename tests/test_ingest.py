@@ -16,6 +16,7 @@ from stvsim import (
     write_election_file,
 )
 from stvsim.ingest import RowIssue
+from stvsim.synth import formality_bias_election
 
 
 @pytest.fixture
@@ -75,6 +76,24 @@ class TestCsvParsing:
     def test_column_by_index_and_extra_columns(self, meta):
         result = parse('id,prefs\n7,"1,,,,,"\n', meta, column=1)
         assert result.election.total_ballots == 1
+
+    def test_a_byte_order_mark_does_not_hide_the_header(self, meta):
+        # Spreadsheet "CSV UTF-8" exports open with U+FEFF.
+        result = parse('\ufeffPreferences\n"1,,,,,"\n', meta)
+        assert not result.issues
+        assert result.election.total_ballots == 1
+
+    def test_a_byte_order_mark_is_skipped_at_the_start_only(self):
+        meta = formality_bias_election().meta  # 8 boxes
+        data = '\ufeff"1,,,,,,,"\n"1,,,,,,,"\n'.encode("utf-8")
+        result = parse_preference_csv(io.BytesIO(data), meta, ColumnMap(0, header=False))
+        assert not result.issues
+        assert result.election.total_ballots == 2
+        # Further on, U+FEFF is data: line 2's field no longer opens with a
+        # quote, its last quote opens a field, and lines 2-3 are one bad row.
+        later = parse_preference_csv(io.BytesIO(b'"1,,,,,,,"\n' + data), meta, ColumnMap(0, header=False))
+        assert later.issues == [RowIssue(3, "expected 8 preference tokens, got 1")]
+        assert later.election.total_ballots == 1
 
     def test_missing_column_is_hard_error(self, meta):
         with pytest.raises(IngestError):
@@ -233,8 +252,12 @@ BAD_INPUTS = [
     ("empty-csv", (b"", ColumnMap("Preferences")), IngestError, "CSV is empty"),
     ("headerless-by-name", (b'"1,2"\n', ColumnMap("Preferences", header=False)), IngestError,
      "a headerless CSV needs a numeric preference column index"),
+    ("negative-column", (b'"1,2"\n', ColumnMap(-1, header=False)), IngestError,
+     "preference column index -1 is negative"),
     ("undecodable", (b'Preferences\n"1,2"\n\xff\n', ColumnMap("Preferences")), IngestError,
      "malformed CSV near row 3: "),
+    ("undecodable-after-bom", (b'\xef\xbb\xbfPreferences\n"1,2"\n\xff\n', ColumnMap("Preferences")),
+     IngestError, "malformed CSV near row 3: "),
     ("undecodable-far", (b'Preferences\n' + b'"1,2"\n' * 3001 + b'\xff\n', ColumnMap("Preferences")),
      IngestError, "malformed CSV near row 3003: "),
     ("oversized-field", (b'Preferences\n"1,2"\n"' + b"1" * 200_000 + b'"\n', ColumnMap("Preferences")),
@@ -264,6 +287,11 @@ def test_good_fixture_reads(tmp_path):
     path = tmp_path / "good.stv"
     path.write_text(GOOD_STV, encoding="utf-8")
     assert read_election_file(path).total_ballots == 3
+    # Blank and comment lines after the header are ignored.
+    commented = tmp_path / "commented.stv"
+    text = GOOD_STV.replace("[election]\n", "\n# layout\n[election]\n").replace("[sheets]\n", "[sheets]\n  \n\t# papers\n")
+    commented.write_text(text, encoding="utf-8")
+    assert read_election_file(commented) == read_election_file(path)
 
 
 def test_tab_in_a_name_is_rejected_on_write(meta, tmp_path):

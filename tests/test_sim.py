@@ -323,13 +323,19 @@ class TestReportSerialisation:
         assert (tmp_path / "report.json").exists()
 
     def test_no_formal_atl_ballot_writes_empty_atl_formality(self, small_election, tmp_path):
-        election = ElectionFile(small_election.meta, small_election.sheets[2:])  # BTL sheets only
+        # And, the other way round, no formal BTL ballot leaves the BTL mean empty.
         config = SimConfig(base_seed=21, runs_per_point=2, model="digit", rates=(0.05,))
-        write_report(run_sweep(election, config), tmp_path)
-        rows = (tmp_path / "formality.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[3:6] for row in rows] == [["0", "200", ""]] * 2
-        points = json.loads((tmp_path / "report.json").read_text())["points"]
-        assert [p["formality"]["mean_atl"] for p in points] == [None, None]
+        for sheets, ballots, style in (
+            (small_election.sheets[2:], ["0", "200"], "atl"),  # BTL sheets only
+            (small_election.sheets[:2], ["560", "0"], "btl"),  # ATL sheets only
+        ):
+            write_report(run_sweep(ElectionFile(small_election.meta, sheets), config), tmp_path / style)
+            header, *rows = (tmp_path / style / "formality.csv").read_text().splitlines()
+            table = [dict(zip(header.split(","), row.split(","))) for row in rows]
+            assert [[r["atl_ballots"], r["btl_ballots"], r[f"mean_formality_{style}"]] for r in table] == [
+                ballots + [""]] * 2
+            points = json.loads((tmp_path / style / "report.json").read_text())["points"]
+            assert [p["formality"][f"mean_{style}"] for p in points] == [None, None]
 
 
 class TestOneCleanCount:
@@ -435,7 +441,7 @@ class TestCoupledDraws:
                     assert lengths[high, i] <= lengths[low, i]
 
     def test_uneven_chunks_give_the_same_report(self, tmp_path):
-        # 13 runs at jobs=3 are chunks of 2, 2, 2, 2, 2, 2 and 1.
+        # 13 runs at jobs=3 are chunks of 5, 5 and 3.
         election = truncation_ladder_election(long_ballots=40, short_ballots=40)
         config = dict(base_seed=17, runs_per_point=13, model="truncation", rates=(0.02, 0.005, 0.01))
         for jobs in (1, 3):
