@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 #: Reserved group id for candidates that do not belong to any group and
@@ -164,7 +165,9 @@ class FormalityRules:
 class MarkSheet:
     """Raw numeric marks on one ballot paper (possibly many identical papers).
 
-    A box absent from a map is unmarked.  Mark values are digit strings.
+    A box absent from a map is unmarked.  Mark values are digit strings,
+    checked once here; the maps are read-only copies, so a built sheet's
+    marks cannot change.
     """
 
     atl_marks: Mapping[str, str]
@@ -172,14 +175,18 @@ class MarkSheet:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atl_marks", dict(self.atl_marks))
-        object.__setattr__(self, "btl_marks", dict(self.btl_marks))
+        object.__setattr__(self, "atl_marks", MappingProxyType(dict(self.atl_marks)))
+        object.__setattr__(self, "btl_marks", MappingProxyType(dict(self.btl_marks)))
         if self.multiplicity < 1:
             raise BallotError("multiplicity must be >= 1")
         for marks in (self.atl_marks, self.btl_marks):
             for box, mark in marks.items():
                 if not _is_digits(mark):
                     raise BallotError(f"mark for box {box!r} must be a digit string, got {mark!r}")
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled: rebuild the sheet from plain dicts.
+        return MarkSheet, (dict(self.atl_marks), dict(self.btl_marks), self.multiplicity)
 
 
 @dataclass(frozen=True)

@@ -243,21 +243,21 @@ class _Count:
         everything delivered: exactly 0 in exact mode, and under integer
         rounding it can go negative once a pile's exact weight has drifted
         above its floored tally; the running identity stays exact either way.
+        A parcel's rows join each receiver's pile of weight w in one append.
         """
         received: dict[str | None, Fraction] = {}  # None: exhausted
         for weight, parcel in pile.items():
             w = new_weight(weight)
             if not (0 <= w <= 1):
                 raise CountInvariantError(f"ballot weight {w} outside [0, 1]", self.transcript)
-            papers: dict[str | None, int] = {}
+            moved: dict[str | None, list[_Papers]] = {}
             for ranking, pos, n in parcel:
                 nxt = self._next_holder(ranking, pos)
-                cid = None if nxt is None else ranking[nxt]
-                papers[cid] = papers.get(cid, 0) + n
+                moved.setdefault(None if nxt is None else ranking[nxt], []).append((ranking, nxt, n))
+            for cid, rows in moved.items():
+                received[cid] = received.get(cid, 0) + w * sum(n for _, _, n in rows)
                 if cid is not None:
-                    self.piles[cid].setdefault(w, []).append((ranking, nxt, n))
-            for cid, n in papers.items():
-                received[cid] = received.get(cid, 0) + w * n
+                    self.piles[cid].setdefault(w, []).extend(rows)
 
         settle = (lambda v: v.numerator // v.denominator) if self.trunc else (lambda v: v)
         delivered = settle(received.pop(None, Fraction(0)))

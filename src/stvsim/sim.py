@@ -21,20 +21,24 @@ Layout.  Formality variants that classify every record alike form one
 group, which stores every distinct formal sheet once: its ranked boxes in
 canonical digit order, their clean values, the digits that write them, and
 the preferences each variant needs.  A formal physical ballot is just a
-sheet id.  A run is one flat pass over all formal ballots, in blocks of
-consecutive ballots holding at most ``BLOCK_DIGITS`` digits, so per-ballot
-arrays never outgrow one block.  In each block, every (ballot, digit) gets
-draw k of its ballot's substream (the scalar path's draw discipline), drawn
-and corrupted once at the highest rate: a digit that fires at one rate
-fires, with the same new value, at every higher rate, and a list cut at one
-rate is cut no later at a higher one.  Each (rate, ballot) row reads its own
-changed boxes, and the first number 1, 2, ... no longer held by exactly one
-box cuts its ranking; one comparison decides formality for every (variant,
-rate, ballot).  A ballot whose surviving ranking is a prefix of its sheet's
-is tallied by (variant, rate, sheet, prefix length); only a ballot where a
-changed box took a rank inside the prefix is interpreted on its own.  The
-truncation model draws one number per preference in the same layout.  A
-group's zero-error points, the clean election in every run, are one task.
+sheet id.  A run draws over all formal ballots in blocks of consecutive
+ballots holding at most ``BLOCK_DIGITS`` digits, so the per-digit arrays
+(draws, corrupted digits) never outgrow one block.  In each block, every
+(ballot, digit) gets draw k of its ballot's substream (the scalar path's
+draw discipline), drawn and corrupted once at the highest rate: a digit
+that fires at one rate fires, with the same new value, at every higher
+rate, and a list cut at one rate is cut no later at a higher one.  A block
+keeps only its changed boxes, or under truncation its cut lists, per
+(rate, ballot) row.  The rest of the run reads only those rows: the first
+number 1, 2, ... no longer held by exactly one box cuts a ranking, and one
+comparison decides formality for every (variant, rate, changed ballot).
+Every other ballot keeps its clean ranking, so a (variant, rate) tally is
+the group's clean tally by (sheet, prefix length), minus the changed
+ballots' clean keys, plus the new keys of those that stay formal with a
+prefix of their sheet's ranking; only a ballot where a changed box took a
+rank inside the prefix is interpreted on its own.  The truncation model
+draws one number per preference in the same layout.  A group's zero-error
+points, the clean election in every run, are one task.
 """
 from __future__ import annotations
 
@@ -164,7 +168,9 @@ class _Prepared:
     Each distinct formal sheet (one set of canonical preferences) is kept
     once: the clean value (its rank) of each ranked box, in canonical digit
     order (sorted ids), the digits that write it, and the preferences each
-    variant needs.  A formal physical ballot is only a sheet id.
+    variant needs.  A formal physical ballot is only a sheet id; a run names
+    it by its index into ``ballot_index`` ("formal ballot").  ``papers``
+    is the clean tally that a run's changed ballots are taken from.
     """
 
     rules: list[FormalityRules]  # the variants, one per row of required
@@ -283,22 +289,23 @@ def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: lis
 
 
 def _changed_boxes(
-    prep: _Prepared, models: list[ErrorModel], sheet: np.ndarray, seeds: np.ndarray
+    prep: _Prepared, models: list[ErrorModel], lo: int, hi: int, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corrupt the digits of a block's ballots under every model and read the boxes that changed.
+    """Corrupt the digits of formal ballots [lo, hi) under every model and read the boxes that changed.
 
-    ``sheet`` and ``seeds`` give each ballot's sheet id and substream seed.
-    Returns, per changed box in (model, ballot) order, its row
-    ``model * len(sheet) + ballot``, the box's index in ``box_values`` and its
-    new value.  A changed digit always changes its box's value.
+    ``seeds`` holds every physical ballot's substream seed.  Returns, per
+    changed box in (model, ballot) order, its run row
+    ``model * n_formal + formal ballot``, the box's index in ``box_values``
+    and its new value.  A changed digit always changes its box's value.
     """
+    sheet = prep.ballot_sheet[lo:hi]
     owner, position = flat_layout(prep.n_digits[sheet])
     at = prep.digit_start[sheet][owner] + position
     clean = prep.digits[at]
-    digits = corrupt_digits_batch(clean, models, seeds[owner], position)
+    digits = corrupt_digits_batch(clean, models, seeds[prep.ballot_index[lo:hi]][owner], position)
     changed = np.flatnonzero(digits != clean)  # over the (model, digit) rows
     model, hit = np.divmod(changed, len(clean))
-    row, hit_at = model * len(sheet) + owner[hit], at[hit]
+    row, hit_at = model * len(prep.ballot_sheet) + lo + owner[hit], at[hit]
     box = prep.digit_box[hit_at]
     delta = (digits.ravel()[changed].astype(np.int32) - clean[hit]) * prep.place[hit_at]
     # A box's digits are adjacent, so its changed digits are too.
@@ -334,63 +341,93 @@ def _rankings(prep: _Prepared, found: np.ndarray) -> Counter:
     present = np.flatnonzero(found)
     sheet = np.searchsorted(prep.key_start, present, side="right") - 1
     ballots: Counter = Counter()
-    for key, s, n in zip(present.tolist(), sheet.tolist(), found[present].tolist()):
+    for s, length, n in zip(sheet.tolist(), (present - prep.key_start[sheet]).tolist(), found[present].tolist()):
         prefs = prep.sheets[s]
-        ballots[Preferences(prefs.style, prefs.ranking[:key - prep.key_start[s]])] += n
+        ballots[prefs if length == len(prefs.ranking) else Preferences(prefs.style, prefs.ranking[:length])] += n
     return ballots
 
 
-def _perturb_run(prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray) -> list[tuple[np.ndarray, Counter]]:
-    """One run's flat pass over the formal ballots, block by block, for every variant and model.
+def _perturb_run(
+    prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, Counter]]:
+    """One run's pass over the formal ballots for every variant and model.
 
     ``models`` are one family's; ``seeds`` holds every physical ballot's
-    substream seed.  Each block is drawn and corrupted once for all models,
-    its prefixes are cut once over the (model, ballot) rows, and one
-    comparison decides formality for every (variant, model, ballot).  Returns,
-    per (variant, model), variant-major, each physical ballot's surviving
-    preference count (0 if informal) and the multiset of formal ``Preferences``.
+    substream seed.  Block by block, each block is drawn and corrupted once
+    for all models, and only what changed is kept: a changed box, or under
+    truncation a cut list, in run row ``model * n_formal + formal ballot``.
+    Then, once per run, the changed rows' prefixes are cut and one
+    comparison decides their formality for every variant.  A (variant,
+    model) tally is the group's clean one, minus each changed ballot's clean
+    key, plus its new key if it stays formal.  Returns, per (variant, model),
+    variant-major, the changed formal ballots (ascending indices into
+    ``ballot_index``), their surviving preference counts (0 if informal) and
+    the multiset of formal ``Preferences``.  Every other formal ballot keeps
+    its clean ranking.
     """
-    n_rows = len(prep.rules) * len(models)
-    n_keys = int((prep.n_boxes + 1).sum())
-    lengths = np.zeros((len(prep.rules), len(models), prep.n_physical), dtype=np.int64)
-    # A (variant, model) row's keys follow those of the rows before it.
-    offsets = np.arange(n_rows).reshape(len(prep.rules), len(models), 1) * n_keys
+    n_formal = len(prep.ballot_sheet)
+    n_models = len(models)
+    truncation = isinstance(models[0], TruncationModel)
     empty = np.zeros(0, dtype=np.int64)
-    keys = [empty]
-    moved_rankings = [Counter() for _ in range(n_rows)]
+    rows, boxes, values = [empty], [empty], [empty]
     for lo, hi in prep.blocks:
-        sheet = prep.ballot_sheet[lo:hi]
-        index = prep.ballot_index[lo:hi]
-        if isinstance(models[0], TruncationModel):
-            prefix = truncation_lengths_batch(prep.n_boxes[sheet], [m.rate for m in models], seeds[index])
-            row = box = value = empty
+        if truncation:
+            n_prefs = prep.n_boxes[prep.ballot_sheet[lo:hi]]
+            prefix = truncation_lengths_batch(n_prefs, [m.rate for m in models], seeds[prep.ballot_index[lo:hi]])
+            model, ballot = np.nonzero(prefix < n_prefs)
+            rows.append(model * n_formal + lo + ballot)
+            values.append(prefix[model, ballot])
         else:
-            prefix = np.tile(prep.n_boxes[sheet], (len(models), 1))
-            row, box, value = _changed_boxes(prep, models, sheet, seeds[index])
-        _cut_prefixes(prefix.reshape(-1), row, prep.box_values[box], value)
-        # (variant, model, ballot), in C order: required[:, sheet] would be F order, and slow.
-        formal = prefix >= prep.required.take(sheet, axis=1)[:, None]
-        lengths[:, :, index] = formal * prefix
-        # (model, ballot) rows where a changed box took a rank inside the prefix
-        inside = np.zeros(prefix.shape, dtype=bool)
-        inside.reshape(-1)[row[prep.box_values[box] <= prefix.reshape(-1)[row]]] = True
-        keys.append((offsets + (prep.key_start[sheet] + prefix))[formal & ~inside])
-        moved_row, moved_ballot = np.nonzero((formal & inside).reshape(n_rows, -1))
-        change_row = moved_row % len(models) * len(sheet) + moved_ballot
-        starts, ends = np.searchsorted(row, change_row), np.searchsorted(row, change_row, "right")
-        for j, b, i, k in zip(moved_row.tolist(), moved_ballot.tolist(), starts.tolist(), ends.tolist()):
-            prefs = prep.sheets[sheet[b]]
-            marks = {name: rank for rank, name in enumerate(prefs.ranking, start=1)}
-            # A changed box is the one its clean value ranks.
-            for rank, new in zip(prep.box_values[box[i:k]].tolist(), value[i:k].tolist()):
-                marks[prefs.ranking[rank - 1]] = new
-            moved_rankings[j][Preferences(prefs.style, interpret_marks(marks))] += 1
-    found = np.bincount(np.concatenate(keys), minlength=n_rows * n_keys).reshape(n_rows, n_keys)
+            row, box, value = _changed_boxes(prep, models, lo, hi, seeds)
+            rows.append(row)
+            boxes.append(box)
+            values.append(value)
+
+    # Blocks arrive model by model: bring each row's changes together, in order.
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    value = np.concatenate(values)[order]
+    changed, at = np.unique(row[order], return_inverse=True)  # the changed rows; each change's row among them
+    model, ballot = np.divmod(changed, n_formal)
+    sheet = prep.ballot_sheet[ballot]
+    inside = np.zeros(len(changed), dtype=bool)
+    if truncation:
+        prefix, rank = value, empty
+    else:
+        prefix, rank = prep.n_boxes[sheet], prep.box_values[np.concatenate(boxes)[order]]
+        _cut_prefixes(prefix, at, rank, value)
+        # rows where a changed box took a rank inside the prefix
+        inside[at[rank <= prefix[at]]] = True
+    # (variant, changed row), in C order: required[:, sheet] would be F order, and slow.
+    formal = prefix >= prep.required.take(sheet, axis=1)
+
+    n_keys = int((prep.n_boxes + 1).sum())
+    clean_key = prep.key_start + prep.n_boxes
+    clean = np.zeros(n_keys, dtype=np.int64)
+    clean[clean_key] = prep.papers
+    lost = np.bincount(model * n_keys + clean_key[sheet], minlength=n_models * n_keys).reshape(n_models, n_keys)
+    # A (variant, model) row's keys follow those of the rows before it.
+    keys = (np.arange(len(prep.rules))[:, None] * n_models + model) * n_keys + prep.key_start[sheet] + prefix
+    gained = np.bincount(keys[formal & ~inside], minlength=len(prep.rules) * n_models * n_keys)
+    found = gained.reshape(len(prep.rules), n_models, n_keys) - lost + clean
+
+    lengths = formal * prefix
+    moved = formal & inside
+    model_rows = np.searchsorted(model, np.arange(n_models + 1))  # each model's changed rows
+    box_rows = np.searchsorted(at, np.arange(len(changed) + 1))  # each changed row's boxes
     results = []
-    for row_lengths, row_found, moved_ballots in zip(lengths.reshape(n_rows, prep.n_physical), found, moved_rankings):
-        ballots = _rankings(prep, row_found)
-        ballots.update(moved_ballots)
-        results.append((row_lengths, ballots))
+    for v in range(len(prep.rules)):
+        for m, (lo, hi) in enumerate(zip(model_rows[:-1], model_rows[1:])):
+            ballots = _rankings(prep, found[v, m])
+            for c in (lo + np.flatnonzero(moved[v, lo:hi])).tolist():
+                prefs = prep.sheets[sheet[c]]
+                marks = {name: i for i, name in enumerate(prefs.ranking, start=1)}
+                # A changed box is the one its clean value ranks.
+                own = slice(box_rows[c], box_rows[c + 1])
+                for r, new in zip(rank[own].tolist(), value[own].tolist()):
+                    marks[prefs.ranking[r - 1]] = new
+                ballots[Preferences(prefs.style, interpret_marks(marks))] += 1
+            results.append((ballot[lo:hi], lengths[v, lo:hi], ballots))
     return results
 
 
@@ -398,32 +435,29 @@ def _run_chunk(args: tuple) -> list[PointResult]:
     """Simulate runs [run_lo, run_hi) of one classification group's points; pure and picklable.
 
     ``points`` is the group's zero-error points alone, or all of its
-    perturbed points, variant by variant, whose runs share one flat pass.
-    Returns one part per point.  The clean election is the same in every
-    run and variant of the group, so its statistics and count are taken
-    once for all zero-error points and weighted by the runs.  Without count
-    rules no run is counted and ``winner_sets`` is empty.  A count that
-    breaks an invariant is re-raised naming the grid point, run and base
-    seed that reproduce it.
+    perturbed points, variant by variant, whose runs share one pass.
+    Returns one part per point.  Every statistic starts from the clean
+    election, the same in every run and variant of the group, and each run
+    subtracts what its changed ballots lost; the clean count is taken once
+    for all zero-error points and weighted by the runs.  Without count rules
+    no run is counted and ``winner_sets`` is empty.  A count that breaks an
+    invariant is re-raised naming the grid point, run and base seed that
+    reproduce it.
     """
     prep, meta, count_rules, points, base_seed, run_lo, run_hi = args
     n_runs = run_hi - run_lo
-    formal_runs = np.zeros((len(points), prep.n_physical), dtype=np.int64)
-    atl_by_run = np.zeros((len(points), n_runs), dtype=np.int64)
-    btl_by_run = np.zeros((len(points), n_runs), dtype=np.int64)
-    surviving = np.zeros((len(points), int(prep.orig_prefs.max(initial=0)) + 1), dtype=np.int64)
+    # per formal ballot, in physical order
+    style = prep.style_codes[prep.ballot_index]
+    orig = prep.orig_prefs[prep.ballot_index].astype(np.int64)
+    formal_runs = np.full((len(points), len(orig)), n_runs, dtype=np.int64)
+    atl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 0), dtype=np.int64)
+    btl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 1), dtype=np.int64)
+    n_buckets = int(orig.max(initial=0)) + 1
+    surviving = np.tile(n_runs * np.bincount(orig, minlength=n_buckets) * np.arange(n_buckets), (len(points), 1))
     outcomes = [Counter() for _ in points]  # winner set (None: no formal ballot) -> runs
-    atl_mask = prep.style_codes == 0
-    btl_mask = prep.style_codes == 1
 
-    def record(rows: slice, i: int, runs: int, lengths: np.ndarray, ballots) -> None:
-        """Add to the points of ``rows`` the ``runs`` runs from the chunk's run i, which all left these ballots."""
-        formal = lengths > 0
-        formal_runs[rows] += runs * formal
-        atl_by_run[rows, i:i + runs] = np.count_nonzero(formal & atl_mask)
-        btl_by_run[rows, i:i + runs] = np.count_nonzero(formal & btl_mask)
-        survived = np.bincount(prep.orig_prefs, weights=lengths, minlength=surviving.shape[1])
-        surviving[rows] += runs * survived.astype(np.int64)
+    def record(rows: slice, i: int, runs: int, ballots) -> None:
+        """Count these ballots, which ``runs`` runs from the chunk's run i all left, for the points of ``rows``."""
         if count_rules is None:
             return
         try:
@@ -435,13 +469,22 @@ def _run_chunk(args: tuple) -> list[PointResult]:
             outcome[winners] += runs
 
     if points[0].model is None:
-        record(slice(None), 0, n_runs, prep.orig_prefs, dict(zip(prep.sheets, prep.papers)))
+        record(slice(None), 0, n_runs, dict(zip(prep.sheets, prep.papers)))
     else:
         models = [point.model for point in points if point.btl_required == points[0].btl_required]
         for i, run in enumerate(range(run_lo, run_hi)):
             seeds = seed_vector((base_seed, run), 0, prep.n_physical)
-            for j, (lengths, ballots) in enumerate(_perturb_run(prep, models, seeds)):
-                record(slice(j, j + 1), i, 1, lengths, ballots)
+            for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, seeds)):
+                informal = changed[lengths == 0]
+                formal_runs[j, informal] -= 1
+                atl = np.count_nonzero(style[informal] == 0)
+                atl_by_run[j, i] -= atl
+                btl_by_run[j, i] -= len(informal) - atl
+                was = orig[changed]
+                surviving[j] -= np.bincount(was, weights=was - lengths, minlength=n_buckets).astype(np.int64)
+                record(slice(j, j + 1), i, 1, ballots)
+    formal_runs_physical = np.zeros((len(points), prep.n_physical), dtype=np.int64)
+    formal_runs_physical[:, prep.ballot_index] = formal_runs
 
     return [
         PointResult(
@@ -454,7 +497,7 @@ def _run_chunk(args: tuple) -> list[PointResult]:
             bucket_counts=prep.bucket_counts,
             winner_sets=dict(sorted((k, v) for k, v in outcomes[j].items() if k is not None)),
             no_result_runs=outcomes[j][None],
-            formal_runs_per_ballot=formal_runs[j],
+            formal_runs_per_ballot=formal_runs_physical[j],
             atl_formal_by_run=atl_by_run[j],
             btl_formal_by_run=btl_by_run[j],
             surviving_sums={k: int(surviving[j, k]) for k in prep.bucket_counts},

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -202,6 +204,22 @@ class TestValidation:
         for mark in ("²", "\u0661", "1²"):
             with pytest.raises(BallotError):
                 MarkSheet({}, {"c": mark})
+
+    def test_a_built_sheet_cannot_change(self):
+        sheet = MarkSheet({}, {"c1": "1"})
+        with pytest.raises(TypeError):
+            sheet.btl_marks["c2"] = "x"
+        with pytest.raises(TypeError):
+            sheet.atl_marks["A"] = "1"
+        assert dict(sheet.btl_marks) == {"c1": "1"} and not sheet.atl_marks
+        assert classify_formality(sheet, FormalityRules(btl_required_prefs=1)) == Preferences(VoteStyle.BTL, ("c1",))
+
+    def test_a_sheet_survives_pickle_and_deepcopy(self):
+        sheet = MarkSheet({"A": "2", "B": "1"}, {"c1": "1", "c2": "12"}, 3)
+        for copied in (pickle.loads(pickle.dumps(sheet)), copy.deepcopy(sheet)):
+            assert copied == sheet and copied.multiplicity == 3
+            with pytest.raises(TypeError):
+                copied.btl_marks["c3"] = "2"
 
     def test_marksheet_rejects_zero_multiplicity(self):
         with pytest.raises(BallotError):

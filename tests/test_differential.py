@@ -7,7 +7,8 @@ every (formality variant, rate) row of a run's shared pass must give each
 ballot the same formality and surviving length, the same multiset of formal
 rankings, and so the same winners, in whole-election blocks and in blocks
 of at most 16 digits, both where each variant classifies the election its
-own way and where two variants share one pass.
+own way and where two variants share one pass.  A row returns only the
+ballots it changed; every other formal ballot keeps its clean length.
 """
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ BASE_SEED = 2024
 RUNS = 6
 # A heavy confusion table: each digit keeps its value with probability 0.64.
 HEAVY_CONFUSION = ConfusionModel(0.6 * np.eye(10) + 0.04 * np.ones((10, 10)))
+# Each 1 reads as 2 and each 2 as 1 with probability 0.5, so boxes ranked
+# 1 and 2 often trade ranks and leave every preference in place.
+SWAP_CONFUSION = ConfusionModel(0.5 * np.eye(10) + 0.5 * np.eye(10)[[0, 2, 1, 3, 4, 5, 6, 7, 8, 9]])
 
 
 def mixed_election() -> ElectionFile:
@@ -67,8 +71,12 @@ def mixed_election() -> ElectionFile:
 
 
 def scalar_run(election, rules, model, run):
-    """Per-ballot surviving lengths and the formal multiset, one ballot at a time."""
-    lengths, ballots, moved = [], Counter(), 0
+    """Per-ballot surviving lengths, the formal multiset and the moved and swapped ballots, one ballot at a time.
+
+    A moved ballot is formal with a ranking that is not a prefix of its
+    clean one; a swapped ballot is a moved one that kept every preference.
+    """
+    lengths, ballots, moved, swapped = [], Counter(), 0, 0
     i = 0
     for sheet in election.sheets:
         prefs = classify_formality(sheet, rules)
@@ -81,8 +89,16 @@ def scalar_run(election, rules, model, run):
             if out is not None:
                 ballots[out] += 1
                 moved += out.ranking != prefs.ranking[:len(out.ranking)]
+                swapped += out.ranking != prefs.ranking and len(out.ranking) == len(prefs.ranking)
             i += 1
-    return np.array(lengths), ballots, moved
+    return np.array(lengths), ballots, moved, swapped
+
+
+def dense_lengths(prep, changed, lengths):
+    """Every physical ballot's surviving length from a row's changed formal ballots."""
+    dense = prep.orig_prefs.astype(np.int64)
+    dense[prep.ballot_index[changed]] = lengths
+    return dense
 
 
 def winner_set(ballots, meta):
@@ -96,6 +112,7 @@ CONFIGS = {
     "digit": dict(model="digit", rates=(0.3, 0.5)),
     "truncation": dict(model="truncation", rates=(0.3, 0.5)),
     "confusion": dict(model="confusion", confusion=HEAVY_CONFUSION),
+    "swap": dict(model="confusion", confusion=SWAP_CONFUSION),
 }
 
 
@@ -121,7 +138,7 @@ def test_sweep_matches_scalar_path(family, fixture):
         patch.setattr(sim, "BLOCK_DIGITS", 16)
         small_groups = _prepare(election, map(config.rules_for, config.btl_required_grid))
     assert len(groups) == len(small_groups) == n_groups
-    moved_total = 0
+    moved_total = swapped_total = 0
     for prep, small_blocks in zip(groups, small_groups):
         assert len(small_blocks.blocks) > len(prep.blocks)
         variants = [rules.btl_required_prefs for rules in prep.rules]
@@ -141,15 +158,17 @@ def test_sweep_matches_scalar_path(family, fixture):
             surviving = Counter()
             outcomes = Counter()
             for run, (flat, blocks) in enumerate(passes):
-                lengths, ballots, moved = scalar_run(election, rules, point.model, run)
+                lengths, ballots, moved, swapped = scalar_run(election, rules, point.model, run)
                 moved_total += moved
+                swapped_total += swapped
                 if point.model is not None:
                     j = perturbed.index(point)
-                    flat_lengths, flat_ballots = flat[j]
-                    assert flat_lengths.tolist() == lengths.tolist(), (point.index, run)
+                    flat_changed, flat_lengths, flat_ballots = flat[j]
+                    assert dense_lengths(prep, flat_changed, flat_lengths).tolist() == lengths.tolist(), (point.index, run)
                     assert flat_ballots == ballots, (point.index, run)
-                    block_lengths, block_ballots = blocks[j]
-                    assert block_lengths.tolist() == lengths.tolist() and block_ballots == ballots
+                    block_changed, block_lengths, block_ballots = blocks[j]
+                    block_dense = dense_lengths(small_blocks, block_changed, block_lengths)
+                    assert block_dense.tolist() == lengths.tolist() and block_ballots == ballots
                 formal_runs += lengths > 0
                 for k, n in zip(prep.orig_prefs.tolist(), lengths.tolist()):
                     surviving[k] += n
@@ -160,6 +179,10 @@ def test_sweep_matches_scalar_path(family, fixture):
             assert result.no_result_runs == outcomes[None]
     if family != "truncation":
         assert moved_total > 0  # swapped boxes did occur and were read correctly
+    if family in ("confusion", "swap"):
+        # Some moved ballots kept every preference.  The uniform model seldom
+        # writes the one value that each box of a swap needs.
+        assert swapped_total > 0
 
     parallel = run_sweep(election, replace(config, jobs=2))
     assert json.dumps(parallel.to_json_dict(), sort_keys=True) == json.dumps(

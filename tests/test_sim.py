@@ -440,6 +440,23 @@ class TestCoupledDraws:
                     assert np.array_equal(rows[low, i][changed], rows[high, i][changed])
                     assert lengths[high, i] <= lengths[low, i]
 
+    @pytest.mark.parametrize(
+        "fixture",
+        [mixed_election, lambda: formality_bias_election(60, 60)],
+        ids=["own-classifications", "shared-classification"],
+    )
+    def test_a_run_that_changes_nothing_returns_the_clean_ballots(self, fixture):
+        election = fixture()
+        rules = [FormalityRules(btl_required_prefs=v) for v in (6, 1)]
+        models = [UniformDigitModel(1e-12), UniformDigitModel(2e-12)]
+        seeds = seed_vector((5, 0), 0, election.total_ballots)
+        for prep in sim._prepare(election, rules):
+            rows = sim._perturb_run(prep, models, seeds)
+            assert len(rows) == len(prep.rules) * len(models)
+            for changed, lengths, ballots in rows:
+                assert len(changed) == len(lengths) == 0
+                assert ballots == dict(zip(prep.sheets, prep.papers))
+
     def test_uneven_chunks_give_the_same_report(self, tmp_path):
         # 13 runs at jobs=3 are chunks of 5, 5 and 3.
         election = truncation_ladder_election(long_ballots=40, short_ballots=40)
