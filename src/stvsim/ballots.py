@@ -28,9 +28,6 @@ from typing import Hashable, Mapping
 #: therefore have no above-the-line box.
 UNGROUPED = "-"
 
-_ID_FORBIDDEN = set(" \t\r\n:|")
-
-
 class BallotError(ValueError):
     """Ballot or election data is internally inconsistent."""
 
@@ -46,7 +43,7 @@ def _is_digits(mark: object) -> bool:
 
 
 def _check_id(kind: str, value: str) -> None:
-    if not value or any(ch in _ID_FORBIDDEN for ch in value):
+    if not value or any(ch.isspace() or ch in ":|" for ch in value):
         raise BallotError(
             f"invalid {kind} id {value!r}: ids must be non-empty and must not "
             "contain whitespace, ':' or '|'"

@@ -196,23 +196,26 @@ def _pairs(marks: dict[str, str]) -> str:
 
 def write_election_file(election: ElectionFile, path: str | Path) -> None:
     """Write the canonical format.  Output is canonical: byte-stable for equal inputs."""
+    # Checked before the file is opened, so that a refused value leaves no file behind.
+    _check_field("name", election.meta.name)
+    _check_field("provenance", election.provenance)
+    for g in election.meta.groups:
+        _check_field("group name", g.name)
+    for c in election.meta.candidates:
+        _check_field("candidate name", c.name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = fh.write
         w(FORMAT_HEADER + "\n")
         w("[election]\n")
-        _check_field("name", election.meta.name)
         w(f"name\t{election.meta.name}\n")
         w(f"seats\t{election.meta.seats}\n")
         if election.provenance:
-            _check_field("provenance", election.provenance)
             w(f"provenance\t{election.provenance}\n")
         w("[groups]\n")
         for g in election.meta.groups:
-            _check_field("group name", g.name)
             w(f"{g.id}\t{g.name}\n")
         w("[candidates]\n")
         for c in election.meta.candidates:
-            _check_field("candidate name", c.name)
             w(f"{c.id}\t{c.name}\t{c.group}\t{c.position}\n")
         w("[sheets]\n")
         for sheet in election.sheets:
@@ -220,8 +223,9 @@ def write_election_file(election: ElectionFile, path: str | Path) -> None:
 
 
 def _check_field(kind: str, value: str) -> None:
-    if "\t" in value or "\n" in value or "\r" in value:
-        raise SchemaError(f"{kind} {value!r} must not contain tabs or newlines")
+    """Refuse a value that would not read back as written: the reader splits lines and fields, and strips each."""
+    if "\t" in value or len(value.splitlines()) > 1 or value != value.strip():
+        raise SchemaError(f"{kind} {value!r} must not contain tabs or newlines, or start or end with whitespace")
 
 
 def _parse_pairs(text: str, lineno: int) -> dict[str, str]:

@@ -32,12 +32,14 @@ keeps only its changed boxes, or under truncation its cut lists, per
 (rate, ballot) row.  The rest of the run reads only those rows: the first
 number 1, 2, ... no longer held by exactly one box cuts a ranking, and one
 comparison decides formality for every (variant, rate, changed ballot).
-Every other ballot keeps its clean ranking, so a (variant, rate) tally is
-the group's clean tally by (sheet, prefix length), minus the changed
-ballots' clean keys, plus the new keys of those that stay formal with a
-prefix of their sheet's ranking; only a ballot where a changed box took a
-rank inside the prefix is interpreted on its own.  The truncation model
-draws one number per preference in the same layout.  A group's zero-error
+Every other ballot keeps its clean ranking, so a (variant, rate) row
+hands the count one list of (``Preferences``, papers) pairs: each sheet's
+clean papers that no changed ballot took, one pair per distinct prefix
+that changed ballots were cut to and stay formal with, and one pair per
+ballot where a changed box took a rank inside the prefix, the only
+ballots interpreted on their own.  A row's memory follows the ballots its
+run changed, and one row is alive at a time.  The truncation model draws
+one number per preference in the same layout.  A group's zero-error
 points, the clean election in every run, are one task.
 """
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -185,7 +187,6 @@ class _Prepared:
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
     n_digits: np.ndarray
     digit_start: np.ndarray  # offset of its digits in digits/place/digit_box
-    key_start: np.ndarray  # offset of its (sheet, prefix length) keys, n_boxes + 1 of them
     box_values: np.ndarray  # int32 per box: the clean value, its rank
     digits: np.ndarray  # uint8 per digit
     place: np.ndarray  # int32 per digit: its place value within its box
@@ -274,7 +275,6 @@ def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: lis
         n_boxes=n_boxes,
         n_digits=n_digits,
         digit_start=digit_start,
-        key_start=np.cumsum(n_boxes + 1) - (n_boxes + 1),
         box_values=box_values,
         digits=(box_values[digit_box] // place % 10).astype(np.uint8),
         place=place,
@@ -336,20 +336,9 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
     np.minimum.at(prefix, broken // stride, broken % stride - 1)
 
 
-def _rankings(prep: _Prepared, found: np.ndarray) -> Counter:
-    """Multiset of formal ``Preferences`` from the number of ballots with each key key_start[sheet] + prefix length."""
-    present = np.flatnonzero(found)
-    sheet = np.searchsorted(prep.key_start, present, side="right") - 1
-    ballots: Counter = Counter()
-    for s, length, n in zip(sheet.tolist(), (present - prep.key_start[sheet]).tolist(), found[present].tolist()):
-        prefs = prep.sheets[s]
-        ballots[prefs if length == len(prefs.ranking) else Preferences(prefs.style, prefs.ranking[:length])] += n
-    return ballots
-
-
 def _perturb_run(
     prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, Counter]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[Preferences, int]]]]:
     """One run's pass over the formal ballots for every variant and model.
 
     ``models`` are one family's; ``seeds`` holds every physical ballot's
@@ -357,13 +346,13 @@ def _perturb_run(
     for all models, and only what changed is kept: a changed box, or under
     truncation a cut list, in run row ``model * n_formal + formal ballot``.
     Then, once per run, the changed rows' prefixes are cut and one
-    comparison decides their formality for every variant.  A (variant,
-    model) tally is the group's clean one, minus each changed ballot's clean
-    key, plus its new key if it stays formal.  Returns, per (variant, model),
-    variant-major, the changed formal ballots (ascending indices into
-    ``ballot_index``), their surviving preference counts (0 if informal) and
-    the multiset of formal ``Preferences``.  Every other formal ballot keeps
-    its clean ranking.
+    comparison decides their formality for every variant.  Yields, per
+    (variant, model), variant-major, the changed formal ballots (ascending
+    indices into ``ballot_index``), their surviving preference counts (0 if
+    informal) and the row's formal ballots as ``(Preferences, papers)``
+    pairs: each sheet's clean papers that no changed ballot took, one pair
+    per distinct cut prefix, then one per moved ballot.  Every other formal
+    ballot keeps its clean ranking.
     """
     n_formal = len(prep.ballot_sheet)
     n_models = len(models)
@@ -401,24 +390,25 @@ def _perturb_run(
     # (variant, changed row), in C order: required[:, sheet] would be F order, and slow.
     formal = prefix >= prep.required.take(sheet, axis=1)
 
-    n_keys = int((prep.n_boxes + 1).sum())
-    clean_key = prep.key_start + prep.n_boxes
-    clean = np.zeros(n_keys, dtype=np.int64)
-    clean[clean_key] = prep.papers
-    lost = np.bincount(model * n_keys + clean_key[sheet], minlength=n_models * n_keys).reshape(n_models, n_keys)
-    # A (variant, model) row's keys follow those of the rows before it.
-    keys = (np.arange(len(prep.rules))[:, None] * n_models + model) * n_keys + prep.key_start[sheet] + prefix
-    gained = np.bincount(keys[formal & ~inside], minlength=len(prep.rules) * n_models * n_keys)
-    found = gained.reshape(len(prep.rules), n_models, n_keys) - lost + clean
-
+    n_sheets = len(prep.sheets)
+    # the clean papers each model leaves on each sheet
+    taken = np.bincount(model * n_sheets + sheet, minlength=n_models * n_sheets)
+    kept = np.asarray(prep.papers) - taken.reshape(n_models, n_sheets)
+    stride = int(prep.n_boxes.max(initial=0)) + 1
     lengths = formal * prefix
     moved = formal & inside
     model_rows = np.searchsorted(model, np.arange(n_models + 1))  # each model's changed rows
     box_rows = np.searchsorted(at, np.arange(len(changed) + 1))  # each changed row's boxes
-    results = []
     for v in range(len(prep.rules)):
         for m, (lo, hi) in enumerate(zip(model_rows[:-1], model_rows[1:])):
-            ballots = _rankings(prep, found[v, m])
+            present = np.flatnonzero(kept[m])
+            ballots = [(prep.sheets[s], n) for s, n in zip(present.tolist(), kept[m, present].tolist())]
+            # A formal row that keeps its full length has a changed box inside it, so the rest are cut.
+            cut = lo + np.flatnonzero(formal[v, lo:hi] & ~inside[lo:hi])
+            keys, papers = np.unique(sheet[cut].astype(np.int64) * stride + prefix[cut], return_counts=True)
+            for s, length, n in zip(*(a.tolist() for a in np.divmod(keys, stride)), papers.tolist()):
+                prefs = prep.sheets[s]
+                ballots.append((Preferences(prefs.style, prefs.ranking[:length]), n))
             for c in (lo + np.flatnonzero(moved[v, lo:hi])).tolist():
                 prefs = prep.sheets[sheet[c]]
                 marks = {name: i for i, name in enumerate(prefs.ranking, start=1)}
@@ -426,9 +416,8 @@ def _perturb_run(
                 own = slice(box_rows[c], box_rows[c + 1])
                 for r, new in zip(rank[own].tolist(), value[own].tolist()):
                     marks[prefs.ranking[r - 1]] = new
-                ballots[Preferences(prefs.style, interpret_marks(marks))] += 1
-            results.append((ballot[lo:hi], lengths[v, lo:hi], ballots))
-    return results
+                ballots.append((Preferences(prefs.style, interpret_marks(marks)), 1))
+            yield ballot[lo:hi], lengths[v, lo:hi], ballots
 
 
 def _run_chunk(args: tuple) -> list[PointResult]:
@@ -461,7 +450,7 @@ def _run_chunk(args: tuple) -> list[PointResult]:
         if count_rules is None:
             return
         try:
-            winners = tuple(sorted(count_stv(ballots.items(), meta, count_rules)[0])) if ballots else None
+            winners = tuple(sorted(count_stv(ballots, meta, count_rules)[0])) if ballots else None
         except CountInvariantError as exc:
             where = f"grid point {points[rows][0].index}, run {run_lo + i}, base seed {base_seed}"
             raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
@@ -469,7 +458,7 @@ def _run_chunk(args: tuple) -> list[PointResult]:
             outcome[winners] += runs
 
     if points[0].model is None:
-        record(slice(None), 0, n_runs, dict(zip(prep.sheets, prep.papers)))
+        record(slice(None), 0, n_runs, list(zip(prep.sheets, prep.papers)))
     else:
         models = [point.model for point in points if point.btl_required == points[0].btl_required]
         for i, run in enumerate(range(run_lo, run_hi)):

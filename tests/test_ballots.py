@@ -173,6 +173,14 @@ class TestMetaValidation:
             ElectionMeta("x", 1, (Group("A", "a"),),
                          (Candidate("c1", "n", "B", 1), Candidate("c2", "n", "A", 1)))
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\x0c", "\xa0", "\u2028"], ids=repr)
+    @pytest.mark.parametrize("kind", ["group", "candidate"])
+    def test_rejects_any_whitespace_in_an_id(self, kind, space):
+        group, candidate = ("G" + space + "1", "c1") if kind == "group" else ("G1", "c" + space + "1")
+        with pytest.raises(BallotError, match=f"invalid {kind} id"):
+            ElectionMeta("x", 1, (Group(group, "g"),),
+                         (Candidate(candidate, "n", group, 1), Candidate("c2", "n", group, 2)))
+
     def test_ungrouped_candidates_allowed(self, meta):
         assert meta.group_of_candidate["u1"] == "-"
         assert "-" not in meta.group_ids

@@ -300,6 +300,37 @@ def test_tab_in_a_name_is_rejected_on_write(meta, tmp_path):
         write_election_file(ElectionFile(bad, ()), tmp_path / "bad.stv")
 
 
+def with_field(meta, field, value):
+    """``meta`` as an election file with one name or its provenance set to ``value``."""
+    if field == "name":
+        meta = ElectionMeta(value, meta.seats, meta.groups, meta.candidates)
+    elif field == "group name":
+        meta = ElectionMeta(meta.name, meta.seats, (Group("gA", value),) + meta.groups[1:], meta.candidates)
+    elif field == "candidate name":
+        candidates = (Candidate("a1", value, "gA", 1),) + meta.candidates[1:]
+        meta = ElectionMeta(meta.name, meta.seats, meta.groups, candidates)
+    return ElectionFile(meta, (), value if field == "provenance" else "")
+
+
+FIELDS = ["name", "provenance", "group name", "candidate name"]
+
+
+@pytest.mark.parametrize("value", ["a\x0cb", "a\x85b", "a\u2028b", "  spaced  ", "trailing\n"], ids=repr)
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_field_that_would_not_read_back_is_refused_on_write(meta, tmp_path, field, value):
+    with pytest.raises(SchemaError, match=f"^{field} "):
+        write_election_file(with_field(meta, field, value), tmp_path / "bad.stv")
+    assert not (tmp_path / "bad.stv").exists()
+
+
+@pytest.mark.parametrize("value", ["two words", "a\xa0b", "Zoë"], ids=repr)
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_written_field_reads_back_as_written(meta, tmp_path, field, value):
+    election = with_field(meta, field, value)
+    write_election_file(election, tmp_path / "good.stv")
+    assert read_election_file(tmp_path / "good.stv") == election
+
+
 def test_headerless_csv_by_index_reports_short_rows(tmp_path):
     result = parse_preference_csv(io.BytesIO(b'7,",1,2"\n\n8\n'), CSV_META, ColumnMap(1, header=False))
     assert result.election.total_ballots == 1

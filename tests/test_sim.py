@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import pairwise
 from pathlib import Path
@@ -24,6 +26,7 @@ from stvsim import (
     RandomStream,
     SimConfig,
     SimError,
+    TruncationModel,
     UniformDigitModel,
     VoteStyle,
     apply_digit_model,
@@ -451,11 +454,38 @@ class TestCoupledDraws:
         models = [UniformDigitModel(1e-12), UniformDigitModel(2e-12)]
         seeds = seed_vector((5, 0), 0, election.total_ballots)
         for prep in sim._prepare(election, rules):
-            rows = sim._perturb_run(prep, models, seeds)
+            rows = list(sim._perturb_run(prep, models, seeds))
             assert len(rows) == len(prep.rules) * len(models)
             for changed, lengths, ballots in rows:
                 assert len(changed) == len(lengths) == 0
-                assert ballots == dict(zip(prep.sheets, prep.papers))
+                assert ballots == list(zip(prep.sheets, prep.papers))
+
+    @pytest.mark.parametrize("model", [UniformDigitModel(0.005), TruncationModel(0.005)], ids=["digit", "truncation"])
+    def test_a_run_holds_less_than_one_array_over_the_sheet_prefix_keys(self, model):
+        # 4,000 distinct 58-preference BTL sheets, one paper each: a run's
+        # working memory follows the ballots it changed, not the
+        # sum(n_boxes + 1) (sheet, prefix length) keys of the election.
+        candidates = tuple(Candidate(f"c{i:02d}", "", "G", i) for i in range(1, 59))
+        meta = ElectionMeta("wide", 12, (Group("G", "G"),), candidates)
+        rng = random.Random(16)
+        ids = list(meta.candidate_ids)
+        rankings = list(dict.fromkeys(tuple(rng.sample(ids, len(ids))) for _ in range(4000)))
+        assert len(rankings) == 4000
+        election = ElectionFile(meta, tuple(MarkSheet({}, marks_for_ranking(r), 1) for r in rankings))
+        (prep,) = sim._prepare(election, [FormalityRules()])
+        key_array = int((prep.n_boxes + 1).sum()) * np.dtype(np.int64).itemsize
+        seeds = seed_vector((3, 0), 0, election.total_ballots)
+        tracemalloc.start()
+        try:
+            rows = 0
+            for changed, _, _ in sim._perturb_run(prep, [model], seeds):
+                assert len(changed) > 0
+                rows += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 1
+        assert peak < key_array, (peak, key_array)
 
     def test_uneven_chunks_give_the_same_report(self, tmp_path):
         # 13 runs at jobs=3 are chunks of 5, 5 and 3.
