@@ -38,9 +38,9 @@ clean papers that no changed ballot took, one pair per distinct prefix
 that changed ballots were cut to and stay formal with, and one pair per
 ballot where a changed box took a rank inside the prefix, the only
 ballots interpreted on their own.  A row's memory follows the ballots its
-run changed, and one row is alive at a time.  The truncation model draws
-one number per preference in the same layout.  A group's zero-error
-points, the clean election in every run, are one task.
+run changed, and a run yields its rows one at a time.  The truncation
+model draws one number per preference in the same layout.  A group's
+zero-error points, the clean election in every run, are one task.
 """
 from __future__ import annotations
 
