@@ -43,10 +43,10 @@ def _is_digits(mark: object) -> bool:
 
 
 def _check_id(kind: str, value: str) -> None:
-    if not value or any(ch.isspace() or ch in ":|" for ch in value):
+    if not value or value[0] in "#[" or any(ch.isspace() or ch in ":|" for ch in value):
         raise BallotError(
-            f"invalid {kind} id {value!r}: ids must be non-empty and must not "
-            "contain whitespace, ':' or '|'"
+            f"invalid {kind} id {value!r}: ids must be non-empty, must not start "
+            "with '#' or '[' and must not contain whitespace, ':' or '|'"
         )
 
 

@@ -75,6 +75,8 @@ class ConfusionModel:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (10, 10):
             raise ErrorModelError(f"confusion matrix must be 10x10, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ErrorModelError("confusion matrix entries must be finite")
         if (m < 0).any():
             raise ErrorModelError("confusion matrix entries must be non-negative")
         sums = m.sum(axis=0)

@@ -27,27 +27,30 @@ ballots holding at most ``BLOCK_DIGITS`` digits, so the per-digit arrays
 (ballot, digit) gets draw k of its ballot's substream (the scalar path's
 draw discipline), drawn and corrupted once at the highest rate: a digit
 that fires at one rate fires, with the same new value, at every higher
-rate, and a list cut at one rate is cut no later at a higher one.  A block
-keeps only its changed boxes, or under truncation its cut lists, per
-(rate, ballot) row.  The rest of the run reads only those rows: the first
-number 1, 2, ... no longer held by exactly one box cuts a ranking, and one
-comparison decides formality for every (variant, rate, changed ballot).
+rate, and a list cut at one rate is cut no later at a higher one.  The
+truncation model draws one number per preference in the same layout.
+Under every model a block keeps only one change record per changed box:
+its (rate, ballot) row, its rank and its new value, where under
+truncation the box of the preference that fired reads 0.  The rest of the
+run reads only those rows: the first number 1, 2, ... no longer held by
+exactly one box cuts a ranking, and one comparison decides formality for
+every (variant, rate, changed ballot).
 Every other ballot keeps its clean ranking, so a (variant, rate) row
 hands the count one list of (``Preferences``, papers) pairs: each sheet's
 clean papers that no changed ballot took, one pair per distinct prefix
 that changed ballots were cut to and stay formal with, and one pair per
 ballot where a changed box took a rank inside the prefix, the only
 ballots interpreted on their own.  A row's memory follows the ballots its
-run changed, and a run yields its rows one at a time.  The truncation
-model draws one number per preference in the same layout.  A group's
-zero-error points, the clean election in every run, are one task.
+run changed, and a run yields its rows one at a time.  A group's
+zero-error points, the clean election in every run, are one task.  A task
+returns each point's raw tallies over its runs, and each point's result is
+built once from its tasks' tallies, in run order.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -295,8 +298,8 @@ def _changed_boxes(
 
     ``seeds`` holds every physical ballot's substream seed.  Returns, per
     changed box in (model, ballot) order, its run row
-    ``model * n_formal + formal ballot``, the box's index in ``box_values``
-    and its new value.  A changed digit always changes its box's value.
+    ``model * n_formal + formal ballot``, its rank (its clean value) and its
+    new value.  A changed digit always changes its box's value.
     """
     sheet = prep.ballot_sheet[lo:hi]
     owner, position = flat_layout(prep.n_digits[sheet])
@@ -312,7 +315,8 @@ def _changed_boxes(
     first = np.ones(len(hit), dtype=bool)
     first[1:] = (box[1:] != box[:-1]) | (row[1:] != row[:-1])
     starts = np.flatnonzero(first)
-    return row[starts], box[starts], prep.box_values[box[starts]] + np.add.reduceat(delta, starts)
+    rank = prep.box_values[box[starts]]
+    return row[starts], rank, rank + np.add.reduceat(delta, starts)
 
 
 def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, value: np.ndarray) -> None:
@@ -322,7 +326,7 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
     1..prefix held by exactly one box.  A changed box takes a holder from
     its rank and gives one to its new value; the ranking now stops before
     the first number whose holders no longer number one (the rule of
-    ``interpret_marks``).  Numbers above the count cannot extend it.
+    ``interpret_marks``).  Numbers above the count, and 0, cannot extend it.
     """
     if not len(ballot):
         return
@@ -343,10 +347,11 @@ def _perturb_run(
 
     ``models`` are one family's; ``seeds`` holds every physical ballot's
     substream seed.  Block by block, each block is drawn and corrupted once
-    for all models, and only what changed is kept: a changed box, or under
-    truncation a cut list, in run row ``model * n_formal + formal ballot``.
-    Then, once per run, the changed rows' prefixes are cut and one
-    comparison decides their formality for every variant.  Yields, per
+    for all models, and only what changed is kept: one (run row
+    ``model * n_formal + formal ballot``, rank, new value) record per
+    changed box, where under truncation the box of the preference that
+    fired reads 0.  Then, once per run, the changed rows' prefixes are cut
+    and one comparison decides their formality for every variant.  Yields, per
     (variant, model), variant-major, the changed formal ballots (ascending
     indices into ``ballot_index``), their surviving preference counts (0 if
     informal) and the row's formal ballots as ``(Preferences, papers)``
@@ -358,35 +363,29 @@ def _perturb_run(
     n_models = len(models)
     truncation = isinstance(models[0], TruncationModel)
     empty = np.zeros(0, dtype=np.int64)
-    rows, boxes, values = [empty], [empty], [empty]
+    changes = [(empty, empty, empty)]
     for lo, hi in prep.blocks:
         if truncation:
             n_prefs = prep.n_boxes[prep.ballot_sheet[lo:hi]]
             prefix = truncation_lengths_batch(n_prefs, [m.rate for m in models], seeds[prep.ballot_index[lo:hi]])
             model, ballot = np.nonzero(prefix < n_prefs)
-            rows.append(model * n_formal + lo + ballot)
-            values.append(prefix[model, ballot])
+            fired = prefix[model, ballot] + 1  # the rank of the preference that fired; its box reads 0
+            changes.append((model * n_formal + lo + ballot, fired, np.zeros(len(fired), dtype=np.int64)))
         else:
-            row, box, value = _changed_boxes(prep, models, lo, hi, seeds)
-            rows.append(row)
-            boxes.append(box)
-            values.append(value)
+            changes.append(_changed_boxes(prep, models, lo, hi, seeds))
 
     # Blocks arrive model by model: bring each row's changes together, in order.
-    row = np.concatenate(rows)
+    row, rank, value = map(np.concatenate, zip(*changes))
     order = np.argsort(row, kind="stable")
-    value = np.concatenate(values)[order]
+    rank, value = rank[order], value[order]
     changed, at = np.unique(row[order], return_inverse=True)  # the changed rows; each change's row among them
     model, ballot = np.divmod(changed, n_formal)
     sheet = prep.ballot_sheet[ballot]
+    prefix = prep.n_boxes[sheet]
+    _cut_prefixes(prefix, at, rank, value)
+    # rows where a changed box took a rank inside the prefix
     inside = np.zeros(len(changed), dtype=bool)
-    if truncation:
-        prefix, rank = value, empty
-    else:
-        prefix, rank = prep.n_boxes[sheet], prep.box_values[np.concatenate(boxes)[order]]
-        _cut_prefixes(prefix, at, rank, value)
-        # rows where a changed box took a rank inside the prefix
-        inside[at[rank <= prefix[at]]] = True
+    inside[at[rank <= prefix[at]]] = True
     # (variant, changed row), in C order: required[:, sheet] would be F order, and slow.
     formal = prefix >= prep.required.take(sheet, axis=1)
 
@@ -420,18 +419,21 @@ def _perturb_run(
             yield ballot[lo:hi], lengths[v, lo:hi], ballots
 
 
-def _run_chunk(args: tuple) -> list[PointResult]:
+def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Counter]]:
     """Simulate runs [run_lo, run_hi) of one classification group's points; pure and picklable.
 
     ``points`` is the group's zero-error points alone, or all of its
     perturbed points, variant by variant, whose runs share one pass.
-    Returns one part per point.  Every statistic starts from the clean
-    election, the same in every run and variant of the group, and each run
-    subtracts what its changed ballots lost; the clean count is taken once
-    for all zero-error points and weighted by the runs.  Without count rules
-    no run is counted and ``winner_sets`` is empty.  A count that breaks an
-    invariant is re-raised naming the grid point, run and base seed that
-    reproduce it.
+    Returns each point's raw tallies over these runs, for ``_point_result``:
+    formal runs per formal ballot, formal ATL and BTL ballots per run,
+    surviving preferences summed per original preference count, and a
+    ``Counter`` of runs per winner set (None: no formal ballot).  Every
+    tally starts from the clean election, the same in every run and
+    variant of the group, and each run subtracts what its changed ballots
+    lost; the clean count is taken once for all zero-error points and
+    weighted by the runs.  Without count rules no run is counted and the
+    ``Counter`` is empty.  A count that breaks an invariant is re-raised
+    naming the grid point, run and base seed that reproduce it.
     """
     prep, meta, count_rules, points, base_seed, run_lo, run_hi = args
     n_runs = run_hi - run_lo
@@ -443,7 +445,7 @@ def _run_chunk(args: tuple) -> list[PointResult]:
     btl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 1), dtype=np.int64)
     n_buckets = int(orig.max(initial=0)) + 1
     surviving = np.tile(n_runs * np.bincount(orig, minlength=n_buckets) * np.arange(n_buckets), (len(points), 1))
-    outcomes = [Counter() for _ in points]  # winner set (None: no formal ballot) -> runs
+    outcomes = [Counter() for _ in points]
 
     def record(rows: slice, i: int, runs: int, ballots) -> None:
         """Count these ballots, which ``runs`` runs from the chunk's run i all left, for the points of ``rows``."""
@@ -472,27 +474,31 @@ def _run_chunk(args: tuple) -> list[PointResult]:
                 was = orig[changed]
                 surviving[j] -= np.bincount(was, weights=was - lengths, minlength=n_buckets).astype(np.int64)
                 record(slice(j, j + 1), i, 1, ballots)
-    formal_runs_physical = np.zeros((len(points), prep.n_physical), dtype=np.int64)
-    formal_runs_physical[:, prep.ballot_index] = formal_runs
+    return list(zip(formal_runs, atl_by_run, btl_by_run, surviving, outcomes))
 
-    return [
-        PointResult(
-            model=point.model_name,
-            rate=point.rate,
-            btl_required=point.btl_required,
-            runs=n_runs,
-            style_codes=prep.style_codes,
-            orig_prefs=prep.orig_prefs,
-            bucket_counts=prep.bucket_counts,
-            winner_sets=dict(sorted((k, v) for k, v in outcomes[j].items() if k is not None)),
-            no_result_runs=outcomes[j][None],
-            formal_runs_per_ballot=formal_runs_physical[j],
-            atl_formal_by_run=atl_by_run[j],
-            btl_formal_by_run=btl_by_run[j],
-            surviving_sums={k: int(surviving[j, k]) for k in prep.bucket_counts},
-        )
-        for j, point in enumerate(points)
-    ]
+
+def _point_result(point: GridPoint, prep: _Prepared, parts: list[tuple]) -> PointResult:
+    """``point``'s result from the ``_run_chunk`` tallies of its runs, given in run order."""
+    formal_runs, atl_by_run, btl_by_run, surviving, outcomes = zip(*parts)
+    formal_runs_per_ballot = np.zeros(prep.n_physical, dtype=np.int64)
+    formal_runs_per_ballot[prep.ballot_index] = sum(formal_runs)
+    surviving = sum(surviving)
+    outcome = sum(outcomes, Counter())
+    return PointResult(
+        model=point.model_name,
+        rate=point.rate,
+        btl_required=point.btl_required,
+        runs=sum(map(len, atl_by_run)),
+        style_codes=prep.style_codes,
+        orig_prefs=prep.orig_prefs,
+        bucket_counts=prep.bucket_counts,
+        winner_sets=dict(sorted((k, v) for k, v in outcome.items() if k is not None)),
+        no_result_runs=outcome[None],
+        formal_runs_per_ballot=formal_runs_per_ballot,
+        atl_formal_by_run=np.concatenate(atl_by_run),
+        btl_formal_by_run=np.concatenate(btl_by_run),
+        surviving_sums={k: int(surviving[k]) for k in prep.bucket_counts},
+    )
 
 
 # -- results -------------------------------------------------------------------
@@ -500,7 +506,7 @@ def _run_chunk(args: tuple) -> list[PointResult]:
 
 @dataclass
 class PointResult:
-    """One grid point's results over a range of runs.
+    """One grid point's results over all its runs.
 
     ``style_codes``, ``orig_prefs`` and ``bucket_counts`` describe the
     point's formality variant at zero error; the two arrays are the
@@ -520,19 +526,6 @@ class PointResult:
     atl_formal_by_run: np.ndarray
     btl_formal_by_run: np.ndarray
     surviving_sums: dict[int, int]
-
-    def merge(self, later: PointResult) -> PointResult:
-        """This point's result over its runs followed by ``later``'s."""
-        return replace(
-            self,
-            runs=self.runs + later.runs,
-            winner_sets=dict(sorted((Counter(self.winner_sets) + Counter(later.winner_sets)).items())),
-            no_result_runs=self.no_result_runs + later.no_result_runs,
-            formal_runs_per_ballot=self.formal_runs_per_ballot + later.formal_runs_per_ballot,
-            atl_formal_by_run=np.concatenate((self.atl_formal_by_run, later.atl_formal_by_run)),
-            btl_formal_by_run=np.concatenate((self.btl_formal_by_run, later.btl_formal_by_run)),
-            surviving_sums={k: n + later.surviving_sums[k] for k, n in self.surviving_sums.items()},
-        )
 
     @property
     def atl_ballots(self) -> int:
@@ -684,16 +677,10 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: import only for a pool
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             parts = list(pool.map(_run_chunk, tasks))
-    by_point: dict[int, list[PointResult]] = {p.index: [] for p in points}
+    by_point: dict[int, list[tuple]] = {p.index: [] for p in points}
     for task, task_parts in zip(tasks, parts):  # each point's tasks come in run order
         for point, part in zip(task[3], task_parts):
             by_point[point.index].append(part)
-    results = []
-    for point in points:
-        merged = reduce(PointResult.merge, by_point[point.index])
-        # Workers return copies of the variant's arrays; share the originals.
-        prep = prepared[point.btl_required]
-        results.append(replace(merged, style_codes=prep.style_codes, orig_prefs=prep.orig_prefs))
 
     return SimReport(
         election_name=election.meta.name,
@@ -702,7 +689,7 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
         model=config.model,
         n_physical_ballots=election.total_ballots,
         candidate_order=election.meta.candidate_ids,
-        points=results,
+        points=[_point_result(p, prepared[p.btl_required], by_point[p.index]) for p in points],
         position_histograms=histograms,
     )
 
@@ -727,8 +714,7 @@ def formality_rate_report(
     rules = FormalityRules()
     point = _grid_point(0, rules.btl_required_prefs, model)
     (prep,) = _prepare(election, [rules])
-    (result,) = _run_chunk((prep, election.meta, None, [point], base_seed, 0, runs))
-    return result
+    return _point_result(point, prep, _run_chunk((prep, election.meta, None, [point], base_seed, 0, runs)))
 
 
 @dataclass

@@ -181,6 +181,15 @@ class TestMetaValidation:
             ElectionMeta("x", 1, (Group(group, "g"),),
                          (Candidate(candidate, "n", group, 1), Candidate("c2", "n", group, 2)))
 
+    @pytest.mark.parametrize("marker", ["#", "["])
+    @pytest.mark.parametrize("kind", ["group", "candidate"])
+    def test_rejects_an_id_that_starts_like_a_comment_or_section(self, kind, marker):
+        # The election file reads such a line as a comment or a section header.
+        group, candidate = (marker + "G", "c1") if kind == "group" else ("G1", marker + "G")
+        with pytest.raises(BallotError, match=f"invalid {kind} id .*must not start with '#' or '\\['"):
+            ElectionMeta("x", 1, (Group(group, "g"),),
+                         (Candidate(candidate, "n", group, 1), Candidate("c2", "n", group, 2)))
+
     def test_ungrouped_candidates_allowed(self, meta):
         assert meta.group_of_candidate["u1"] == "-"
         assert "-" not in meta.group_ids

@@ -241,6 +241,19 @@ class TestSimulate:
         assert "the confusion model takes no rates" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_confusion_entry_is_data_error(self, tmp_path, election_path, capsys, entry):
+        lines = Path(BUNDLED_CONFUSION_TABLE).read_text(encoding="utf-8").splitlines()
+        table = [line.split() for line in lines if line.strip() and not line.lstrip().startswith("#")]
+        table[0][0] = entry  # the chance of reading an actual 0 as 0
+        matrix = tmp_path / "table.txt"
+        matrix.write_text("".join(" ".join(row) + "\n" for row in table), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["simulate", "--election", election_path, "--model", "confusion", "--matrix", str(matrix),
+                     "--runs", "1", "--jobs", "1", "--out", str(out)]) == EXIT_DATA
+        assert "confusion matrix entries must be finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestAnalyze:
     def test_partition_stdout(self, election_path, capsys):

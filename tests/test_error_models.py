@@ -193,6 +193,12 @@ class TestConfusionModel:
             ConfusionModel(np.zeros((9, 10)))
         with pytest.raises(ErrorModelError):
             ConfusionModel(-np.eye(10))
+        with pytest.raises(ErrorModelError, match="finite"):
+            ConfusionModel(np.full((10, 10), np.nan))
+        infinite = np.eye(10)
+        infinite[3, 3] = np.inf
+        with pytest.raises(ErrorModelError, match="finite"):
+            ConfusionModel(infinite)
 
 
 class TestPerturbBallot:

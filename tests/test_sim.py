@@ -487,6 +487,21 @@ class TestCoupledDraws:
         assert rows == 1
         assert peak < key_array, (peak, key_array)
 
+    def test_a_variants_points_share_its_arrays_across_workers(self):
+        # Variants 6 and 1 classify mixed_election() apart, so each is its own
+        # group, and at jobs=2 each point's runs come back from the workers.
+        config = SimConfig(
+            base_seed=4, runs_per_point=4, model="digit", rates=(0.05, 0.2), btl_required_grid=(6, 1), jobs=2
+        )
+        report = run_sweep(mixed_election(), config)
+        for variant in (6, 1):
+            first, *rest = [p for p in report.points if p.btl_required == variant]
+            assert len(rest) == 2
+            for p in rest:
+                assert p.style_codes is first.style_codes and p.orig_prefs is first.orig_prefs
+                assert p.bucket_counts == first.bucket_counts
+        assert report.point(0.0, 6).style_codes is not report.point(0.0, 1).style_codes
+
     def test_uneven_chunks_give_the_same_report(self, tmp_path):
         # 13 runs at jobs=3 are chunks of 5, 5 and 3.
         election = truncation_ladder_election(long_ballots=40, short_ballots=40)
