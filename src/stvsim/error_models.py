@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -40,7 +41,7 @@ from .ballots import (
     classify_formality,
     marks_from_preferences,
 )
-from .rng import RandomStream, draw_matrix, flat_layout
+from .rng import RandomStream, below, draw_matrix, locate, rate_bound, raw_words, uniforms
 
 
 class ErrorModelError(ValueError):
@@ -86,9 +87,26 @@ class ConfusionModel:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
+    @cached_property
     def column_cdfs(self) -> np.ndarray:
-        return np.cumsum(self.matrix, axis=0)
+        cdfs = np.cumsum(self.matrix, axis=0)
+        cdfs.setflags(write=False)
+        return cdfs
+
+    @cached_property
+    def stay_window(self) -> tuple[int, int]:
+        """The raw words that leave every digit as it is: the rate bounds [low, high).
+
+        Digit d reads as itself when its draw lies in [cdfs[d-1, d], cdfs[d, d])
+        (from 0 for digit 0, and up to 1 for digit 9, since a new digit is at
+        most 9), so the window is the intersection of those intervals as
+        ``rate_bound`` values.  It is empty (low >= high) when they do not
+        overlap.
+        """
+        cdfs = self.column_cdfs
+        low = max(rate_bound(cdfs[d - 1, d]) for d in range(1, 10))
+        high = min(rate_bound(cdfs[d, d]) for d in range(9))
+        return low, high
 
     @property
     def mean_change_rate(self) -> float:
@@ -214,12 +232,21 @@ def perturb_ballot(
 # -- vectorised batch helpers -------------------------------------------------
 #
 # These compute, for many independent substreams at once, the same outcomes
-# as the scalar functions above.  They work on the flat form the simulation
-# harness uses: every element carries its own substream seed and its index
-# in that stream's canonical order, so one call covers the ballots of many
+# as the scalar functions above.  Ballot i owns substream ``seeds[i]`` and
+# reads its draws in canonical order, so one call covers the ballots of many
 # mark sheets.  One call also covers several models of one family: the
 # draws are made once and each model reads them, so model j's outcome is
 # the scalar function's under model j, whatever the other models are.
+#
+# A draw fires (``uniform() < rate``) exactly when its raw SplitMix64 word
+# is below the rate's integer bound, ``ceil(rate * 2^53) * 2^11``
+# (``rng.rate_bound``), so the helpers draw raw words (``rng.raw_words``)
+# and compare them with integers.  Only the words that can change something
+# under some model are kept, and only those get a ballot, a position and
+# whatever else their outcome needs: under truncation, the words below the
+# highest rate's bound; under the uniform model, the fire words below it;
+# under the confusion model, the words outside the window in which every
+# digit stays as it is (``ConfusionModel.stay_window``).
 
 
 def truncation_lengths_batch(n_prefs: np.ndarray, rates: Sequence[float], seeds: np.ndarray) -> np.ndarray:
@@ -230,52 +257,59 @@ def truncation_lengths_batch(n_prefs: np.ndarray, rates: Sequence[float], seeds:
     preference whose draw falls below the rate, so a ballot's length never
     grows as the rate rises.
     """
-    lengths = np.tile(np.asarray(n_prefs, dtype=np.int64), (len(rates), 1))
-    owner, index = flat_layout(lengths[0])
-    draws = draw_matrix(seeds[owner], index)
-    low = np.flatnonzero(draws < max(rates))
-    owner, index, draws = owner[low], index[low], draws[low]
+    n_prefs = np.asarray(n_prefs, dtype=np.int64)
+    lengths = np.tile(n_prefs, (len(rates), 1))
+    words = raw_words(seeds, n_prefs)
+    low = np.flatnonzero(below(words, rate_bound(max(rates))))
+    words = words[low]
+    owner, index = locate(n_prefs, low)
     for row, rate in zip(lengths, rates):
-        fired = draws < rate
+        fired = below(words, rate_bound(rate))
         np.minimum.at(row, owner[fired], index[fired])
     return lengths
 
 
 def corrupt_digits_batch(
-    digits: np.ndarray, models: Sequence[ErrorModel], seeds: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """Corrupted copies of a flat digit array, one row per model.
+    digits: np.ndarray, start: np.ndarray, n_digits: np.ndarray, models: Sequence[ErrorModel], seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The digits each model changes on the ballots of a ragged digit store.
 
-    ``digits[i]`` (uint8, 0-9) is digit ``positions[i]`` of its ballot's
-    digit sequence in canonical order, and ``seeds[i]`` is that ballot's
-    substream seed.  The models are all uniform or all confusion models.
-    Matches the scalar draw discipline: under the uniform model digit k
-    fires on draw 2k and takes its replacement from draw 2k + 1 (read only
-    where it fired at the highest rate), so the digits changed at a lower
-    rate are a subset of those changed at a higher one, with the same new
-    values; the confusion model resamples digit k from draw k.
+    Ballot i writes the ``n_digits[i]`` digits (uint8, 0-9) from
+    ``digits[start[i]]`` on, in canonical order, and owns substream
+    ``seeds[i]``; ``start`` and ``n_digits`` are integer arrays.  The
+    models are all uniform or all confusion models.  Returns the changed
+    digits in (model, ballot, position) order as four arrays: the model's
+    index, the ballot's, the digit's position in its ballot and its new
+    value.  Matches the scalar draw discipline: under the uniform model
+    digit k fires on draw 2k and takes its replacement from draw 2k + 1
+    (read only where it fired at the highest rate), so the digits changed
+    at a lower rate are a subset of those changed at a higher one, with the
+    same new values; the confusion model resamples digit k from draw k.
     """
     if all(isinstance(m, UniformDigitModel) for m in models):
-        fire = draw_matrix(seeds, 2 * positions)
-        fired = np.flatnonzero(fire < max(m.rate for m in models))
-        fire = fire[fired]
-        new = (draw_matrix(seeds[fired], 2 * positions[fired] + 1) * 10).astype(np.uint8)
-        out = np.tile(digits, (len(models), 1))
-        for row, model in zip(out, models):
-            keep = fire < model.rate
-            row[fired[keep]] = new[keep]
-        return out
-    if all(isinstance(m, ConfusionModel) for m in models):
-        draws = draw_matrix(seeds, positions)
-        out = np.tile(digits, (len(models), 1))
-        for row, model in zip(out, models):
-            cdfs = model.column_cdfs  # (predicted, actual)
-            # The new digit is the number of CDF values in column d at or
-            # below the draw (at most 9).  That number is d itself exactly
-            # when cdfs[d-1, d] <= draw < cdfs[d, d], so only the other
-            # digits need the full count.
-            low = np.append(0.0, np.diagonal(cdfs, offset=1))[digits]
-            moved = np.flatnonzero((draws < low) | (draws >= np.diagonal(cdfs)[digits]))
-            row[moved] = np.minimum((draws[moved] >= cdfs[:, digits[moved]]).sum(axis=0), 9)
-        return out
-    raise ErrorModelError(f"models {models!r} do not corrupt digits as one family")
+        words = raw_words(seeds, n_digits, stride=2)
+        kept = np.flatnonzero(below(words, rate_bound(max(m.rate for m in models))))
+        words = words[kept]
+        ballot, position = locate(n_digits, kept)
+        clean = digits[start[ballot] + position]
+        new = (draw_matrix(seeds[ballot], 2 * position + 1) * 10).astype(np.uint8)
+        differs = new != clean
+        hits = [np.flatnonzero(below(words, rate_bound(m.rate)) & differs) for m in models]
+        values = [new[hit] for hit in hits]
+    elif all(isinstance(m, ConfusionModel) for m in models):
+        words = raw_words(seeds, n_digits)
+        low = max(m.stay_window[0] for m in models)
+        high = min(m.stay_window[1] for m in models)
+        kept = np.flatnonzero(below(words, low) | ~below(words, high))
+        draws = uniforms(words[kept])
+        ballot, position = locate(n_digits, kept)
+        clean = digits[start[ballot] + position]
+        # The new digit is the number of CDF values in its column at or below the draw, at most 9.
+        news = [np.minimum((draws >= m.column_cdfs[:, clean]).sum(axis=0), 9).astype(np.uint8) for m in models]
+        hits = [np.flatnonzero(new != clean) for new in news]
+        values = [new[hit] for new, hit in zip(news, hits)]
+    else:
+        raise ErrorModelError(f"models {models!r} do not corrupt digits as one family")
+    hit = np.concatenate(hits)
+    model = np.repeat(np.arange(len(models)), [len(h) for h in hits])
+    return model, ballot[hit], position[hit], np.concatenate(values)

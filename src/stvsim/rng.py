@@ -16,6 +16,8 @@ with other SplitMix64 *stream protocols* is not a goal.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -72,13 +74,15 @@ class RandomStream:
         return int(self.uniform() * n)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    """``mix64`` on a uint64 array, in place; returns the array."""
-    z ^= z >> np.uint64(30)
-    z *= _M1_U
-    z ^= z >> np.uint64(27)
-    z *= _M2_U
-    z ^= z >> np.uint64(31)
+def _mix64_vec(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``mix64`` on a uint64 array, in place, with one scratch array of its shape; returns the array."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    for shift, multiplier in ((30, _M1_U), (27, _M2_U), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        if multiplier is not None:
+            z *= multiplier
     return z
 
 
@@ -104,11 +108,54 @@ def draw_matrix(seeds: np.ndarray, draw_index: np.ndarray) -> np.ndarray:
     ks = np.asarray(draw_index).astype(np.uint64)
     ks += np.uint64(1)
     ks *= _GAMMA_U
-    raw = _mix64_vec(seeds + ks)
-    raw >>= np.uint64(11)
-    draws = raw.astype(np.float64)
+    return uniforms(_mix64_vec(seeds + ks))
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The float64 draws in [0, 1) that ``uniform`` makes of raw words."""
+    draws = (words >> np.uint64(11)).astype(np.float64)
     draws *= _TO_DOUBLE
     return draws
+
+
+def raw_words(seeds: np.ndarray, sizes: np.ndarray, first: int = 0, stride: int = 1) -> np.ndarray:
+    """The raw 64-bit words of a ragged set of streams, end to end.
+
+    Stream i (seed ``seeds[i]``) gives its draws ``first + stride * k`` for
+    k < ``sizes[i]``: the words that ``RandomStream(seeds[i]).next_raw``
+    returns there, before ``uniform`` scales them.  Element k of stream i's
+    run is ``mix64(s_i + (first + 1 + stride * k) * GAMMA)``; the runs are
+    laid out in one pass, as each run's base repeated plus its flat index
+    times ``stride * GAMMA``, and mixed in place.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    base = (first + 1 - stride * starts).astype(np.uint64)  # modulo 2^64
+    base *= _GAMMA_U
+    base += seeds
+    words = np.repeat(base, sizes)
+    scratch = np.arange(len(words), dtype=np.uint64)
+    scratch *= np.uint64(stride * GAMMA & MASK64)
+    words += scratch
+    return _mix64_vec(words, scratch)
+
+
+def rate_bound(rate: float) -> int:
+    """The integer bound of a rate: ``uniform() < rate`` exactly when the draw's raw word is below it.
+
+    ``uniform()`` is ``(raw >> 11) * 2^-53``, and ``rate * 2^53`` is exact,
+    so the draw fires when ``raw >> 11 < ceil(rate * 2^53)``, that is when
+    ``raw < ceil(rate * 2^53) * 2^11``.  A rate of 1 gives 2^64, above
+    every word: it always fires.
+    """
+    return math.ceil(rate * 2.0 ** 53) << 11
+
+
+def below(words: np.ndarray, bound: int) -> np.ndarray:
+    """``words < bound`` for uint64 words and a ``rate_bound``, which may be 2^64."""
+    if bound > MASK64:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(bound)
 
 
 def flat_layout(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,3 +169,10 @@ def flat_layout(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.cumsum(sizes) - sizes
     return owner, np.arange(len(owner)) - np.repeat(starts, sizes)
+
+
+def locate(sizes: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``flat_layout(sizes)`` read at the flat indices ``flat`` only: their runs and positions."""
+    ends = np.cumsum(sizes)
+    owner = np.searchsorted(ends, flat, side="right")
+    return owner, flat - (ends - sizes)[owner]

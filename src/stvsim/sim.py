@@ -22,13 +22,18 @@ group, which stores every distinct formal sheet once: its ranked boxes in
 canonical digit order, their clean values, the digits that write them, and
 the preferences each variant needs.  A formal physical ballot is just a
 sheet id.  A run draws over all formal ballots in blocks of consecutive
-ballots holding at most ``BLOCK_DIGITS`` digits, so the per-digit arrays
-(draws, corrupted digits) never outgrow one block.  In each block, every
-(ballot, digit) gets draw k of its ballot's substream (the scalar path's
-draw discipline), drawn and corrupted once at the highest rate: a digit
-that fires at one rate fires, with the same new value, at every higher
-rate, and a list cut at one rate is cut no later at a higher one.  The
-truncation model draws one number per preference in the same layout.
+ballots holding at most ``BLOCK_DIGITS`` digits, so the per-digit raw
+words never outgrow one block.  In each block, every (ballot, digit) gets
+draw k of its ballot's substream (the scalar path's draw discipline) as
+a raw 64-bit word, read off the ballots' digit counts and offsets into
+the group's digit store with no per-digit layout.  A draw fires exactly
+when its word is below the rate's integer bound, so a block compares
+words once at the highest rate, and only the digits that fire there (or,
+under the confusion model, that leave every digit's stay window) get
+their ballot, position, clean digit and new value: a digit that fires at
+one rate fires, with the same new value, at every higher rate, and a list
+cut at one rate is cut no later at a higher one.  The truncation model
+draws one word per preference in the same way.
 Under every model a block keeps only one change record per changed box:
 its (rate, ballot) row, its rank and its new value, where under
 truncation the box of the preference that fired reads 0.  The rest of the
@@ -74,13 +79,19 @@ from .error_models import (
     truncation_lengths_batch,
 )
 from .ingest import ElectionFile
-from .rng import flat_layout, seed_vector
+from .rng import MASK64, flat_layout, seed_vector
 
 MODEL_FAMILIES = ("truncation", "digit", "confusion")
 
 
 class SimError(ValueError):
     pass
+
+
+def _check_seed(base_seed: int) -> None:
+    # Seeds are hashed modulo 2^64, so one outside [0, 2^64) would alias one inside.
+    if not 0 <= base_seed <= MASK64:
+        raise SimError(f"base seed must lie in [0, 2^64), got {base_seed}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,7 @@ class SimConfig:
         object.__setattr__(self, "rates", tuple(r for r in dict.fromkeys(self.rates) if r != 0.0))
         object.__setattr__(self, "btl_required_grid", tuple(dict.fromkeys(self.btl_required_grid)))
         object.__setattr__(self, "track_candidates", tuple(self.track_candidates))
+        _check_seed(self.base_seed)
         if self.runs_per_point < 1:
             raise SimError("runs_per_point must be >= 1")
         if self.model not in MODEL_FAMILIES:
@@ -155,11 +167,13 @@ def _build_points(config: SimConfig) -> list[GridPoint]:
 
 # -- prepared ballot data, one per classification group --------------------------
 
-#: Digit budget of one block of a run's flat pass: the per-ballot arrays
-#: (digits, draws, changed boxes) exist for one block at a time, so a run's
-#: working memory does not grow with the election.  At 2^13 each 8-byte
-#: array of a block is 64 KiB; larger blocks ran slower and held more memory.
-BLOCK_DIGITS = 1 << 13
+#: Digit budget of one block of a run's flat pass: the per-digit arrays
+#: (raw words and one scratch array) exist for one block at a time, so a
+#: run's working memory does not grow with the election.  At 2^15 each
+#: 8-byte array of a block is 256 KiB.  Only the few digits that fire get
+#: more than a word, so a block costs a fixed number of numpy calls plus
+#: time per digit, and larger blocks amortise those calls.
+BLOCK_DIGITS = 1 << 15
 
 # Powers of ten from 10: one plus the number of them at or below a box
 # value is the number of digits that write it.
@@ -302,17 +316,15 @@ def _changed_boxes(
     new value.  A changed digit always changes its box's value.
     """
     sheet = prep.ballot_sheet[lo:hi]
-    owner, position = flat_layout(prep.n_digits[sheet])
-    at = prep.digit_start[sheet][owner] + position
-    clean = prep.digits[at]
-    digits = corrupt_digits_batch(clean, models, seeds[prep.ballot_index[lo:hi]][owner], position)
-    changed = np.flatnonzero(digits != clean)  # over the (model, digit) rows
-    model, hit = np.divmod(changed, len(clean))
-    row, hit_at = model * len(prep.ballot_sheet) + lo + owner[hit], at[hit]
+    model, ballot, position, new = corrupt_digits_batch(
+        prep.digits, prep.digit_start[sheet], prep.n_digits[sheet], models, seeds[prep.ballot_index[lo:hi]]
+    )
+    row = model * len(prep.ballot_sheet) + lo + ballot
+    hit_at = prep.digit_start[sheet[ballot]] + position
     box = prep.digit_box[hit_at]
-    delta = (digits.ravel()[changed].astype(np.int32) - clean[hit]) * prep.place[hit_at]
+    delta = (new.astype(np.int32) - prep.digits[hit_at]) * prep.place[hit_at]
     # A box's digits are adjacent, so its changed digits are too.
-    first = np.ones(len(hit), dtype=bool)
+    first = np.ones(len(row), dtype=bool)
     first[1:] = (box[1:] != box[:-1]) | (row[1:] != row[:-1])
     starts = np.flatnonzero(first)
     rank = prep.box_values[box[starts]]
@@ -709,6 +721,7 @@ def formality_rate_report(
     sweep's runs are, so they see the same draws as a sweep's point for this
     model with the same base seed; ``winner_sets`` is empty.
     """
+    _check_seed(base_seed)
     if runs < 1:
         raise SimError("runs must be >= 1")
     rules = FormalityRules()

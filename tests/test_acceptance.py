@@ -163,21 +163,19 @@ def test_criterion_4_error_model_calibration():
     with criterion(4, "digit-model and confusion-table calibration", 30.0):
         # uniform digit model at 1%: change rate 0.9% over >= 10^6 digits
         streams = 20_000  # 50 digits per stream, 10^6 digits total
-        digits = np.tile(np.arange(10, dtype=np.uint8), 5 * streams)
-        positions = np.tile(np.arange(50), streams)
-        seeds = np.repeat(seed_vector((8888, 0), 0, streams), 50)
-        (out,) = corrupt_digits_batch(digits, [UniformDigitModel(0.01)], seeds, positions)
-        n_digits = len(digits)
-        changed = int((out != digits).sum())
+        digits = np.tile(np.arange(10, dtype=np.uint8), 5)  # every stream writes these 50 digits
+        start, sizes = np.zeros(streams, dtype=np.int64), np.full(streams, 50)
+        seeds = seed_vector((8888, 0), 0, streams)
+        changed = len(corrupt_digits_batch(digits, start, sizes, [UniformDigitModel(0.01)], seeds)[0])
+        n_digits = 50 * streams
         p = 0.009
         sigma = math.sqrt(p * (1 - p) / n_digits)
         assert abs(changed / n_digits - p) < 3 * sigma
 
         # shipped confusion table: mean per-digit change rate 0.89% +/- 0.05%
         table = load_confusion_table(BUNDLED_CONFUSION_TABLE)
-        seeds = np.repeat(seed_vector((8888, 1), 0, streams), 50)
-        (out,) = corrupt_digits_batch(digits, [table], seeds, positions)
-        observed = int((out != digits).sum()) / n_digits
+        seeds = seed_vector((8888, 1), 0, streams)
+        observed = len(corrupt_digits_batch(digits, start, sizes, [table], seeds)[0]) / n_digits
         assert abs(observed - 0.0089) < 0.0005
 
 

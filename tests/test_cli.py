@@ -136,6 +136,14 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert "inputs" in manifest and manifest["tool_version"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_is_data_error(self, tmp_path, election_path, capsys, seed):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--election", election_path, "--runs", "1", f"--seed={seed}", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"base seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_btl_required_variants_from_the_command_line(self, tmp_path, election_path):
         argv = ["simulate", "--election", election_path, "--runs", "1", "--rates", "0", "--jobs", "1"]
         out = tmp_path / "v"

@@ -45,10 +45,12 @@ def stream(*parts):
 
 
 def corrupt_rows(digits, model, seeds):
-    """One corrupted copy of ``digits`` per seed, through the flat batch form."""
+    """One corrupted copy of ``digits`` per seed, through the batch form: every ballot reads the same store."""
     n, d = len(seeds), len(digits)
-    (flat,) = corrupt_digits_batch(np.tile(digits, n), [model], np.repeat(seeds, d), np.tile(np.arange(d), n))
-    return flat.reshape(n, d)
+    _, ballot, position, new = corrupt_digits_batch(digits, np.zeros(n, dtype=np.int64), np.full(n, d), [model], seeds)
+    rows = np.tile(digits, (n, 1))
+    rows[ballot, position] = new
+    return rows
 
 
 class TestTruncationModel:
@@ -187,6 +189,48 @@ class TestConfusionModel:
                 out = apply_confusion_model(sheet, model, RandomStream(int(seeds[i])))
                 flat = [int(ch) for box in order for ch in out.btl_marks[box]]
                 assert flat == batch[i].tolist()
+
+    def test_batch_matches_scalar_where_digits_leave_the_stay_window(self, table):
+        # The batch form skips words inside every digit's stay window.  Here
+        # the windows do not overlap at all: column 5 sends all its mass to
+        # 3, a permutation moves every digit, and a uniform table gives each
+        # digit its own tenth.  Where each digit stays with odds 0.55 and
+        # moves to each other digit with odds 0.05, they share only
+        # [0.45, 0.55).  The identity keeps every word in the window.
+        to_three = table.matrix.copy()
+        to_three[:, 5] = np.eye(10)[3]
+        tables = {
+            "five-to-three": ConfusionModel(to_three),
+            "permutation": ConfusionModel(np.roll(np.eye(10), 1, axis=0)),
+            "uniform": ConfusionModel(np.full((10, 10), 0.1)),
+        }
+        sheets = [marks_from_preferences(btl_prefs(k)) if k else MarkSheet({}, {}) for k in (1, 12, 5, 0, 10, 13)]
+        digits = [[int(ch) for box in sorted(sheet.btl_marks) for ch in sheet.btl_marks[box]] for sheet in sheets]
+        sizes = np.array([len(d) for d in digits])
+        store = np.array([x for d in digits for x in d], dtype=np.uint8)
+        seeds = seed_vector((6, 1), 0, len(sheets))
+        others = [
+            ("barely", ConfusionModel(0.5 * np.eye(10) + 0.05)),
+            ("bundled", table),
+            ("identity", ConfusionModel(np.eye(10))),
+        ]
+        for name, model in [*tables.items(), *others]:
+            low, high = model.stay_window
+            assert (low >= high) == (name in tables), name
+            changes = corrupt_digits_batch(store, np.cumsum(sizes) - sizes, sizes, [model], seeds)
+            m, ballot, position, new = (a.tolist() for a in changes)
+            assert set(m) <= {0}
+            if name == "identity":
+                assert ballot == []
+            for i, (sheet, clean) in enumerate(zip(sheets, digits)):
+                out = apply_confusion_model(sheet, model, RandomStream(int(seeds[i])))
+                batch = list(clean)
+                for b, k, v in zip(ballot, position, new):
+                    if b == i:
+                        batch[k] = v
+                assert [int(ch) for box in sorted(out.btl_marks) for ch in out.btl_marks[box]] == batch, (name, i)
+            if name in ("permutation", "uniform", "barely"):
+                assert len(ballot) > sizes.sum() / 3  # many digits moved
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ErrorModelError):

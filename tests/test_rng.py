@@ -1,6 +1,19 @@
 import numpy as np
+import pytest
 
-from stvsim.rng import RandomStream, derive_seed, draw_matrix, flat_layout, mix64, seed_vector
+from stvsim.rng import (
+    MASK64,
+    RandomStream,
+    below,
+    derive_seed,
+    draw_matrix,
+    flat_layout,
+    locate,
+    mix64,
+    rate_bound,
+    raw_words,
+    seed_vector,
+)
 
 from oracles import sample_stream
 
@@ -70,3 +83,50 @@ def test_mix64_avalanche():
     base = mix64(0x1234_5678_9ABC_DEF0)
     flipped = mix64(0x1234_5678_9ABC_DEF1)
     assert bin(base ^ flipped).count("1") > 16
+
+
+@pytest.mark.parametrize("first, stride", [(0, 1), (0, 2), (1, 2), (3, 1)])
+def test_raw_words_match_streams(first, stride):
+    sizes = np.array([3, 0, 5, 1, 0, 4])
+    seeds = seed_vector((21, 2), 0, len(sizes))
+    words = raw_words(seeds, sizes, first, stride)
+    expected = []
+    for seed, size in zip(seeds.tolist(), sizes.tolist()):
+        stream = RandomStream(seed)
+        draws = [stream.next_raw() for _ in range(first + stride * size)]
+        expected += draws[first::stride][:size]
+    assert words.dtype == np.uint64
+    assert words.tolist() == expected
+    # the raw word is the integer that mix64 returns at the draw's counter
+    assert words[0] == mix64(int(seeds[0]) + (first + 1) * 0x9E3779B97F4A7C15)
+
+
+def test_raw_words_of_no_streams():
+    for sizes in ([], [0, 0]):
+        assert raw_words(seed_vector((1,), 0, len(sizes)), np.array(sizes, dtype=np.int64), 0, 2).tolist() == []
+
+
+def test_locate_reads_the_flat_layout():
+    sizes = np.array([2, 0, 3, 1])
+    owner, index = flat_layout(sizes)
+    flat = np.array([0, 2, 3, 5])
+    assert [a.tolist() for a in locate(sizes, flat)] == [owner[flat].tolist(), index[flat].tolist()]
+
+
+@pytest.mark.parametrize("rate", [0.0, 2.0**-53, 1e-12, 0.0025, 0.5, 1 - 2.0**-53, 1.0])
+def test_rate_bound_decides_as_the_float_draw_does(rate):
+    bound = rate_bound(rate)
+    assert bound % (1 << 11) == 0 and 0 <= bound <= 1 << 64
+    words = [w for w in (bound - 1, bound, bound + (1 << 11) - 1) if 0 <= w <= MASK64]
+    assert words
+    fired = below(np.array(words, dtype=np.uint64), bound)
+    assert fired.tolist() == [(w >> 11) * 2.0**-53 < rate for w in words]
+
+
+def test_a_rate_of_one_fires_on_every_word():
+    # The bound is 2^64, one past the largest word; clipped to 2^64 - 1, it
+    # would miss the word 2^64 - 1.
+    assert rate_bound(1.0) == 1 << 64
+    words = np.array([0, MASK64 - 1, MASK64], dtype=np.uint64)
+    assert below(words, rate_bound(1.0)).all()
+    assert not below(words, rate_bound(0.0)).any()

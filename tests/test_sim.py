@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from stvsim import (
+    BUNDLED_CONFUSION_TABLE,
     BallotError,
     Candidate,
     ConfusionModel,
@@ -35,6 +36,7 @@ from stvsim import (
     count_stv,
     formal_ballots,
     formality_rate_report,
+    load_confusion_table,
     marks_from_preferences,
     partition_by_preference,
     preference_position_histogram,
@@ -192,6 +194,16 @@ class TestRunSweep:
         for model in ("digit", "truncation"):
             with pytest.raises(SimError, match="only with the confusion model"):
                 SimConfig(base_seed=1, model=model, rates=(0.01,), confusion=table)
+
+    def test_seeds_outside_64_bits_are_refused(self, small_election):
+        # Seeds are hashed modulo 2^64: -1 would read as 2^64 - 1, and 2^64 as 0.
+        for seed in (-1, 1 << 64):
+            with pytest.raises(SimError, match=r"base seed must lie in \[0, 2\^64\)"):
+                SimConfig(base_seed=seed)
+            with pytest.raises(SimError, match="base seed"):
+                formality_rate_report(small_election, UniformDigitModel(0.1), 1, base_seed=seed)
+        for seed in (0, (1 << 64) - 1):
+            assert SimConfig(base_seed=seed, runs_per_point=1).base_seed == seed
 
 
 class TestFormalityRateReport:
@@ -429,8 +441,9 @@ class TestCoupledDraws:
         n, d = 40, len(digits)
         for run in range(3):
             seeds = seed_vector((12, run), 0, n)
-            rows = corrupt_digits_batch(np.tile(digits, n), models, np.repeat(seeds, d), np.tile(np.arange(d), n))
-            rows = rows.reshape(len(rates), n, d)
+            model, ballot, position, new = corrupt_digits_batch(digits, np.zeros(n, dtype=np.int64), np.full(n, d), models, seeds)
+            rows = np.tile(digits, (len(rates), n, 1))
+            rows[model, ballot, position] = new
             lengths = truncation_lengths_batch(np.full(n, len(prefs.ranking)), rates, seeds)
             for i, seed in enumerate(seeds.tolist()):
                 for j, rate in enumerate(rates):  # each row is the scalar path's outcome at its rate
@@ -460,7 +473,11 @@ class TestCoupledDraws:
                 assert len(changed) == len(lengths) == 0
                 assert ballots == list(zip(prep.sheets, prep.papers))
 
-    @pytest.mark.parametrize("model", [UniformDigitModel(0.005), TruncationModel(0.005)], ids=["digit", "truncation"])
+    @pytest.mark.parametrize(
+        "model",
+        [UniformDigitModel(0.005), TruncationModel(0.005), load_confusion_table(BUNDLED_CONFUSION_TABLE)],
+        ids=["digit", "truncation", "confusion"],
+    )
     def test_a_run_holds_less_than_one_array_over_the_sheet_prefix_keys(self, model):
         # 4,000 distinct 58-preference BTL sheets, one paper each: a run's
         # working memory follows the ballots it changed, not the
