@@ -74,13 +74,13 @@ class RandomStream:
         return int(self.uniform() * n)
 
 
-def _mix64_vec(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """``mix64`` on a uint64 array, in place, with one scratch array of its shape; returns the array."""
-    if scratch is None:
-        scratch = np.empty_like(z)
+def _mix64_vec(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """``mix64`` on a uint64 array, in place, with one spare array of its shape; returns the array."""
+    if spare is None:
+        spare = np.empty_like(z)
     for shift, multiplier in ((30, _M1_U), (27, _M2_U), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=scratch)
-        z ^= scratch
+        np.right_shift(z, np.uint64(shift), out=spare)
+        z ^= spare
         if multiplier is not None:
             z *= multiplier
     return z
@@ -134,10 +134,10 @@ def raw_words(seeds: np.ndarray, sizes: np.ndarray, first: int = 0, stride: int 
     base *= _GAMMA_U
     base += seeds
     words = np.repeat(base, sizes)
-    scratch = np.arange(len(words), dtype=np.uint64)
-    scratch *= np.uint64(stride * GAMMA & MASK64)
-    words += scratch
-    return _mix64_vec(words, scratch)
+    spare = np.arange(len(words), dtype=np.uint64)
+    spare *= np.uint64(stride * GAMMA & MASK64)
+    words += spare
+    return _mix64_vec(words, spare)
 
 
 def rate_bound(rate: float) -> int:

@@ -168,7 +168,7 @@ def _build_points(config: SimConfig) -> list[GridPoint]:
 # -- prepared ballot data, one per classification group --------------------------
 
 #: Digit budget of one block of a run's flat pass: the per-digit arrays
-#: (raw words and one scratch array) exist for one block at a time, so a
+#: (raw words and one spare array) exist for one block at a time, so a
 #: run's working memory does not grow with the election.  At 2^15 each
 #: 8-byte array of a block is 256 KiB.  Only the few digits that fire get
 #: more than a word, so a block costs a fixed number of numpy calls plus
