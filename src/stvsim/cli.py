@@ -98,9 +98,12 @@ def _rate_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("empty integer list")
+    return values
 
 
 def _column(text: str) -> str | int:

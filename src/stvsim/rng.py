@@ -158,21 +158,8 @@ def below(words: np.ndarray, bound: int) -> np.ndarray:
     return words < np.uint64(bound)
 
 
-def flat_layout(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lay runs of the given sizes end to end.
-
-    Returns, for every element, the index of its run and its position
-    within that run: the (stream, draw index) pairs of ``draw_matrix`` when
-    run i holds the draws of stream i.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    return owner, np.arange(len(owner)) - np.repeat(starts, sizes)
-
-
 def locate(sizes: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``flat_layout(sizes)`` read at the flat indices ``flat`` only: their runs and positions."""
+    """The run and the position within it of each flat index, when runs of the given sizes lie end to end."""
     ends = np.cumsum(sizes)
     owner = np.searchsorted(ends, flat, side="right")
     return owner, flat - (ends - sizes)[owner]

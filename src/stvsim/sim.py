@@ -19,21 +19,22 @@ m consecutive physical indices in file order.
 
 Layout.  Formality variants that classify every record alike form one
 group, which stores every distinct formal sheet once: its ranked boxes in
-canonical digit order, their clean values, the digits that write them, and
-the preferences each variant needs.  A formal physical ballot is just a
-sheet id.  A run draws over all formal ballots in blocks of consecutive
-ballots holding at most ``BLOCK_DIGITS`` digits, so the per-digit raw
-words never outgrow one block.  In each block, every (ballot, digit) gets
-draw k of its ballot's substream (the scalar path's draw discipline) as
-a raw 64-bit word, read off the ballots' digit counts and offsets into
-the group's digit store with no per-digit layout.  A draw fires exactly
-when its word is below the rate's integer bound, so a block compares
-words once at the highest rate, and only the digits that fire there (or,
-under the confusion model, that leave every digit's stay window) get
-their ballot, position, clean digit and new value: a digit that fires at
-one rate fires, with the same new value, at every higher rate, and a list
-cut at one rate is cut no later at a higher one.  The truncation model
-draws one word per preference in the same way.
+canonical digit order, their clean values and where their digits end in
+one digit store, and the preferences each variant needs.  A formal
+physical ballot is just a sheet id.  A run draws over all formal ballots
+in blocks of consecutive ballots holding at most ``BLOCK_DIGITS`` digits,
+so the per-digit raw words never outgrow one block.  In each block, every
+(ballot, digit) gets draw k of its ballot's substream (the scalar path's
+draw discipline) as a raw 64-bit word, read off the ballots' digit counts
+and offsets into the digit store with no per-digit layout.  A draw fires
+exactly when its word is below the rate's integer bound, so a block
+compares words once at the highest rate, and only the digits that fire
+there (or, under the confusion model, that leave every digit's stay
+window) get their ballot, position, clean digit and new value: a digit
+that fires at one rate fires, with the same new value, at every higher
+rate, and a list cut at one rate is cut no later at a higher one.  A
+fired digit finds its box by binary search over the box ends.  The
+truncation model draws one word per preference in the same way.
 Under every model a block keeps only one change record per changed box:
 its (rate, ballot) row, its rank and its new value, where under
 truncation the box of the preference that fired reads 0.  The rest of the
@@ -54,6 +55,7 @@ built once from its tasks' tallies, in run order.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,7 +81,7 @@ from .error_models import (
     truncation_lengths_batch,
 )
 from .ingest import ElectionFile
-from .rng import MASK64, flat_layout, seed_vector
+from .rng import MASK64, seed_vector
 
 MODEL_FAMILIES = ("truncation", "digit", "confusion")
 
@@ -182,7 +184,7 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 10)
 
 @dataclass
 class _Prepared:
-    """The formal ballots of formality variants that classify alike, in the flat layout.
+    """The formal ballots of formality variants that classify alike, in one digit store.
 
     Each distinct formal sheet (one set of canonical preferences) is kept
     once: the clean value (its rank) of each ranked box, in canonical digit
@@ -203,11 +205,10 @@ class _Prepared:
     required: np.ndarray  # (variant, sheet): preferences it needs to stay formal
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
     n_digits: np.ndarray
-    digit_start: np.ndarray  # offset of its digits in digits/place/digit_box
+    digit_start: np.ndarray  # offset of its digits in digits
     box_values: np.ndarray  # int32 per box: the clean value, its rank
+    box_end: np.ndarray  # int64 per box: the offset in digits where its digits end
     digits: np.ndarray  # uint8 per digit
-    place: np.ndarray  # int32 per digit: its place value within its box
-    digit_box: np.ndarray  # int64 per digit: index of its box in box_values
     # per formal physical ballot, in physical order
     ballot_index: np.ndarray  # physical index
     ballot_sheet: np.ndarray  # int32 sheet id
@@ -257,12 +258,15 @@ def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: lis
         values.extend(i + 1 for i in order)
     box_values = np.array(values, dtype=np.int32)
     widths = np.searchsorted(_POWERS_OF_TEN, box_values, side="right") + 1
-    digit_box, digit_pos = flat_layout(widths)
-    place = (10 ** (widths[digit_box] - 1 - digit_pos)).astype(np.int32)
+    box_end = np.cumsum(widths)
+    digits = np.empty(int(widths.sum()), dtype=np.uint8)
+    for exponent in range(int(widths.max(initial=0))):  # a box's digit of place 10 ** exponent, from its end
+        wide = widths > exponent
+        digits[box_end[wide] - 1 - exponent] = box_values[wide] // 10 ** exponent % 10
     n_boxes = np.array([len(p.ranking) for p in sheets], dtype=np.int64)
-    box_start = np.cumsum(n_boxes) - n_boxes
-    digit_start = (np.cumsum(widths) - widths)[box_start]
-    n_digits = np.diff(np.append(digit_start, len(digit_box)))
+    sheet_end = np.concatenate(([0], box_end))[np.cumsum(n_boxes)]
+    n_digits = np.diff(sheet_end, prepend=0)
+    digit_start = sheet_end - n_digits
 
     # Blocks: runs of consecutive formal ballots within the digit budget.
     ends = np.cumsum(n_digits[ballot_sheet])
@@ -293,9 +297,8 @@ def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: lis
         n_digits=n_digits,
         digit_start=digit_start,
         box_values=box_values,
-        digits=(box_values[digit_box] // place % 10).astype(np.uint8),
-        place=place,
-        digit_box=digit_box,
+        box_end=box_end,
+        digits=digits,
         ballot_index=np.flatnonzero(baseline),
         ballot_sheet=ballot_sheet,
         blocks=blocks,
@@ -321,8 +324,8 @@ def _changed_boxes(
     )
     row = model * len(prep.ballot_sheet) + lo + ballot
     hit_at = prep.digit_start[sheet[ballot]] + position
-    box = prep.digit_box[hit_at]
-    delta = (new.astype(np.int32) - prep.digits[hit_at]) * prep.place[hit_at]
+    box = np.searchsorted(prep.box_end, hit_at, side="right")
+    delta = (new.astype(np.int64) - prep.digits[hit_at]) * 10 ** (prep.box_end[box] - 1 - hit_at)
     # A box's digits are adjacent, so its changed digits are too.
     first = np.ones(len(row), dtype=bool)
     first[1:] = (box[1:] != box[:-1]) | (row[1:] != row[:-1])
@@ -826,7 +829,8 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
     """Write the plot-ready CSVs and the structured JSON document.
 
     Returns the file names written.  All output is deterministic for a
-    given report (sorted keys, shortest round-trip float formatting).
+    given report (sorted keys, shortest round-trip float formatting).  A
+    ``histograms.csv`` or ``ballot_rates_NN.csv`` that it did not write is deleted.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -897,6 +901,9 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
                 zip(*(column.tolist() for column in columns)),
                 lambda row: f"{row[0]},{'BTL' if row[1] else 'ATL'},{row[2]},{row[3]},{row[4]!r}",
             )
+    for path in out.iterdir():
+        if path.name not in written and re.fullmatch(r"histograms\.csv|ballot_rates_\d{2,}\.csv", path.name):
+            path.unlink()
 
     with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)

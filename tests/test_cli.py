@@ -144,13 +144,17 @@ class TestSimulate:
         assert f"base seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_btl_required_variants_from_the_command_line(self, tmp_path, election_path):
+    def test_btl_required_variants_from_the_command_line(self, tmp_path, election_path, capsys):
         argv = ["simulate", "--election", election_path, "--runs", "1", "--rates", "0", "--jobs", "1"]
         out = tmp_path / "v"
         assert main(argv + ["--btl-required", "6,1", "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert [p["btl_required"] for p in report["points"]] == [6, 1]
-        assert main(argv + ["--btl-required", "x", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        capsys.readouterr()
+        for variants, fragment in (("x", "bad integer list 'x'"), (",", "empty integer list"), ("", "empty integer list")):
+            assert main(argv + ["--btl-required", variants, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+            assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_rate_is_usage_error(self, tmp_path, election_path, capsys):
         for rates, fragment in (("1.5", "rate 1.5 outside [0, 1]"), (" , ", "empty rate list")):
@@ -160,6 +164,19 @@ class TestSimulate:
             ])
             assert code == EXIT_USAGE
             assert fragment in capsys.readouterr().err
+
+    def test_a_reused_out_directory_keeps_no_stale_optional_output(self, tmp_path, election_path):
+        out = tmp_path / "o"
+        argv = ["simulate", "--election", election_path, "--runs", "1", "--jobs", "1", "--ballot-rates", "--out", str(out)]
+        assert main(argv + ["--rates", "0.01,0.02", "--track", "a1"]) == EXIT_OK
+        assert (out / "histograms.csv").exists() and (out / "ballot_rates_02.csv").exists()
+        for name in ("notes.txt", "ballot_rates.csv", "ballot_rates_x.csv"):
+            (out / name).write_text("kept\n")
+        assert main(argv + ["--rates", "0.01"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ballot_rates.csv", "ballot_rates_00.csv", "ballot_rates_01.csv", "ballot_rates_x.csv", "formality.csv",
+            "manifest.json", "notes.txt", "report.json", "truncation.csv", "winner_sets.csv", "winners.csv",
+        ]
 
     def test_empty_rate_items_are_skipped(self, tmp_path, election_path):
         out = tmp_path / "r"
@@ -337,10 +354,12 @@ class TestConfigFile:
         (["simulate"], {"runs": [1]}, "runs: must be a string or a number, not [1]"),
         (["simulate"], {"rates": ["abc"]}, "rates: bad rate 'abc'"),
         (["simulate"], {"btl_required": [True]}, "btl_required: must be a string or a number, not true"),
+        (["simulate"], {"btl_required": []}, "btl_required: empty integer list"),
         (["simulate"], {"ballot_rates": "no"}, "ballot_rates: must be true or false"),
         (["simulate"], {"track": "a1"}, "track: must be a list"),
         (["simulate"], {"jobs": None}, "jobs: must be a string or a number, not null"),
-    ], ids=["surplus", "rounding", "style", "seed", "runs", "rates", "btl_required", "ballot_rates", "track", "jobs"])
+    ], ids=["surplus", "rounding", "style", "seed", "runs", "rates", "btl_required", "btl_required-empty",
+        "ballot_rates", "track", "jobs"])
     def test_bad_value_is_usage_error_naming_the_key(self, tmp_path, election_path, capsys, command, values, fragment):
         config_path = tmp_path / "conf.json"
         config_path.write_text(json.dumps(values))

@@ -7,7 +7,6 @@ from stvsim.rng import (
     below,
     derive_seed,
     draw_matrix,
-    flat_layout,
     locate,
     mix64,
     rate_bound,
@@ -53,12 +52,6 @@ def test_draw_matrix_matches_streams():
     # the flat form: one (seed, draw index) pair per element
     flat = draw_matrix(np.repeat(seeds, 17), np.tile(np.arange(17), 10))
     assert flat.tolist() == mat.ravel().tolist()
-
-
-def test_flat_layout():
-    owner, index = flat_layout(np.array([2, 0, 3, 1]))
-    assert owner.tolist() == [0, 0, 2, 2, 2, 3]
-    assert index.tolist() == [0, 1, 0, 1, 2, 0]
 
 
 def test_distinct_parts_give_distinct_seeds():
@@ -108,9 +101,11 @@ def test_raw_words_of_no_streams():
 
 def test_locate_reads_the_flat_layout():
     sizes = np.array([2, 0, 3, 1])
-    owner, index = flat_layout(sizes)
-    flat = np.array([0, 2, 3, 5])
-    assert [a.tolist() for a in locate(sizes, flat)] == [owner[flat].tolist(), index[flat].tolist()]
+    owner, index = locate(sizes, np.arange(6))
+    assert owner.tolist() == [0, 0, 2, 2, 2, 3]
+    assert index.tolist() == [0, 1, 0, 1, 2, 0]
+    # any subset of flat indices, read alone
+    assert [a.tolist() for a in locate(sizes, np.array([0, 2, 3, 5]))] == [[0, 2, 2, 3], [0, 0, 1, 0]]
 
 
 @pytest.mark.parametrize("rate", [0.0, 2.0**-53, 1e-12, 0.0025, 0.5, 1 - 2.0**-53, 1.0])

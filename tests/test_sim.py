@@ -30,6 +30,7 @@ from stvsim import (
     TruncationModel,
     UniformDigitModel,
     VoteStyle,
+    apply_confusion_model,
     apply_digit_model,
     apply_truncation_model,
     classify_formality,
@@ -51,7 +52,7 @@ from stvsim.error_models import corrupt_digits_batch, truncation_lengths_batch
 from stvsim.rng import seed_vector
 from stvsim.synth import formality_bias_election, marks_for_ranking, truncation_ladder_election
 
-from test_differential import mixed_election
+from test_differential import HEAVY_CONFUSION, mixed_election
 
 
 @pytest.fixture(scope="module")
@@ -526,6 +527,40 @@ class TestCoupledDraws:
         for jobs in (1, 3):
             write_report(run_sweep(election, SimConfig(**config, jobs=jobs)), tmp_path / str(jobs))
         assert (tmp_path / "3" / "report.json").read_bytes() == (tmp_path / "1" / "report.json").read_bytes()
+
+
+class TestDigitStore:
+    @pytest.mark.parametrize(
+        "model, scalar",
+        [
+            (UniformDigitModel(0.5), lambda sheet, stream: apply_digit_model(sheet, 0.5, stream)),
+            (HEAVY_CONFUSION, lambda sheet, stream: apply_confusion_model(sheet, HEAVY_CONFUSION, stream)),
+        ],
+        ids=["digit", "confusion"],
+    )
+    def test_changed_boxes_match_the_scalar_marks_up_to_three_digits(self, model, scalar):
+        # A 110-preference BTL sheet writes one-, two- and three-digit marks.
+        groups = tuple(Group(f"G{g:02d}", "") for g in range(11))
+        candidates = tuple(Candidate(f"c{i:03d}", "", f"G{i // 10:02d}", i % 10 + 1) for i in range(110))
+        meta = ElectionMeta("wide", 12, groups, candidates)
+        rng = random.Random(20)
+        ranking = rng.sample(list(meta.candidate_ids), 110)
+        election = ElectionFile(meta, (
+            MarkSheet({}, marks_for_ranking(ranking), 100),
+            MarkSheet(marks_for_ranking(rng.sample([g.id for g in groups], 11)), {}, 100),
+        ))
+        (prep,) = sim._prepare(election, [FormalityRules()])
+        seeds = seed_vector((20, 0), 0, election.total_ballots)
+        row, rank, new = sim._changed_boxes(prep, [model], 0, len(prep.ballot_sheet), seeds)
+        expected = set()
+        for ballot, (i, s) in enumerate(zip(prep.ballot_index.tolist(), prep.ballot_sheet.tolist())):
+            clean = marks_from_preferences(prep.sheets[s])
+            mutated = scalar(clean, RandomStream(int(seeds[i])))
+            for old, changed in ((clean.atl_marks, mutated.atl_marks), (clean.btl_marks, mutated.btl_marks)):
+                expected |= {(ballot, int(old[box]), int(changed[box])) for box in old if changed[box] != old[box]}
+        assert set(zip(row.tolist(), rank.tolist(), new.tolist())) == expected
+        assert len(row) == len(expected)
+        assert any(r >= 100 and r // 100 != v // 100 for _, r, v in expected)  # a changed hundreds digit
 
 
 class TestCountFailureContext:
