@@ -12,6 +12,7 @@ from .ballots import (
     UNGROUPED,
     BallotError,
     Candidate,
+    CandidateRanking,
     ElectionMeta,
     FormalityRules,
     Group,

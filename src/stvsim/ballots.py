@@ -241,21 +241,34 @@ def classify_formality(sheet: MarkSheet, rules: FormalityRules | None = None) ->
     return None
 
 
-def expand_to_candidates(prefs: Preferences, meta: ElectionMeta) -> tuple[str, ...]:
-    """Flatten preferences to an ordered candidate list for counting.
+class CandidateRanking(tuple):
+    """Candidate ids in preference order, each known to one election's layout.
 
-    A BTL ranking is returned unchanged.  An ATL ranking expands each group,
-    in ranked order, to its candidates in ballot-paper position order.
+    ``expand_to_candidates`` builds one after checking every id, so the
+    count takes it as it is.  A non-empty prefix of one, or a reordering of
+    some of its candidates that keeps no id twice, keeps that promise; a
+    slice is a plain tuple until it is wrapped again.
+    """
+
+    __slots__ = ()
+
+
+def expand_to_candidates(prefs: Preferences, meta: ElectionMeta) -> CandidateRanking:
+    """Flatten preferences to the checked candidate ranking that the count takes.
+
+    A BTL ranking keeps its ids, each checked against ``meta``.  An ATL
+    ranking expands each group, in ranked order, to its candidates in
+    ballot-paper position order.  An unknown id raises ``BallotError``.
     """
     if prefs.style is VoteStyle.BTL:
         for cid in prefs.ranking:
             if cid not in meta.group_of_candidate:
                 raise BallotError(f"ranking references unknown candidate {cid!r}")
-        return prefs.ranking
+        return CandidateRanking(prefs.ranking)
     out: list[str] = []
     for gid in prefs.ranking:
         out.extend(meta.candidates_of_group(gid))
-    return tuple(out)
+    return CandidateRanking(out)
 
 
 def marks_for_ranking(boxes: list[str] | tuple[str, ...]) -> dict[str, str]:

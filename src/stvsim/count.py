@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .ballots import ElectionMeta, Preferences, expand_to_candidates
+from .ballots import CandidateRanking, ElectionMeta, Preferences, expand_to_candidates
 
 
 class CountError(ValueError):
@@ -165,15 +165,15 @@ _Papers = tuple[tuple[str, ...], int, int]
 
 
 class _Count:
-    def __init__(self, ballots: Iterable[tuple[Preferences, int]], meta: ElectionMeta, rules: CountRules):
+    def __init__(
+        self, ballots: Iterable[tuple[Preferences | CandidateRanking, int]], meta: ElectionMeta, rules: CountRules
+    ):
         self.meta = meta
         self.rules = rules
         self.trunc = rules.tally_rounding is TallyRounding.TRUNCATE_TO_INTEGER
         #: In ballot-paper order, as is ``tallies`` (which drops the eliminated).
         self.continuing: dict[str, None] = dict.fromkeys(meta.candidate_ids)
         self.elected: list[str] = []
-        #: Each candidate's pile, as parcels of papers that share one exact weight.
-        self.piles: dict[str, dict[Fraction, list[_Papers]]] = {cid: {} for cid in meta.candidate_ids}
         zero = 0 if self.trunc else Fraction(0)
         self.tallies: dict[str, int | Fraction] = {cid: zero for cid in meta.candidate_ids}
         self.exhausted: int | Fraction = zero
@@ -181,14 +181,21 @@ class _Count:
         self.surplus_queue: deque[str] = deque()
 
         total = 0
-        whole = Fraction(1)
-        for prefs, mult in ballots:
+        first: dict[str, list[_Papers]] = {cid: [] for cid in meta.candidate_ids}
+        for ranking, mult in ballots:
             if mult < 1:
                 raise CountError("ballot multiplicity must be >= 1")
-            ranking = expand_to_candidates(prefs, meta)
-            self.piles[ranking[0]].setdefault(whole, []).append((ranking, 0, mult))
+            if not isinstance(ranking, CandidateRanking):
+                ranking = expand_to_candidates(ranking, meta)
+            first[ranking[0]].append((ranking, 0, mult))
             self.tallies[ranking[0]] += mult
             total += mult
+        #: Each candidate's pile, as parcels of papers that share one exact
+        #: weight; a first preference's papers are one parcel of whole weight.
+        whole = Fraction(1)
+        self.piles: dict[str, dict[Fraction, list[_Papers]]] = {
+            cid: {whole: rows} if rows else {} for cid, rows in first.items()
+        }
         if total == 0:
             raise CountError("cannot count an election with no formal ballots")
         self.total = total
@@ -372,9 +379,16 @@ class _Count:
 
 
 def count_stv(
-    ballots: Iterable[tuple[Preferences, int]],
+    ballots: Iterable[tuple[Preferences | CandidateRanking, int]],
     meta: ElectionMeta,
     rules: CountRules | None = None,
 ) -> tuple[list[str], CountTranscript]:
-    """Count an election.  Returns (elected candidate ids in order, transcript)."""
+    """Count an election.  Returns (elected candidate ids in order, transcript).
+
+    Each ballot is a (ranking, papers) pair.  A ``Preferences`` ranking is
+    expanded and its ids checked by ``expand_to_candidates``, which fails
+    on an unknown id; a ``CandidateRanking``, the checked result of that
+    call for ``meta`` (or a prefix or re-read of one), is counted as it is.
+    Papers below 1 raise ``CountError``.
+    """
     return _Count(ballots, meta, rules or CountRules()).run()

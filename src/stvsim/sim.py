@@ -20,7 +20,9 @@ m consecutive physical indices in file order.
 Layout.  Formality variants that classify every record alike form one
 group, which stores every distinct formal sheet once: its ranked boxes in
 canonical digit order, their clean values and where their digits end in
-one digit store, and the preferences each variant needs.  A formal
+one digit store, the preferences each variant needs, and its checked
+candidate ranking (``expand_to_candidates`` runs once per sheet and
+group, and is the one check of its ids).  A formal
 physical ballot is just a sheet id.  A run draws over all formal ballots
 in blocks of consecutive ballots holding at most ``BLOCK_DIGITS`` digits,
 so the per-digit raw words never outgrow one block.  In each block, every
@@ -42,18 +44,24 @@ run reads only those rows: the first number 1, 2, ... no longer held by
 exactly one box cuts a ranking, and one comparison decides formality for
 every (variant, rate, changed ballot).
 Every other ballot keeps its clean ranking, so a (variant, rate) row
-hands the count one list of (``Preferences``, papers) pairs: each sheet's
-clean papers that no changed ballot took, one pair per distinct prefix
-that changed ballots were cut to and stay formal with, and one pair per
-ballot where a changed box took a rank inside the prefix, the only
-ballots interpreted on their own.  A row's memory follows the ballots its
-run changed, and a run yields its rows one at a time.  A group's
+hands the count one list of (``CandidateRanking``, papers) pairs, and
+builds no ``Preferences``: each sheet's clean papers that no changed
+ballot took, with the sheet's stored ranking; one pair per distinct prefix
+that changed ballots were cut to and stay formal with, a slice of that
+ranking; and one pair per ballot where a changed box took a rank inside
+the prefix, the only ballots interpreted on their own, whose boxes are
+read back to the sheet's own candidates.  A run finds the cut prefixes of
+all its rows in one sort and its moved ballots in one pass, then builds
+and yields each row's list one at a time, so a row's memory follows the
+ballots its run changed.  A group's
 zero-error points, the clean election in every run, are one task.  A task
 returns each point's raw tallies over its runs, and each point's result is
 built once from its tasks' tallies, in run order.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import re
 from collections import Counter
@@ -65,10 +73,13 @@ import numpy as np
 
 from .ballots import (
     BallotError,
+    CandidateRanking,
+    ElectionMeta,
     FormalityRules,
     Preferences,
     VoteStyle,
     classify_formality,
+    expand_to_candidates,
     interpret_marks,
 )
 from .count import CountInvariantError, CountRules, count_stv
@@ -189,9 +200,11 @@ class _Prepared:
     Each distinct formal sheet (one set of canonical preferences) is kept
     once: the clean value (its rank) of each ranked box, in canonical digit
     order (sorted ids), the digits that write it, and the preferences each
-    variant needs.  A formal physical ballot is only a sheet id; a run names
-    it by its index into ``ballot_index`` ("formal ballot").  ``papers``
-    is the clean tally that a run's changed ballots are taken from.
+    variant needs.  Its ids are checked once, by ``expand_to_candidates``,
+    whose candidate ranking the count takes; a cut or re-read ranking is
+    built from that one.  A formal physical ballot is only a sheet id; a run
+    names it by its index into ``ballot_index`` ("formal ballot").
+    ``papers`` is the clean tally that a run's changed ballots are taken from.
     """
 
     rules: list[FormalityRules]  # the variants, one per row of required
@@ -200,7 +213,8 @@ class _Prepared:
     orig_prefs: np.ndarray  # int32: baseline preference count (0 if informal)
     bucket_counts: dict[int, int]
     # per distinct formal sheet
-    sheets: list[Preferences]
+    rankings: list[CandidateRanking]  # its preferences as checked candidates
+    prefix_ends: list[tuple[int, ...] | None]  # see _candidates
     papers: list[int]  # formal physical ballots
     required: np.ndarray  # (variant, sheet): preferences it needs to stay formal
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
@@ -244,27 +258,47 @@ def _prepare(election: ElectionFile, variants: Iterable[FormalityRules]) -> list
         if group is None:
             groups.append(group := (sheets, physical_sheet, []))
         group[2].append(rules)
-    return [_layout(*group) for group in groups]
+    return [_layout(*group, election.meta) for group in groups]
 
 
-def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: list[FormalityRules]) -> _Prepared:
+def _layout(
+    sheets: list[Preferences], physical_sheet: np.ndarray, variants: list[FormalityRules], meta: ElectionMeta
+) -> _Prepared:
     n_physical = len(physical_sheet)
     baseline = physical_sheet >= 0
     ballot_sheet = physical_sheet[baseline]
 
-    values: list[int] = []
-    for prefs in sheets:
-        order = sorted(range(len(prefs.ranking)), key=prefs.ranking.__getitem__)
-        values.extend(i + 1 for i in order)
-    box_values = np.array(values, dtype=np.int32)
-    widths = np.searchsorted(_POWERS_OF_TEN, box_values, side="right") + 1
-    box_end = np.cumsum(widths)
+    expanded = [_candidates(p, meta) for p in sheets]
+    # Each sheet's boxes in canonical digit order are its ids sorted: one
+    # sort of (sheet, id code) keys, with codes in the order of the ids.
+    n_boxes = np.array([len(p.ranking) for p in sheets], dtype=np.int64)
+    code = {box: i for i, box in enumerate(sorted({*meta.group_ids, *meta.candidate_ids}))}
+    keys = np.fromiter(
+        map(code.__getitem__, itertools.chain.from_iterable(p.ranking for p in sheets)),
+        dtype=np.int64, count=int(n_boxes.sum()),
+    )
+    first_box = np.cumsum(n_boxes) - n_boxes
+    keys += np.repeat(first_box * len(code), n_boxes)
+    order = np.argsort(keys)  # per box in digit order, its place in the flat rankings
+    del keys
+    order -= np.repeat(first_box - 1, n_boxes)
+    box_values = order.astype(np.int32)  # its clean value, its rank
+    del order
+    widths = np.ones(len(box_values), dtype=np.uint8)
+    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= box_values.max(initial=0)]:
+        widths += box_values >= power
+    box_end = np.cumsum(widths, dtype=np.int64)
     digits = np.empty(int(widths.sum()), dtype=np.uint8)
     for exponent in range(int(widths.max(initial=0))):  # a box's digit of place 10 ** exponent, from its end
         wide = widths > exponent
-        digits[box_end[wide] - 1 - exponent] = box_values[wide] // 10 ** exponent % 10
-    n_boxes = np.array([len(p.ranking) for p in sheets], dtype=np.int64)
-    sheet_end = np.concatenate(([0], box_end))[np.cumsum(n_boxes)]
+        at = box_end[wide]
+        at -= 1 + exponent
+        value = box_values[wide]
+        value //= 10 ** exponent
+        value %= 10
+        digits[at] = value
+        del wide, at, value  # before the next place value's are made
+    sheet_end = box_end[np.cumsum(n_boxes) - 1]
     n_digits = np.diff(sheet_end, prepend=0)
     digit_start = sheet_end - n_digits
 
@@ -290,7 +324,8 @@ def _layout(sheets: list[Preferences], physical_sheet: np.ndarray, variants: lis
         style_codes=styles,
         orig_prefs=orig,
         bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
-        sheets=sheets,
+        rankings=[ranking for ranking, _ in expanded],
+        prefix_ends=[ends for _, ends in expanded],
         papers=np.bincount(ballot_sheet, minlength=len(sheets)).tolist(),
         required=np.array([[rules.required(p.style) for p in sheets] for rules in variants], dtype=np.int64),
         n_boxes=n_boxes,
@@ -357,7 +392,7 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
 
 def _perturb_run(
     prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[Preferences, int]]]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[CandidateRanking, int]]]]:
     """One run's pass over the formal ballots for every variant and model.
 
     ``models`` are one family's; ``seeds`` holds every physical ballot's
@@ -369,10 +404,11 @@ def _perturb_run(
     and one comparison decides their formality for every variant.  Yields, per
     (variant, model), variant-major, the changed formal ballots (ascending
     indices into ``ballot_index``), their surviving preference counts (0 if
-    informal) and the row's formal ballots as ``(Preferences, papers)``
-    pairs: each sheet's clean papers that no changed ballot took, one pair
-    per distinct cut prefix, then one per moved ballot.  Every other formal
-    ballot keeps its clean ranking.
+    informal) and the row's formal ballots as ``(CandidateRanking, papers)``
+    pairs: each sheet's clean papers that no changed ballot took, with its
+    stored ranking; one pair per distinct cut prefix, a slice of it; then
+    one per moved ballot, re-read by ``_reread``.  Every other formal
+    ballot keeps its clean ranking.  No pair's ids are checked again.
     """
     n_formal = len(prep.ballot_sheet)
     n_models = len(models)
@@ -404,34 +440,49 @@ def _perturb_run(
     # (variant, changed row), in C order: required[:, sheet] would be F order, and slow.
     formal = prefix >= prep.required.take(sheet, axis=1)
 
-    n_sheets = len(prep.sheets)
+    n_sheets = len(prep.rankings)
     # the clean papers each model leaves on each sheet
     taken = np.bincount(model * n_sheets + sheet, minlength=n_models * n_sheets)
     kept = np.asarray(prep.papers) - taken.reshape(n_models, n_sheets)
-    stride = int(prep.n_boxes.max(initial=0)) + 1
     lengths = formal * prefix
-    moved = formal & inside
+    # Every row's cut keys in one sort and its moved ballots in one pass; row v * n_models + m is (variant v, model m).
+    # A formal row that keeps its full length has a changed box inside it, so the rest are cut.
+    v_cut, cut = np.nonzero(formal & ~inside)
+    stride = int(prep.n_boxes.max(initial=0)) + 1
+    keys, papers = np.unique(
+        ((v_cut * n_models + model[cut]) * n_sheets + sheet[cut]) * stride + prefix[cut], return_counts=True
+    )
+    cut_row, keys = np.divmod(keys, n_sheets * stride)
+    cuts = list(zip(*(a.tolist() for a in np.divmod(keys, stride)), papers.tolist()))
+    v_moved, moved = np.nonzero(formal & inside)
+    row_ends = np.arange(len(prep.rules) * n_models + 1)
+    cut_rows = np.searchsorted(cut_row, row_ends).tolist()
+    moved_rows = np.searchsorted(v_moved * n_models + model[moved], row_ends).tolist()
+    moved = moved.tolist()
     model_rows = np.searchsorted(model, np.arange(n_models + 1))  # each model's changed rows
     box_rows = np.searchsorted(at, np.arange(len(changed) + 1))  # each changed row's boxes
-    for v in range(len(prep.rules)):
-        for m, (lo, hi) in enumerate(zip(model_rows[:-1], model_rows[1:])):
-            present = np.flatnonzero(kept[m])
-            ballots = [(prep.sheets[s], n) for s, n in zip(present.tolist(), kept[m, present].tolist())]
-            # A formal row that keeps its full length has a changed box inside it, so the rest are cut.
-            cut = lo + np.flatnonzero(formal[v, lo:hi] & ~inside[lo:hi])
-            keys, papers = np.unique(sheet[cut].astype(np.int64) * stride + prefix[cut], return_counts=True)
-            for s, length, n in zip(*(a.tolist() for a in np.divmod(keys, stride)), papers.tolist()):
-                prefs = prep.sheets[s]
-                ballots.append((Preferences(prefs.style, prefs.ranking[:length]), n))
-            for c in (lo + np.flatnonzero(moved[v, lo:hi])).tolist():
-                prefs = prep.sheets[sheet[c]]
-                marks = {name: i for i, name in enumerate(prefs.ranking, start=1)}
-                # A changed box is the one its clean value ranks.
-                own = slice(box_rows[c], box_rows[c + 1])
-                for r, new in zip(rank[own].tolist(), value[own].tolist()):
-                    marks[prefs.ranking[r - 1]] = new
-                ballots.append((Preferences(prefs.style, interpret_marks(marks)), 1))
-            yield ballot[lo:hi], lengths[v, lo:hi], ballots
+    rankings, ends = prep.rankings, prep.prefix_ends
+    for row, (v, m) in enumerate(itertools.product(range(len(prep.rules)), range(n_models))):
+        present = np.flatnonzero(kept[m])
+        ballots = [(rankings[s], n) for s, n in zip(present.tolist(), kept[m, present].tolist())]
+        for s, length, n in cuts[cut_rows[row]:cut_rows[row + 1]]:
+            ballots.append((CandidateRanking(rankings[s][:length if ends[s] is None else ends[s][length]]), n))
+        for c in moved[moved_rows[row]:moved_rows[row + 1]]:
+            own = slice(box_rows[c], box_rows[c + 1])
+            ballots.append((_reread(prep, int(sheet[c]), rank[own].tolist(), value[own].tolist()), 1))
+        lo, hi = model_rows[m], model_rows[m + 1]
+        yield ballot[lo:hi], lengths[v, lo:hi], ballots
+
+
+def _reread(prep: _Prepared, s: int, rank: list[int], value: list[int]) -> CandidateRanking:
+    """Sheet s's candidates in the order its boxes read once the boxes of clean value ``rank`` read ``value``."""
+    marks = {r: r for r in range(1, int(prep.n_boxes[s]) + 1)}  # each box by its clean value
+    marks.update(zip(rank, value))
+    read = interpret_marks(marks)
+    ranking, ends = prep.rankings[s], prep.prefix_ends[s]
+    if ends is None:
+        return CandidateRanking(ranking[r - 1] for r in read)
+    return CandidateRanking(cid for r in read for cid in ranking[ends[r - 1]:ends[r]])
 
 
 def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Counter]]:
@@ -445,8 +496,9 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     ``Counter`` of runs per winner set (None: no formal ballot).  Every
     tally starts from the clean election, the same in every run and
     variant of the group, and each run subtracts what its changed ballots
-    lost; the clean count is taken once for all zero-error points and
-    weighted by the runs.  Without count rules no run is counted and the
+    lost; the clean count is taken once for all zero-error points, over
+    the stored candidate rankings, and weighted by the runs.  Each row of
+    ``_perturb_run`` is counted as it comes.  Without count rules no run is counted and the
     ``Counter`` is empty.  A count that breaks an invariant is re-raised
     naming the grid point, run and base seed that reproduce it.
     """
@@ -475,7 +527,7 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
             outcome[winners] += runs
 
     if points[0].model is None:
-        record(slice(None), 0, n_runs, list(zip(prep.sheets, prep.papers)))
+        record(slice(None), 0, n_runs, list(zip(prep.rankings, prep.papers)))
     else:
         models = [point.model for point in points if point.btl_required == points[0].btl_required]
         for i, run in enumerate(range(run_lo, run_hi)):
@@ -668,7 +720,8 @@ def run_sweep(election: ElectionFile, config: SimConfig) -> SimReport:
     # variant's formal ballots, before any run, so that an unknown candidate
     # fails fast.
     histograms = {
-        cid: {v: _position_histogram(zip(p.sheets, p.papers), election.meta, cid) for v, p in prepared.items()}
+        cid: {v: _position_histogram(zip(p.rankings, p.prefix_ends, p.papers), election.meta, cid)
+              for v, p in prepared.items()}
         for cid in config.track_candidates
     }
     runs = config.runs_per_point
@@ -766,8 +819,9 @@ def partition_by_preference(
             raise BallotError(f"unknown candidate {cid!r}")
     cells = {VoteStyle.ATL: [0, 0, 0], VoteStyle.BTL: [0, 0, 0]}
     for prefs, papers in formal_ballots(election, rules):
-        pos_a = _place(prefs, meta, candidate_a)
-        pos_b = _place(prefs, meta, candidate_b)
+        ranking, ends = _candidates(prefs, meta)
+        pos_a = _place(ranking, ends, candidate_a)
+        pos_b = _place(ranking, ends, candidate_b)
         if pos_a < pos_b:
             cell = 0
         elif pos_b < pos_a:
@@ -788,30 +842,47 @@ def preference_position_histogram(
     Returns ``{"ATL": {rank: ballots}, "BTL": {rank: ballots}}`` where the
     ATL histogram uses the rank of the candidate's group.
     """
-    return _position_histogram(formal_ballots(election, rules), election.meta, candidate)
+    meta = election.meta
+    ballots = ((*_candidates(prefs, meta), papers) for prefs, papers in formal_ballots(election, rules))
+    return _position_histogram(ballots, meta, candidate)
 
 
 def _position_histogram(
-    ballots: Iterable[tuple[Preferences, int]], meta, candidate: str
+    ballots: Iterable[tuple[CandidateRanking, tuple[int, ...] | None, int]], meta, candidate: str
 ) -> dict[str, dict[int, int]]:
+    """``ballots`` are (ranking, prefix ends, papers), as ``_candidates`` gives the first two."""
     if candidate not in meta.group_of_candidate:
         raise BallotError(f"unknown candidate {candidate!r}")
     hist = {"ATL": Counter(), "BTL": Counter()}
-    for prefs, papers in ballots:
-        index = _place(prefs, meta, candidate)
-        if index < len(prefs.ranking):
-            hist[prefs.style.value][index + 1] += papers
+    for ranking, ends, papers in ballots:
+        index = _place(ranking, ends, candidate)
+        if index < (len(ranking) if ends is None else len(ends) - 1):
+            hist["BTL" if ends is None else "ATL"][index + 1] += papers
     return {style: dict(sorted(counter.items())) for style, counter in hist.items()}
 
 
-def _place(prefs: Preferences, meta, candidate: str) -> int:
-    """Index in the ranking of the candidate's group on an ATL ballot, or of
-    the candidate on a BTL ballot; the ranking's length when it is absent."""
-    target = meta.group_of_candidate[candidate] if prefs.style is VoteStyle.ATL else candidate
+def _candidates(prefs: Preferences, meta: ElectionMeta) -> tuple[CandidateRanking, tuple[int, ...] | None]:
+    """Preferences as the checked candidate ranking the count takes, and where its prefixes end.
+
+    For an ATL ballot, the ends are the candidate counts of its first 0, 1,
+    2, ... ranked groups; a BTL ballot has None, since its preferences are
+    its candidates.
+    """
+    ranking = expand_to_candidates(prefs, meta)
+    if prefs.style is VoteStyle.BTL:
+        return ranking, None
+    return ranking, tuple(itertools.accumulate((len(meta.candidates_of_group(g)) for g in prefs.ranking), initial=0))
+
+
+def _place(ranking: CandidateRanking, ends: tuple[int, ...] | None, candidate: str) -> int:
+    """Index in the preferences of the candidate's group on an ATL ballot
+    (``ends`` as ``_candidates`` gives them), or of the candidate on a BTL
+    ballot; the number of preferences when it is absent."""
     try:
-        return prefs.ranking.index(target)
+        index = ranking.index(candidate)
     except ValueError:
-        return len(prefs.ranking)
+        return len(ranking) if ends is None else len(ends) - 1
+    return index if ends is None else bisect.bisect_right(ends, index) - 1
 
 
 # -- serialisation ---------------------------------------------------------------

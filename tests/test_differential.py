@@ -5,7 +5,8 @@ the reference for physical ballot i at every rate.  At high error rates, on
 an election with repeated sheets, two-digit boxes and both vote styles,
 every (formality variant, rate) row of a run's shared pass must give each
 ballot the same formality and surviving length, the same multiset of formal
-rankings, and so the same winners, in whole-election blocks and in blocks
+rankings (as the checked candidate rankings that the count takes), and so
+the same winners, in whole-election blocks and in blocks
 of at most 16 digits, both where each variant classifies the election its
 own way and where two variants share one pass.  A row returns only the
 ballots it changed; every other formal ballot keeps its clean length.
@@ -21,6 +22,7 @@ import pytest
 
 from stvsim import (
     Candidate,
+    CandidateRanking,
     ConfusionModel,
     ElectionFile,
     ElectionMeta,
@@ -31,6 +33,7 @@ from stvsim import (
     classify_formality,
     count_stv,
     derive_seed,
+    expand_to_candidates,
     perturb_ballot,
     run_sweep,
 )
@@ -102,12 +105,20 @@ def dense_lengths(prep, changed, lengths):
 
 
 def multiset(pairs):
-    """A row's ``(Preferences, papers)`` pairs summed by ranking; every pair holds at least one paper."""
-    assert all(papers >= 1 for _, papers in pairs)
+    """A row's ``(CandidateRanking, papers)`` pairs summed by ranking; every pair holds at least one paper."""
+    assert all(isinstance(ranking, CandidateRanking) and papers >= 1 for ranking, papers in pairs)
     ballots = Counter()
-    for prefs, papers in pairs:
-        ballots[prefs] += papers
+    for ranking, papers in pairs:
+        ballots[ranking] += papers
     return ballots
+
+
+def candidate_multiset(ballots, meta):
+    """The scalar path's formal ``Preferences`` multiset as the candidate rankings that the count takes."""
+    expanded = Counter()
+    for prefs, papers in ballots.items():
+        expanded[expand_to_candidates(prefs, meta)] += papers
+    return expanded
 
 
 def winner_set(ballots, meta):
@@ -174,10 +185,12 @@ def test_sweep_matches_scalar_path(family, fixture):
                     j = perturbed.index(point)
                     flat_changed, flat_lengths, flat_ballots = flat[j]
                     assert dense_lengths(prep, flat_changed, flat_lengths).tolist() == lengths.tolist(), (point.index, run)
-                    assert multiset(flat_ballots) == ballots, (point.index, run)
+                    expected = candidate_multiset(ballots, election.meta)
+                    assert multiset(flat_ballots) == expected, (point.index, run)
                     block_changed, block_lengths, block_ballots = blocks[j]
                     block_dense = dense_lengths(small_blocks, block_changed, block_lengths)
-                    assert block_dense.tolist() == lengths.tolist() and multiset(block_ballots) == ballots
+                    assert block_dense.tolist() == lengths.tolist()
+                    assert multiset(block_ballots) == expected
                 formal_runs += lengths > 0
                 for k, n in zip(prep.orig_prefs.tolist(), lengths.tolist()):
                     surviving[k] += n

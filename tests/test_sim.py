@@ -382,6 +382,58 @@ class TestOneCleanCount:
         assert len(log.read_text()) == groups + 2 * 8  # one clean count per group, one per run and variant
 
 
+class TestCheckedRankings:
+    """The count takes each sheet's ranking as ``_prepare`` expanded and checked it, once."""
+
+    @pytest.mark.parametrize("model", ["digit", "truncation"])
+    @pytest.mark.parametrize(
+        "fixture",
+        [mixed_election, lambda: formality_bias_election(60, 60)],
+        ids=["own-classifications", "shared-classification"],
+    )
+    def test_a_sweep_expands_each_sheet_once_and_builds_no_preferences_after_prepare(
+        self, monkeypatch, fixture, model
+    ):
+        election = fixture()
+        config = SimConfig(base_seed=7, runs_per_point=6, model=model, rates=(0.2, 0.4), btl_required_grid=(6, 1),
+                           track_candidates=("a1",))
+        prepared, expanded, built, reread = [], Counter(), [], []
+        prepare, post_init, expand, interpret = sim._prepare, Preferences.__post_init__, count.expand_to_candidates, sim.interpret_marks
+
+        def logged_prepare(*args):
+            prepared.extend(prepare(*args))
+            return prepared
+
+        def counting_post_init(prefs):
+            if prepared:
+                built.append(prefs)
+            post_init(prefs)
+
+        def counting_expand(prefs, meta):
+            expanded[prefs] += 1
+            return expand(prefs, meta)
+
+        def counting_interpret(marks):
+            reread.append(marks)
+            return interpret(marks)
+
+        monkeypatch.setattr(sim, "_prepare", logged_prepare)
+        monkeypatch.setattr(Preferences, "__post_init__", counting_post_init)
+        monkeypatch.setattr(sim, "expand_to_candidates", counting_expand, raising=False)
+        monkeypatch.setattr(count, "expand_to_candidates", counting_expand)
+        monkeypatch.setattr(sim, "interpret_marks", counting_interpret)
+        report = run_sweep(election, config)
+        monkeypatch.undo()
+
+        assert report.point(0.4, 6).runs == 6 and (model == "truncation" or reread)  # some ballots moved
+        assert built == []
+        distinct = Counter()
+        for prep in prepared:  # each group's distinct formal sheets, once per group
+            distinct.update(prefs for prefs, _ in formal_ballots(election, prep.rules[0]))
+        assert sum(distinct.values()) == sum(len(prep.rankings) for prep in prepared)
+        assert expanded == distinct
+
+
 class TestCoupledDraws:
     """Every point reads the same draws: ballot i of run r is seeded by (base seed, r, i)."""
 
@@ -472,7 +524,7 @@ class TestCoupledDraws:
             assert len(rows) == len(prep.rules) * len(models)
             for changed, lengths, ballots in rows:
                 assert len(changed) == len(lengths) == 0
-                assert ballots == list(zip(prep.sheets, prep.papers))
+                assert ballots == list(zip(prep.rankings, prep.papers))
 
     @pytest.mark.parametrize(
         "model",
@@ -550,11 +602,12 @@ class TestDigitStore:
             MarkSheet(marks_for_ranking(rng.sample([g.id for g in groups], 11)), {}, 100),
         ))
         (prep,) = sim._prepare(election, [FormalityRules()])
+        sheets = [prefs for prefs, _ in formal_ballots(election)]  # in the order of prep's sheet ids
         seeds = seed_vector((20, 0), 0, election.total_ballots)
         row, rank, new = sim._changed_boxes(prep, [model], 0, len(prep.ballot_sheet), seeds)
         expected = set()
         for ballot, (i, s) in enumerate(zip(prep.ballot_index.tolist(), prep.ballot_sheet.tolist())):
-            clean = marks_from_preferences(prep.sheets[s])
+            clean = marks_from_preferences(sheets[s])
             mutated = scalar(clean, RandomStream(int(seeds[i])))
             for old, changed in ((clean.atl_marks, mutated.atl_marks), (clean.btl_marks, mutated.btl_marks)):
                 expected |= {(ballot, int(old[box]), int(changed[box])) for box in old if changed[box] != old[box]}

@@ -5,7 +5,8 @@ surplus method and tally rounding, ``CountTranscript.to_text()`` of the
 first 25 random elections of acceptance criterion 3, one after another.
 The test recounts them and compares the text byte for byte, so a rewrite
 of ``stvsim.count`` cannot move a tally, a transfer value, a rounding loss
-or a tie-break unnoticed.  A change to a golden file must be deliberate and
+or a tie-break unnoticed.  The same ballots handed over as the checked
+candidate rankings of ``expand_to_candidates`` must give the same bytes.  A change to a golden file must be deliberate and
 logged in CHANGES.md.
 
 To rewrite the files (only on purpose), from the repository root:
@@ -20,7 +21,17 @@ from pathlib import Path
 
 import pytest
 
-from stvsim import CountRules, SurplusMethod, TallyRounding, count_stv
+from stvsim import (
+    BallotError,
+    CountError,
+    CountRules,
+    Preferences,
+    SurplusMethod,
+    TallyRounding,
+    VoteStyle,
+    count_stv,
+    expand_to_candidates,
+)
 from stvsim.synth import random_election
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "transcripts"
@@ -42,13 +53,40 @@ def file_name(rules: CountRules) -> str:
     return f"{rules.surplus_method.value}-{rules.tally_rounding.value}.txt"
 
 
-def transcripts(rules: CountRules) -> str:
-    return "".join(count_stv(ballots, meta, rules)[1].to_text() for meta, ballots in elections())
+def transcripts(rules: CountRules, checked: bool = False) -> str:
+    """The elections' transcripts, with the ballots as ``Preferences`` or, if ``checked``, as candidate rankings."""
+    out = []
+    for meta, ballots in elections():
+        if checked:
+            ballots = [(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots]
+        out.append(count_stv(ballots, meta, rules)[1].to_text())
+    return "".join(out)
 
 
 @pytest.mark.parametrize("rules", RULES, ids=[file_name(r)[:-4] for r in RULES])
 def test_transcripts_match_golden_files(rules):
     assert transcripts(rules) == (GOLDEN_DIR / file_name(rules)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("rules", RULES, ids=[file_name(r)[:-4] for r in RULES])
+def test_checked_candidate_rankings_match_golden_files(rules):
+    assert transcripts(rules, checked=True) == (GOLDEN_DIR / file_name(rules)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "ballot, error, message",
+    [
+        ((Preferences(VoteStyle.BTL, ("c0", "zz")), 1), BallotError, "ranking references unknown candidate 'zz'"),
+        ((Preferences(VoteStyle.ATL, ("Z",)), 1), BallotError, "unknown group id 'Z'"),
+        ((Preferences(VoteStyle.BTL, ("c0",)), 0), CountError, "ballot multiplicity must be >= 1"),
+    ],
+    ids=["unknown-candidate", "unknown-group", "no-papers"],
+)
+def test_bad_preferences_still_fail_in_the_count(ballot, error, message):
+    meta, ballots = elections()[0]
+    with pytest.raises(error) as info:
+        count_stv([*ballots, ballot], meta)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_goldens_exercise_tie_breaking():
