@@ -186,6 +186,8 @@ class _Count:
             if mult < 1:
                 raise CountError("ballot multiplicity must be >= 1")
             if not isinstance(ranking, CandidateRanking):
+                if not isinstance(ranking, Preferences):
+                    raise TypeError(f"a ballot ranks by Preferences or CandidateRanking, not {type(ranking).__name__}")
                 ranking = expand_to_candidates(ranking, meta)
             first[ranking[0]].append((ranking, 0, mult))
             self.tallies[ranking[0]] += mult
@@ -388,7 +390,8 @@ def count_stv(
     Each ballot is a (ranking, papers) pair.  A ``Preferences`` ranking is
     expanded and its ids checked by ``expand_to_candidates``, which fails
     on an unknown id; a ``CandidateRanking``, the checked result of that
-    call for ``meta`` (or a prefix or re-read of one), is counted as it is.
-    Papers below 1 raise ``CountError``.
+    call for ``meta`` (or a prefix or re-read of one), is counted as it is;
+    any other ranking raises ``TypeError``.  Papers below 1 raise
+    ``CountError``.
     """
     return _Count(ballots, meta, rules or CountRules()).run()

@@ -398,11 +398,13 @@ class TestCheckedRankings:
         config = SimConfig(base_seed=7, runs_per_point=6, model=model, rates=(0.2, 0.4), btl_required_grid=(6, 1),
                            track_candidates=("a1",))
         prepared, expanded, built, reread = [], Counter(), [], []
-        prepare, post_init, expand, interpret = sim._prepare, Preferences.__post_init__, count.expand_to_candidates, sim.interpret_marks
+        prepare, post_init = sim._prepare, Preferences.__post_init__
+        expand, interpret = count.expand_to_candidates, sim.interpret_marks
 
         def logged_prepare(*args):
-            prepared.extend(prepare(*args))
-            return prepared
+            groups = prepare(*args)
+            prepared.extend(groups)
+            return groups
 
         def counting_post_init(prefs):
             if prepared:
@@ -422,10 +424,10 @@ class TestCheckedRankings:
         monkeypatch.setattr(sim, "expand_to_candidates", counting_expand, raising=False)
         monkeypatch.setattr(count, "expand_to_candidates", counting_expand)
         monkeypatch.setattr(sim, "interpret_marks", counting_interpret)
-        report = run_sweep(election, config)
+        run_sweep(election, config)
         monkeypatch.undo()
 
-        assert report.point(0.4, 6).runs == 6 and (model == "truncation" or reread)  # some ballots moved
+        assert model == "truncation" or reread  # some ballots moved and were read again
         assert built == []
         distinct = Counter()
         for prep in prepared:  # each group's distinct formal sheets, once per group

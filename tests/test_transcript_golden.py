@@ -6,8 +6,8 @@ first 25 random elections of acceptance criterion 3, one after another.
 The test recounts them and compares the text byte for byte, so a rewrite
 of ``stvsim.count`` cannot move a tally, a transfer value, a rounding loss
 or a tie-break unnoticed.  The same ballots handed over as the checked
-candidate rankings of ``expand_to_candidates`` must give the same bytes.  A change to a golden file must be deliberate and
-logged in CHANGES.md.
+candidate rankings of ``expand_to_candidates`` must give the same bytes.
+A change to a golden file must be deliberate and logged in CHANGES.md.
 
 To rewrite the files (only on purpose), from the repository root:
 
@@ -79,10 +79,11 @@ def test_checked_candidate_rankings_match_golden_files(rules):
         ((Preferences(VoteStyle.BTL, ("c0", "zz")), 1), BallotError, "ranking references unknown candidate 'zz'"),
         ((Preferences(VoteStyle.ATL, ("Z",)), 1), BallotError, "unknown group id 'Z'"),
         ((Preferences(VoteStyle.BTL, ("c0",)), 0), CountError, "ballot multiplicity must be >= 1"),
+        ((("c0",), 1), TypeError, "a ballot ranks by Preferences or CandidateRanking, not tuple"),
     ],
-    ids=["unknown-candidate", "unknown-group", "no-papers"],
+    ids=["unknown-candidate", "unknown-group", "no-papers", "unchecked-tuple"],
 )
-def test_bad_preferences_still_fail_in_the_count(ballot, error, message):
+def test_bad_ballots_fail_in_the_count(ballot, error, message):
     meta, ballots = elections()[0]
     with pytest.raises(error) as info:
         count_stv([*ballots, ballot], meta)
