@@ -17,13 +17,17 @@ or formality variants are in the grid.
 One "physical ballot" is one paper: a mark sheet with multiplicity m covers
 m consecutive physical indices in file order.
 
-Layout.  Formality variants that classify every record alike form one
-group, which stores every distinct formal sheet once: its ranked boxes in
-canonical digit order, their clean values and where their digits end in
-one digit store, the preferences each variant needs, and its checked
-candidate ranking (``expand_to_candidates`` runs once per sheet and
-group, and is the one check of its ids).  A formal
-physical ballot is just a sheet id.  A run draws over all formal ballots
+Layout.  One array pass classifies every record for every formality
+variant (``_classify``): each style's marks are read once into flat
+(record, box code, number) arrays, each record's run of numbers 1, 2, ...
+held by exactly one box is found for all records at once, and a variant's
+decision is two comparisons on the two runs.  Variants whose decisions are
+equal form one group, which stores every distinct formal sheet once: its
+ranked boxes in canonical digit order, their clean values and where their
+digits end in one digit store, the preferences each variant needs, and its
+candidate ranking, built from the same box codes (every code names a box
+of the layout, so no id is looked up again).  A formal physical ballot is
+just a sheet id.  A run draws over all formal ballots
 in blocks of consecutive ballots holding at most ``BLOCK_DIGITS`` digits,
 so the per-digit raw words never outgrow one block.  In each block, every
 (ballot, digit) gets draw k of its ballot's substream (the scalar path's
@@ -78,8 +82,6 @@ from .ballots import (
     FormalityRules,
     Preferences,
     VoteStyle,
-    classify_formality,
-    expand_to_candidates,
     interpret_marks,
 )
 from .count import CountInvariantError, CountRules, count_stv
@@ -200,10 +202,12 @@ class _Prepared:
     Each distinct formal sheet (one set of canonical preferences) is kept
     once: the clean value (its rank) of each ranked box, in canonical digit
     order (sorted ids), the digits that write it, and the preferences each
-    variant needs.  Its ids are checked once, by ``expand_to_candidates``,
-    whose candidate ranking the count takes; a cut or re-read ranking is
-    built from that one.  A formal physical ballot is only a sheet id; a run
-    names it by its index into ``ballot_index`` ("formal ballot").
+    variant needs.  Its candidate ranking, which the count takes, is built
+    by ``_rankings`` from the box codes of the classification pass, as
+    ``expand_to_candidates`` would expand the sheet's preferences; a cut or
+    re-read ranking is built from that one.  A formal physical ballot is
+    only a sheet id; a run names it by its index into ``ballot_index``
+    ("formal ballot").
     ``papers`` is the clean tally that a run's changed ballots are taken from.
     """
 
@@ -213,8 +217,8 @@ class _Prepared:
     orig_prefs: np.ndarray  # int32: baseline preference count (0 if informal)
     bucket_counts: dict[int, int]
     # per distinct formal sheet
-    rankings: list[CandidateRanking]  # its preferences as checked candidates
-    prefix_ends: list[tuple[int, ...] | None]  # see _candidates
+    rankings: list[CandidateRanking]  # its preferences as candidates
+    prefix_ends: list[tuple[int, ...] | None]  # see _rankings
     papers: list[int]  # formal physical ballots
     required: np.ndarray  # (variant, sheet): preferences it needs to stay formal
     n_boxes: np.ndarray  # ranked boxes, i.e. preferences
@@ -229,56 +233,167 @@ class _Prepared:
     blocks: list[tuple[int, int]]  # ballot ranges of at most BLOCK_DIGITS digits, or one ballot
 
 
-def _classify(election: ElectionFile, rules: FormalityRules) -> tuple[list[Preferences], np.ndarray]:
-    """The one formality pass over an election's sheets.
+class _MarkNumbers(dict):
+    """Mark string -> its number, each distinct string read once; a number above ``cap`` reads ``cap``."""
 
-    Returns each distinct formal ``Preferences`` once, in file order, and
-    every physical ballot's index into that list (-1 if informal).
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def __missing__(self, mark: str) -> int:
+        number = self[mark] = min(int(mark), self.cap)
+        return number
+
+
+def _box_ids(meta: ElectionMeta) -> list[str]:
+    """The box of each box code: the sorted group ids, then the sorted candidate ids.
+
+    A sheet ranks one style's boxes, so sorting its codes sorts its box ids,
+    and a group and a candidate that share an id keep two codes.
     """
-    ids: dict[Preferences, int] = {}
-    record = [
-        -1 if (prefs := classify_formality(sheet, rules)) is None else ids.setdefault(prefs, len(ids))
-        for sheet in election.sheets
+    return sorted(meta.group_ids) + sorted(meta.candidate_ids)
+
+
+def _classify(election: ElectionFile, variants: list[FormalityRules]) -> list[tuple]:
+    """The one formality pass over an election's sheets, for every variant at once.
+
+    Each style's marks are read once into flat arrays of (record, box code,
+    number), each distinct mark string converted once.  A record's run in a
+    style is how many of the numbers 1, 2, ... are each held by exactly one
+    box (the rule of ``interpret_marks``), found for every record from one
+    count of (record, number) pairs; a number above the style's box count
+    can never join a run.  A variant's decision is two comparisons per
+    record: BTL if its BTL run is long enough, else ATL if its ATL run is,
+    else informal, so a formal BTL ranking beats ATL marks.  Variants whose
+    decisions are equal form one group, in order of their first variant.
+    Returns, per group: its variants; each physical ballot's distinct formal
+    sheet (-1 if informal), the sheets numbered in file order; and per
+    sheet its style code (0 ATL, 1 BTL), its preference count and, flat in
+    sheet and rank order, its ranked boxes' codes (indices into ``_box_ids``).
+    """
+    meta, sheets = election.meta, election.sheets
+    n = len(sheets)
+    box_ids, n_groups = _box_ids(meta), len(meta.group_ids)
+    numbers = _MarkNumbers(len(meta.candidate_ids) + 1)  # no run is longer than the candidates
+    runs, holders = [], []
+    for first, end, marks in ((0, n_groups, [s.atl_marks for s in sheets]),
+                              (n_groups, len(box_ids), [s.btl_marks for s in sheets])):
+        record = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, marks), dtype=np.int64, count=n))
+        code = dict(zip(box_ids[first:end], range(first, end)))
+        box = np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(marks)), np.int32, len(record))
+        values = itertools.chain.from_iterable(m.values() for m in marks)
+        number = np.fromiter(map(numbers.__getitem__, values), np.int32, len(record))
+        # A number above the boxes never joins a run: read it as one past them, which no run reaches.
+        np.minimum(number, end - first + 1, out=number)
+        width = end - first + 2
+        key = record.astype(np.int64)
+        key *= width
+        key += number
+        run = np.argmax(np.bincount(key, minlength=n * width).reshape(n, width)[:, 1:] != 1, axis=1)
+        del key
+        ranked = (number >= 1) & (number <= run.astype(np.int32)[record])  # a number's one holder in the run
+        runs.append(run)
+        holders.append((record[ranked], number[ranked], box[ranked]))
+        del record, box, number, ranked
+    atl_run, btl_run = runs
+    groups: list[tuple[list[FormalityRules], np.ndarray]] = []
+    for rules in variants:
+        style = np.where(btl_run >= rules.btl_required_prefs, 1, np.where(atl_run >= rules.atl_required_prefs, 0, -1))
+        group = next((g for g in groups if np.array_equal(g[1], style)), None)
+        if group is None:
+            groups.append(group := ([], style))
+        group[0].append(rules)
+
+    width = max(int(atl_run.max(initial=0)), int(btl_run.max(initial=0)), 1)
+    multiplicity = np.fromiter((s.multiplicity for s in sheets), dtype=np.int64, count=n)
+    out = []
+    for rules, style in groups:
+        # One row of box codes per record, in rank order and padded with -1;
+        # the two styles' codes differ, so equal rows are equal preferences.
+        table = np.full((n, width), -1, dtype=np.min_scalar_type(-len(box_ids)))
+        for code, (record, number, box) in enumerate(holders):  # 0 ATL, 1 BTL
+            keep = style[record] == code
+            table[record[keep], number[keep] - 1] = box[keep]
+        formal = np.flatnonzero(style >= 0)
+        rows = table[formal]
+        as_bytes = rows.view(np.dtype((np.void, width * rows.itemsize))).reshape(-1)
+        _, first_of, which = np.unique(as_bytes, return_index=True, return_inverse=True)
+        firsts, sheet = np.unique(first_of[which], return_inverse=True)  # sheets numbered by their first record
+        record_sheet = np.full(n, -1, dtype=np.int32)
+        record_sheet[formal] = sheet
+        boxes = rows[firsts]
+        out.append((
+            rules,
+            np.repeat(record_sheet, multiplicity),
+            style[formal[firsts]].astype(np.int8),
+            np.count_nonzero(boxes >= 0, axis=1),
+            boxes[boxes >= 0],
+        ))
+    return out
+
+
+def _rankings(
+    meta: ElectionMeta, style: np.ndarray, n_boxes: np.ndarray, codes: np.ndarray
+) -> tuple[list[CandidateRanking], list[tuple[int, ...] | None]]:
+    """Each sheet's candidate ranking, and where its prefixes end, from its ranked box codes.
+
+    A group's box stands for its candidates in ballot-paper position order,
+    as ``expand_to_candidates`` expands it; every code names a box of the
+    layout, so the ranking's ids are known.  For an ATL sheet, the ends are
+    the candidate counts of its first 0, 1, 2, ... ranked groups; a BTL
+    sheet has None, since its preferences are its candidates.
+    """
+    # A group's box stands for its candidates, a candidate's box for its id.
+    box_ids, n_groups = _box_ids(meta), len(meta.group_ids)
+    stands_for = [meta.candidates_of_group(g) for g in box_ids[:n_groups]] + box_ids[n_groups:]
+    flat = np.fromiter(stands_for, dtype=object, count=len(stands_for))[codes].tolist()
+    bounds = [0, *np.cumsum(n_boxes).tolist()]
+    styles = style.tolist()
+    rankings = [
+        CandidateRanking(flat[a:b] if btl else itertools.chain.from_iterable(flat[a:b]))
+        for btl, a, b in zip(styles, bounds, bounds[1:])
     ]
-    return list(ids), np.repeat(np.array(record, dtype=np.int32), [s.multiplicity for s in election.sheets])
+    ends = [
+        None if btl else tuple(itertools.accumulate(map(len, flat[a:b]), initial=0))
+        for btl, a, b in zip(styles, bounds, bounds[1:])
+    ]
+    return rankings, ends
 
 
 def formal_ballots(election: ElectionFile, rules: FormalityRules | None = None) -> list[tuple[Preferences, int]]:
     """Each distinct formal ballot with its number of papers, in file order."""
-    sheets, physical_sheet = _classify(election, rules or FormalityRules())
-    return list(zip(sheets, np.bincount(physical_sheet[physical_sheet >= 0], minlength=len(sheets)).tolist()))
+    ((_, physical_sheet, style, n_boxes, codes),) = _classify(election, [rules or FormalityRules()])
+    boxes = list(map(_box_ids(election.meta).__getitem__, codes.tolist()))
+    bounds = [0, *np.cumsum(n_boxes).tolist()]
+    prefs = [
+        Preferences(VoteStyle.BTL if btl else VoteStyle.ATL, tuple(boxes[a:b]))
+        for btl, a, b in zip(style.tolist(), bounds, bounds[1:])
+    ]
+    return list(zip(prefs, np.bincount(physical_sheet[physical_sheet >= 0], minlength=len(prefs)).tolist()))
 
 
 def _prepare(election: ElectionFile, variants: Iterable[FormalityRules]) -> list[_Prepared]:
     """One ``_Prepared`` per group of variants that classify alike, in order of their first variant."""
-    groups: list[tuple[list[Preferences], np.ndarray, list[FormalityRules]]] = []
-    for rules in variants:
-        sheets, physical_sheet = _classify(election, rules)
-        group = next((g for g in groups if np.array_equal(g[1], physical_sheet) and g[0] == sheets), None)
-        if group is None:
-            groups.append(group := (sheets, physical_sheet, []))
-        group[2].append(rules)
-    return [_layout(*group, election.meta) for group in groups]
+    return [_layout(*group, election.meta) for group in _classify(election, list(variants))]
 
 
 def _layout(
-    sheets: list[Preferences], physical_sheet: np.ndarray, variants: list[FormalityRules], meta: ElectionMeta
+    variants: list[FormalityRules],
+    physical_sheet: np.ndarray,
+    sheet_style: np.ndarray,
+    n_boxes: np.ndarray,
+    codes: np.ndarray,
+    meta: ElectionMeta,
 ) -> _Prepared:
     n_physical = len(physical_sheet)
     baseline = physical_sheet >= 0
     ballot_sheet = physical_sheet[baseline]
 
-    expanded = [_candidates(p, meta) for p in sheets]
     # Each sheet's boxes in canonical digit order are its ids sorted: one
-    # sort of (sheet, id code) keys, with codes in the order of the ids.
-    n_boxes = np.array([len(p.ranking) for p in sheets], dtype=np.int64)
-    code = {box: i for i, box in enumerate(sorted({*meta.group_ids, *meta.candidate_ids}))}
-    keys = np.fromiter(
-        map(code.__getitem__, itertools.chain.from_iterable(p.ranking for p in sheets)),
-        dtype=np.int64, count=int(n_boxes.sum()),
-    )
+    # sort of (sheet, box code) keys, since the codes follow the sorted ids.
     first_box = np.cumsum(n_boxes) - n_boxes
-    keys += np.repeat(first_box * len(code), n_boxes)
+    keys = np.repeat(first_box * len(_box_ids(meta)), n_boxes)
+    keys += codes
     order = np.argsort(keys)  # per box in digit order, its place in the flat rankings
     del keys
     order -= np.repeat(first_box - 1, n_boxes)
@@ -312,7 +427,7 @@ def _layout(
         blocks.append((lo, hi))
         lo = hi
 
-    sheet_style = np.array([0 if p.style is VoteStyle.ATL else 1 for p in sheets], dtype=np.int8)
+    rankings, prefix_ends = _rankings(meta, sheet_style, n_boxes, codes)
     styles = np.full(n_physical, -1, dtype=np.int8)
     styles[baseline] = sheet_style[ballot_sheet]
     orig = np.zeros(n_physical, dtype=np.int32)
@@ -324,10 +439,14 @@ def _layout(
         style_codes=styles,
         orig_prefs=orig,
         bucket_counts={int(k): int(buckets[k]) for k in np.flatnonzero(buckets)},
-        rankings=[ranking for ranking, _ in expanded],
-        prefix_ends=[ends for _, ends in expanded],
-        papers=np.bincount(ballot_sheet, minlength=len(sheets)).tolist(),
-        required=np.array([[rules.required(p.style) for p in sheets] for rules in variants], dtype=np.int64),
+        rankings=rankings,
+        prefix_ends=prefix_ends,
+        papers=np.bincount(ballot_sheet, minlength=len(rankings)).tolist(),
+        required=np.where(
+            sheet_style == 1,
+            [[rules.btl_required_prefs] for rules in variants],
+            [[rules.atl_required_prefs] for rules in variants],
+        ).astype(np.int64),
         n_boxes=n_boxes,
         n_digits=n_digits,
         digit_start=digit_start,
@@ -391,7 +510,7 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
 
 
 def _perturb_run(
-    prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray
+    prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray, prefixes: dict[tuple[int, int], CandidateRanking]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[CandidateRanking, int]]]]:
     """One run's pass over the formal ballots for every variant and model.
 
@@ -466,7 +585,10 @@ def _perturb_run(
         present = np.flatnonzero(kept[m])
         ballots = [(rankings[s], n) for s, n in zip(present.tolist(), kept[m, present].tolist())]
         for s, length, n in cuts[cut_rows[row]:cut_rows[row + 1]]:
-            ballots.append((CandidateRanking(rankings[s][:length if ends[s] is None else ends[s][length]]), n))
+            if (cut := prefixes.get((s, length))) is None:
+                cut = CandidateRanking(rankings[s][:length if ends[s] is None else ends[s][length]])
+                prefixes[s, length] = cut
+            ballots.append((cut, n))
         for c in moved[moved_rows[row]:moved_rows[row + 1]]:
             own = slice(box_rows[c], box_rows[c + 1])
             ballots.append((_reread(prep, int(sheet[c]), rank[own].tolist(), value[own].tolist()), 1))
@@ -530,9 +652,10 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
         record(slice(None), 0, n_runs, list(zip(prep.rankings, prep.papers)))
     else:
         models = [point.model for point in points if point.btl_required == points[0].btl_required]
+        prefixes: dict[tuple[int, int], CandidateRanking] = {}  # each cut (sheet, length) ranking, built once
         for i, run in enumerate(range(run_lo, run_hi)):
             seeds = seed_vector((base_seed, run), 0, prep.n_physical)
-            for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, seeds)):
+            for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, seeds, prefixes)):
                 informal = changed[lengths == 0]
                 formal_runs[j, informal] -= 1
                 atl = np.count_nonzero(style[informal] == 0)
@@ -818,8 +941,8 @@ def partition_by_preference(
         if cid not in meta.group_of_candidate:
             raise BallotError(f"unknown candidate {cid!r}")
     cells = {VoteStyle.ATL: [0, 0, 0], VoteStyle.BTL: [0, 0, 0]}
-    for prefs, papers in formal_ballots(election, rules):
-        ranking, ends = _candidates(prefs, meta)
+    (prep,) = _prepare(election, [rules or FormalityRules()])
+    for ranking, ends, papers in zip(prep.rankings, prep.prefix_ends, prep.papers):
         pos_a = _place(ranking, ends, candidate_a)
         pos_b = _place(ranking, ends, candidate_b)
         if pos_a < pos_b:
@@ -828,7 +951,7 @@ def partition_by_preference(
             cell = 1
         else:
             cell = 2
-        cells[prefs.style][cell] += papers
+        cells[VoteStyle.BTL if ends is None else VoteStyle.ATL][cell] += papers
     return PartitionTable(candidate_a, candidate_b, tuple(cells[VoteStyle.ATL]), tuple(cells[VoteStyle.BTL]))
 
 
@@ -842,15 +965,14 @@ def preference_position_histogram(
     Returns ``{"ATL": {rank: ballots}, "BTL": {rank: ballots}}`` where the
     ATL histogram uses the rank of the candidate's group.
     """
-    meta = election.meta
-    ballots = ((*_candidates(prefs, meta), papers) for prefs, papers in formal_ballots(election, rules))
-    return _position_histogram(ballots, meta, candidate)
+    (prep,) = _prepare(election, [rules or FormalityRules()])
+    return _position_histogram(zip(prep.rankings, prep.prefix_ends, prep.papers), election.meta, candidate)
 
 
 def _position_histogram(
     ballots: Iterable[tuple[CandidateRanking, tuple[int, ...] | None, int]], meta, candidate: str
 ) -> dict[str, dict[int, int]]:
-    """``ballots`` are (ranking, prefix ends, papers), as ``_candidates`` gives the first two."""
+    """``ballots`` are (ranking, prefix ends, papers), as ``_rankings`` gives the first two."""
     if candidate not in meta.group_of_candidate:
         raise BallotError(f"unknown candidate {candidate!r}")
     hist = {"ATL": Counter(), "BTL": Counter()}
@@ -861,22 +983,9 @@ def _position_histogram(
     return {style: dict(sorted(counter.items())) for style, counter in hist.items()}
 
 
-def _candidates(prefs: Preferences, meta: ElectionMeta) -> tuple[CandidateRanking, tuple[int, ...] | None]:
-    """Preferences as the checked candidate ranking the count takes, and where its prefixes end.
-
-    For an ATL ballot, the ends are the candidate counts of its first 0, 1,
-    2, ... ranked groups; a BTL ballot has None, since its preferences are
-    its candidates.
-    """
-    ranking = expand_to_candidates(prefs, meta)
-    if prefs.style is VoteStyle.BTL:
-        return ranking, None
-    return ranking, tuple(itertools.accumulate((len(meta.candidates_of_group(g)) for g in prefs.ranking), initial=0))
-
-
 def _place(ranking: CandidateRanking, ends: tuple[int, ...] | None, candidate: str) -> int:
     """Index in the preferences of the candidate's group on an ATL ballot
-    (``ends`` as ``_candidates`` gives them), or of the candidate on a BTL
+    (``ends`` as ``_rankings`` gives them), or of the candidate on a BTL
     ballot; the number of preferences when it is absent."""
     try:
         index = ranking.index(candidate)

@@ -2,16 +2,13 @@
 
 The builders here construct small elections with known structure: a
 two-group contest engineered so that digitisation errors flip the winner,
-a ladder of long and short preference lists for truncation measurements
-(always 12 groups of 5 candidates, with 60-preference BTL and
-10-preference ATL ballots; only the two ballot counts vary), and uniformly
-random elections for cross-checking the counting engine.
+and a ladder of long and short preference lists for truncation
+measurements (always 12 groups of 5 candidates, with 60-preference BTL and
+10-preference ATL ballots; only the two ballot counts vary).
 """
 from __future__ import annotations
 
-import random
-
-from .ballots import Candidate, ElectionMeta, Group, MarkSheet, Preferences, VoteStyle, marks_for_ranking
+from .ballots import Candidate, ElectionMeta, Group, MarkSheet, marks_for_ranking
 from .ingest import ElectionFile
 
 
@@ -67,25 +64,3 @@ def truncation_ladder_election(long_ballots: int = 2000, short_ballots: int = 20
     )
     return ElectionFile(meta, sheets, provenance="synthetic")
 
-
-def random_election(
-    rng: random.Random,
-    max_candidates: int = 5,
-    max_ballots: int = 100,
-    seats: int = 1,
-) -> tuple[ElectionMeta, list[tuple[Preferences, int]]]:
-    """A uniformly random BTL election for engine cross-checks."""
-    n_candidates = rng.randint(max(2, seats + 1), max_candidates)
-    n_ballots = rng.randint(1, max_ballots)
-    group = Group("G", "Everyone")
-    candidates = tuple(
-        Candidate(f"c{i}", f"Candidate {i}", "G", i + 1) for i in range(n_candidates)
-    )
-    meta = ElectionMeta("random fixture", seats, (group,), candidates)
-    ids = [c.id for c in candidates]
-    ballots = []
-    for _ in range(n_ballots):
-        k = rng.randint(1, n_candidates)
-        ranking = tuple(rng.sample(ids, k))
-        ballots.append((Preferences(VoteStyle.BTL, ranking), 1))
-    return meta, ballots

@@ -4,7 +4,8 @@ These deliberately avoid the package's counting machinery: the IRV oracle
 works on plain tallies with no weights, quotas or piles, and the retention
 reference derives its numbers from the documented digit model and
 interpretation rule without the package's RNG, corruption or
-interpretation code.
+interpretation code.  ``random_election`` draws the uniformly random BTL
+elections that the count is cross-checked on.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import itertools
 import math
 import random
 
-from stvsim import Preferences
+from stvsim import Candidate, ElectionMeta, Group, Preferences, VoteStyle
 
 
 def irv_winner(ballots: list[tuple[Preferences, int]], candidate_ids: list[str]) -> str:
@@ -153,3 +154,26 @@ def random_marksheet(rng: random.Random, boxes: list[str], max_mark: int = 12):
     """Raw marks with duplicates and gaps, for interpretation fuzzing."""
     marked = rng.sample(boxes, rng.randint(0, len(boxes)))
     return {box: str(rng.randint(0, max_mark)) for box in marked}
+
+
+def random_election(
+    rng: random.Random,
+    max_candidates: int = 5,
+    max_ballots: int = 100,
+    seats: int = 1,
+) -> tuple[ElectionMeta, list[tuple[Preferences, int]]]:
+    """A uniformly random BTL election for engine cross-checks."""
+    n_candidates = rng.randint(max(2, seats + 1), max_candidates)
+    n_ballots = rng.randint(1, max_ballots)
+    group = Group("G", "Everyone")
+    candidates = tuple(
+        Candidate(f"c{i}", f"Candidate {i}", "G", i + 1) for i in range(n_candidates)
+    )
+    meta = ElectionMeta("random fixture", seats, (group,), candidates)
+    ids = [c.id for c in candidates]
+    ballots = []
+    for _ in range(n_ballots):
+        k = rng.randint(1, n_candidates)
+        ranking = tuple(rng.sample(ids, k))
+        ballots.append((Preferences(VoteStyle.BTL, ranking), 1))
+    return meta, ballots

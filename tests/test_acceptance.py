@@ -49,7 +49,7 @@ from stvsim.cli import main as cli_main
 from stvsim.error_models import corrupt_digits_batch
 from stvsim.rng import seed_vector
 from stvsim.sim import partition_by_preference
-from stvsim.synth import formality_bias_election, random_election, truncation_ladder_election
+from stvsim.synth import formality_bias_election, truncation_ladder_election
 
 from oracles import (
     RETENTION_SWAP_ALLOWANCE,
@@ -57,6 +57,7 @@ from oracles import (
     enumerate_digit_errors,
     irv_winner,
     prefix_length,
+    random_election,
 )
 
 ATL_VOTES = 4950

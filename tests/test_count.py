@@ -23,9 +23,8 @@ from stvsim import (
     count_stv,
     droop_quota,
 )
-from stvsim.synth import random_election
 
-from oracles import irv_winner
+from oracles import irv_winner, random_election
 
 EXACT = CountRules(tally_rounding=TallyRounding.EXACT)
 UIG = CountRules(surplus_method=SurplusMethod.UNWEIGHTED_INCLUSIVE_GREGORY)

@@ -170,7 +170,9 @@ def test_sweep_matches_scalar_path(family, fixture):
         passes = []
         for run in range(RUNS):
             seeds = seed_vector((BASE_SEED, run), 0, election.total_ballots)
-            passes.append((list(_perturb_run(prep, models, seeds)), list(_perturb_run(small_blocks, models, seeds))))
+            passes.append(
+                (list(_perturb_run(prep, models, seeds, {})), list(_perturb_run(small_blocks, models, seeds, {})))
+            )
             assert len(passes[-1][0]) == len(passes[-1][1]) == len(perturbed)
         for point, result in group:
             rules = config.rules_for(point.btl_required)

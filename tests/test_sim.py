@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from stvsim import (
     BUNDLED_CONFUSION_TABLE,
     BallotError,
     Candidate,
+    CandidateRanking,
     ConfusionModel,
     CountInvariantError,
     CountRules,
@@ -35,6 +36,7 @@ from stvsim import (
     apply_truncation_model,
     classify_formality,
     count_stv,
+    expand_to_candidates,
     formal_ballots,
     formality_rate_report,
     load_confusion_table,
@@ -46,7 +48,7 @@ from stvsim import (
     write_election_file,
     write_report,
 )
-from stvsim import count, sim
+from stvsim import ballots, count, error_models, sim
 from stvsim.cli import EXIT_OK, main
 from stvsim.error_models import corrupt_digits_batch, truncation_lengths_batch
 from stvsim.rng import seed_vector
@@ -383,7 +385,7 @@ class TestOneCleanCount:
 
 
 class TestCheckedRankings:
-    """The count takes each sheet's ranking as ``_prepare`` expanded and checked it, once."""
+    """The count takes each sheet's ranking as ``_prepare`` built it from the one classification pass."""
 
     @pytest.mark.parametrize("model", ["digit", "truncation"])
     @pytest.mark.parametrize(
@@ -391,49 +393,54 @@ class TestCheckedRankings:
         [mixed_election, lambda: formality_bias_election(60, 60)],
         ids=["own-classifications", "shared-classification"],
     )
-    def test_a_sweep_expands_each_sheet_once_and_builds_no_preferences_after_prepare(
-        self, monkeypatch, fixture, model
-    ):
+    def test_a_sweep_classifies_expands_and_builds_no_preferences_sheet_by_sheet(self, monkeypatch, fixture, model):
         election = fixture()
         config = SimConfig(base_seed=7, runs_per_point=6, model=model, rates=(0.2, 0.4), btl_required_grid=(6, 1),
                            track_candidates=("a1",))
-        prepared, expanded, built, reread = [], Counter(), [], []
-        prepare, post_init = sim._prepare, Preferences.__post_init__
-        expand, interpret = count.expand_to_candidates, sim.interpret_marks
+        prepared, calls, reread = [], Counter(), []
+        prepare, post_init, interpret = sim._prepare, Preferences.__post_init__, sim.interpret_marks
 
         def logged_prepare(*args):
             groups = prepare(*args)
             prepared.extend(groups)
             return groups
 
-        def counting_post_init(prefs):
-            if prepared:
-                built.append(prefs)
-            post_init(prefs)
-
-        def counting_expand(prefs, meta):
-            expanded[prefs] += 1
-            return expand(prefs, meta)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
         def counting_interpret(marks):
             reread.append(marks)
             return interpret(marks)
 
         monkeypatch.setattr(sim, "_prepare", logged_prepare)
-        monkeypatch.setattr(Preferences, "__post_init__", counting_post_init)
-        monkeypatch.setattr(sim, "expand_to_candidates", counting_expand, raising=False)
-        monkeypatch.setattr(count, "expand_to_candidates", counting_expand)
+        monkeypatch.setattr(Preferences, "__post_init__", counted("Preferences", post_init))
+        for module in (ballots, count, error_models, sim):
+            for name in ("classify_formality", "expand_to_candidates"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(sim, "interpret_marks", counting_interpret)
         run_sweep(election, config)
         monkeypatch.undo()
 
+        assert not hasattr(sim, "classify_formality") and not hasattr(sim, "expand_to_candidates")
         assert model == "truncation" or reread  # some ballots moved and were read again
-        assert built == []
-        distinct = Counter()
-        for prep in prepared:  # each group's distinct formal sheets, once per group
-            distinct.update(prefs for prefs, _ in formal_ballots(election, prep.rules[0]))
-        assert sum(distinct.values()) == sum(len(prep.rankings) for prep in prepared)
-        assert expanded == distinct
+        assert calls == Counter()
+        # Each group's rankings are the reference's: the record loop's distinct
+        # formal preferences in file order, each expanded once.
+        for prep in prepared:
+            distinct = dict.fromkeys(
+                prefs for sheet in election.sheets if (prefs := classify_formality(sheet, prep.rules[0])) is not None
+            )
+            assert prep.rankings == [expand_to_candidates(prefs, election.meta) for prefs in distinct]
+            assert all(type(ranking) is CandidateRanking for ranking in prep.rankings)
+            assert prep.prefix_ends == [
+                None if prefs.style is VoteStyle.BTL
+                else tuple(accumulate((len(election.meta.candidates_of_group(g)) for g in prefs.ranking), initial=0))
+                for prefs in distinct
+            ]
 
 
 class TestCoupledDraws:
@@ -522,7 +529,7 @@ class TestCoupledDraws:
         models = [UniformDigitModel(1e-12), UniformDigitModel(2e-12)]
         seeds = seed_vector((5, 0), 0, election.total_ballots)
         for prep in sim._prepare(election, rules):
-            rows = list(sim._perturb_run(prep, models, seeds))
+            rows = list(sim._perturb_run(prep, models, seeds, {}))
             assert len(rows) == len(prep.rules) * len(models)
             for changed, lengths, ballots in rows:
                 assert len(changed) == len(lengths) == 0
@@ -550,7 +557,7 @@ class TestCoupledDraws:
         tracemalloc.start()
         try:
             rows = 0
-            for changed, _, _ in sim._perturb_run(prep, [model], seeds):
+            for changed, _, _ in sim._perturb_run(prep, [model], seeds, {}):
                 assert len(changed) > 0
                 rows += 1
             peak = tracemalloc.get_traced_memory()[1]
@@ -649,20 +656,30 @@ class TestCountFailureContext:
 
 
 class TestOneClassificationPass:
-    def test_sweep_classifies_each_record_once_per_variant(self, small_election, monkeypatch):
-        calls = []
+    def test_sweep_classifies_every_record_and_variant_in_one_pass(self, small_election, monkeypatch):
+        passes, scalar = [], []
+        classify = sim._classify
 
-        def counting(sheet, rules=None):
-            calls.append(sheet)
+        def counting_pass(election, variants):
+            passes.append(list(variants))
+            return classify(election, variants)
+
+        def counting_scalar(sheet, rules=None):
+            scalar.append(sheet)
             return classify_formality(sheet, rules)
 
-        monkeypatch.setattr(sim, "classify_formality", counting)
+        monkeypatch.setattr(sim, "_classify", counting_pass)
+        monkeypatch.setattr(ballots, "classify_formality", counting_scalar)
+        monkeypatch.setattr(error_models, "classify_formality", counting_scalar)
         config = SimConfig(
             base_seed=3, runs_per_point=2, model="digit", rates=(0.1,),
             btl_required_grid=(6, 1), track_candidates=("a1", "b1"),
         )
         report = run_sweep(small_election, config)
-        assert len(calls) == 2 * len(small_election.sheets)
+        assert passes == [[config.rules_for(6), config.rules_for(1)]]
+        assert scalar == []
+        assert not hasattr(sim, "classify_formality")
+        monkeypatch.undo()
         assert report.position_histograms == {
             cid: {v: preference_position_histogram(small_election, cid, config.rules_for(v)) for v in (6, 1)}
             for cid in ("a1", "b1")

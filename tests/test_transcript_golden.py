@@ -32,7 +32,8 @@ from stvsim import (
     count_stv,
     expand_to_candidates,
 )
-from stvsim.synth import random_election
+
+from oracles import random_election
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "transcripts"
 ELECTIONS = 25
