@@ -15,14 +15,22 @@ are ignored ("07" ranks as 7).
 
 An election layout is checked when built: among other rules, every group
 has a candidate, so an ATL ranking always expands to candidates.
+
+The functions above work one sheet at a time and are the reference.  The
+sweep applies the same rules to a whole election at once, for every
+formality variant, with array operations (``_classify``), and builds each
+distinct sheet's candidate ranking from its box codes (``_rankings``).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Mapping
+
+import numpy as np
 
 #: Reserved group id for candidates that do not belong to any group and
 #: therefore have no above-the-line box.
@@ -270,6 +278,132 @@ def expand_to_candidates(prefs: Preferences, meta: ElectionMeta) -> CandidateRan
     for gid in prefs.ranking:
         out.extend(meta.candidates_of_group(gid))
     return CandidateRanking(out)
+
+
+class _MarkNumbers(dict):
+    """Mark string -> its number, each distinct string read once; a number above ``cap`` reads ``cap``."""
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def __missing__(self, mark: str) -> int:
+        number = self[mark] = min(int(mark), self.cap)
+        return number
+
+
+def _box_ids(meta: ElectionMeta) -> list[str]:
+    """The box of each box code: the sorted group ids, then the sorted candidate ids.
+
+    A sheet ranks one style's boxes, so sorting its codes sorts its box ids,
+    and a group and a candidate that share an id keep two codes.
+    """
+    return sorted(meta.group_ids) + sorted(meta.candidate_ids)
+
+
+def _classify(meta: ElectionMeta, sheets: tuple[MarkSheet, ...], variants: list[FormalityRules]) -> list[tuple]:
+    """The one formality pass over an election's sheets, for every variant at once.
+
+    Each style's marks are read once into flat arrays of (record, box code,
+    number), each distinct mark string converted once.  A record's run in a
+    style is how many of the numbers 1, 2, ... are each held by exactly one
+    box (the rule of ``interpret_marks``), found for every record from one
+    count of (record, number) pairs; a number above the style's box count
+    can never join a run.  A variant's decision is two comparisons per
+    record: BTL if its BTL run is long enough, else ATL if its ATL run is,
+    else informal, so a formal BTL ranking beats ATL marks.  Variants whose
+    decisions are equal form one group, in order of their first variant.
+    Returns, per group: its variants; each physical ballot's distinct formal
+    sheet (-1 if informal), the sheets numbered in file order; and per
+    sheet its style code (0 ATL, 1 BTL), its preference count and, flat in
+    sheet and rank order, its ranked boxes' codes (indices into ``_box_ids``).
+    """
+    n = len(sheets)
+    box_ids, n_groups = _box_ids(meta), len(meta.group_ids)
+    numbers = _MarkNumbers(len(meta.candidate_ids) + 1)  # no run is longer than the candidates
+    runs, holders = [], []
+    for first, end, marks in ((0, n_groups, [s.atl_marks for s in sheets]),
+                              (n_groups, len(box_ids), [s.btl_marks for s in sheets])):
+        record = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, marks), dtype=np.int64, count=n))
+        code = dict(zip(box_ids[first:end], range(first, end)))
+        box = np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(marks)), np.int32, len(record))
+        values = itertools.chain.from_iterable(m.values() for m in marks)
+        number = np.fromiter(map(numbers.__getitem__, values), np.int32, len(record))
+        # A number above the boxes never joins a run: read it as one past them, which no run reaches.
+        np.minimum(number, end - first + 1, out=number)
+        width = end - first + 2
+        key = record.astype(np.int64)
+        key *= width
+        key += number
+        run = np.argmax(np.bincount(key, minlength=n * width).reshape(n, width)[:, 1:] != 1, axis=1)
+        del key
+        ranked = (number >= 1) & (number <= run.astype(np.int32)[record])  # a number's one holder in the run
+        runs.append(run)
+        holders.append((record[ranked], number[ranked], box[ranked]))
+        del record, box, number, ranked
+    atl_run, btl_run = runs
+    groups: list[tuple[list[FormalityRules], np.ndarray]] = []
+    for rules in variants:
+        style = np.where(btl_run >= rules.btl_required_prefs, 1, np.where(atl_run >= rules.atl_required_prefs, 0, -1))
+        group = next((g for g in groups if np.array_equal(g[1], style)), None)
+        if group is None:
+            groups.append(group := ([], style))
+        group[0].append(rules)
+
+    width = max(int(atl_run.max(initial=0)), int(btl_run.max(initial=0)), 1)
+    multiplicity = np.fromiter((s.multiplicity for s in sheets), dtype=np.int64, count=n)
+    out = []
+    for rules, style in groups:
+        # One row of box codes per record, in rank order and padded with -1;
+        # the two styles' codes differ, so equal rows are equal preferences.
+        table = np.full((n, width), -1, dtype=np.min_scalar_type(-len(box_ids)))
+        for code, (record, number, box) in enumerate(holders):  # 0 ATL, 1 BTL
+            keep = style[record] == code
+            table[record[keep], number[keep] - 1] = box[keep]
+        formal = np.flatnonzero(style >= 0)
+        rows = table[formal]
+        as_bytes = rows.view(np.dtype((np.void, width * rows.itemsize))).reshape(-1)
+        _, first_of, which = np.unique(as_bytes, return_index=True, return_inverse=True)
+        firsts, sheet = np.unique(first_of[which], return_inverse=True)  # sheets numbered by their first record
+        record_sheet = np.full(n, -1, dtype=np.int32)
+        record_sheet[formal] = sheet
+        boxes = rows[firsts]
+        out.append((
+            rules,
+            np.repeat(record_sheet, multiplicity),
+            style[formal[firsts]].astype(np.int8),
+            np.count_nonzero(boxes >= 0, axis=1),
+            boxes[boxes >= 0],
+        ))
+    return out
+
+
+def _rankings(
+    meta: ElectionMeta, style: np.ndarray, n_boxes: np.ndarray, codes: np.ndarray
+) -> tuple[list[CandidateRanking], list[tuple[int, ...] | None]]:
+    """Each sheet's candidate ranking, and where its prefixes end, from its ranked box codes.
+
+    A group's box stands for its candidates in ballot-paper position order,
+    as ``expand_to_candidates`` expands it; every code names a box of the
+    layout, so the ranking's ids are known.  For an ATL sheet, the ends are
+    the candidate counts of its first 0, 1, 2, ... ranked groups; a BTL
+    sheet has None, since its preferences are its candidates.
+    """
+    # A group's box stands for its candidates, a candidate's box for its id.
+    box_ids, n_groups = _box_ids(meta), len(meta.group_ids)
+    stands_for = [meta.candidates_of_group(g) for g in box_ids[:n_groups]] + box_ids[n_groups:]
+    flat = np.fromiter(stands_for, dtype=object, count=len(stands_for))[codes].tolist()
+    bounds = [0, *np.cumsum(n_boxes).tolist()]
+    styles = style.tolist()
+    rankings = [
+        CandidateRanking(flat[a:b] if btl else itertools.chain.from_iterable(flat[a:b]))
+        for btl, a, b in zip(styles, bounds, bounds[1:])
+    ]
+    ends = [
+        None if btl else tuple(itertools.accumulate(map(len, flat[a:b]), initial=0))
+        for btl, a, b in zip(styles, bounds, bounds[1:])
+    ]
+    return rankings, ends
 
 
 def marks_for_ranking(boxes: list[str] | tuple[str, ...]) -> dict[str, str]:

@@ -1,6 +1,6 @@
 """The one array classification pass against ``classify_formality``, sheet by sheet.
 
-``sim._classify`` reads every sheet's marks once and decides every
+``ballots._classify`` reads every sheet's marks once and decides every
 formality variant from two run lengths per sheet.  The reference is the
 record loop: ``classify_formality`` on each sheet, and
 ``expand_to_candidates`` on each distinct formal result.  Generated
@@ -29,7 +29,8 @@ from stvsim import (
     expand_to_candidates,
     formal_ballots,
 )
-from stvsim.sim import _classify, _prepare
+from stvsim.ballots import _classify
+from stvsim.sim import _prepare
 
 from test_differential import mixed_election
 
@@ -48,7 +49,7 @@ def check_against_record_loop(election: ElectionFile) -> None:
         ballots = formal_ballots(election, rules)
         assert ballots == list(merged.items())
         # sheet by sheet: each record's first paper names its distinct sheet
-        ((_, physical_sheet, *_),) = _classify(election, [rules])
+        ((_, physical_sheet, *_),) = _classify(election.meta, election.sheets, [rules])
         first_paper = list(accumulate((s.multiplicity for s in election.sheets), initial=0))[:-1]
         for prefs, ballot in zip(reference, physical_sheet[first_paper].tolist()):
             assert (prefs is None) == (ballot == -1)

@@ -393,7 +393,7 @@ class TestCheckedRankings:
         [mixed_election, lambda: formality_bias_election(60, 60)],
         ids=["own-classifications", "shared-classification"],
     )
-    def test_a_sweep_classifies_expands_and_builds_no_preferences_sheet_by_sheet(self, monkeypatch, fixture, model):
+    def test_a_sweep_calls_no_classify_expand_or_preferences_build(self, monkeypatch, fixture, model):
         election = fixture()
         config = SimConfig(base_seed=7, runs_per_point=6, model=model, rates=(0.2, 0.4), btl_required_grid=(6, 1),
                            track_candidates=("a1",))
@@ -660,9 +660,9 @@ class TestOneClassificationPass:
         passes, scalar = [], []
         classify = sim._classify
 
-        def counting_pass(election, variants):
+        def counting_pass(meta, sheets, variants):
             passes.append(list(variants))
-            return classify(election, variants)
+            return classify(meta, sheets, variants)
 
         def counting_scalar(sheet, rules=None):
             scalar.append(sheet)

@@ -9,7 +9,8 @@ that every wrapped layer recorded spans, and that the digit sweep's two
 formality variants, which classify the bias fixture alike, share one
 corruption call per run and block.  The one exception is
 ``ballots.classify``: the sweep classifies every record for every variant
-in one array pass inside ``sim`` and calls no ``classify_formality``, so
+in one array pass (``ballots._classify``) and calls no
+``classify_formality``, so
 ``stvsim.sim`` has no such name and the layer reads 0 by design; its time
 is in ``sim.self_s``.
 """
