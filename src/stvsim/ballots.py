@@ -16,10 +16,11 @@ are ignored ("07" ranks as 7).
 An election layout is checked when built: among other rules, every group
 has a candidate, so an ATL ranking always expands to candidates.
 
-The functions above work one sheet at a time and are the reference.  The
-sweep applies the same rules to a whole election at once, for every
-formality variant, with array operations (``_classify``), and builds each
-distinct sheet's candidate ranking from its box codes (``_rankings``).
+``interpret_marks``, ``classify_formality`` and ``expand_to_candidates``
+work one sheet at a time and are the reference.  The sweep applies the
+same rules to a whole election at once, for every formality variant, with
+array operations (``_classify``), and builds each distinct sheet's
+candidate ranking from its box codes (``_rankings``).
 """
 from __future__ import annotations
 
@@ -254,9 +255,9 @@ class CandidateRanking(tuple):
 
     ``expand_to_candidates`` builds one after checking every id, and a
     sweep builds one per distinct formal sheet from the layout's own box
-    codes, so the count takes it as it is.  A non-empty prefix of one, or a reordering of
-    some of its candidates that keeps no id twice, keeps that promise; a
-    slice is a plain tuple until it is wrapped again.
+    codes, so the count takes it as it is.  A non-empty prefix of one, or a
+    reordering of some of its candidates that keeps no id twice, keeps that
+    promise; a slice is a plain tuple until it is wrapped again.
     """
 
     __slots__ = ()
@@ -357,8 +358,8 @@ def _classify(meta: ElectionMeta, sheets: tuple[MarkSheet, ...], variants: list[
         # One row of box codes per record, in rank order and padded with -1;
         # the two styles' codes differ, so equal rows are equal preferences.
         table = np.full((n, width), -1, dtype=np.min_scalar_type(-len(box_ids)))
-        for code, (record, number, box) in enumerate(holders):  # 0 ATL, 1 BTL
-            keep = style[record] == code
+        for style_code, (record, number, box) in enumerate(holders):  # 0 ATL, 1 BTL
+            keep = style[record] == style_code
             table[record[keep], number[keep] - 1] = box[keep]
         formal = np.flatnonzero(style >= 0)
         rows = table[formal]
@@ -389,7 +390,6 @@ def _rankings(
     the candidate counts of its first 0, 1, 2, ... ranked groups; a BTL
     sheet has None, since its preferences are its candidates.
     """
-    # A group's box stands for its candidates, a candidate's box for its id.
     box_ids, n_groups = _box_ids(meta), len(meta.group_ids)
     stands_for = [meta.candidates_of_group(g) for g in box_ids[:n_groups]] + box_ids[n_groups:]
     flat = np.fromiter(stands_for, dtype=object, count=len(stands_for))[codes].tolist()
