@@ -253,9 +253,10 @@ def classify_formality(sheet: MarkSheet, rules: FormalityRules | None = None) ->
 class CandidateRanking(tuple):
     """Candidate ids in preference order, each known to one election's layout.
 
-    ``expand_to_candidates`` builds one after checking every id, and a
-    sweep builds one per distinct formal sheet from the layout's own box
-    codes, so the count takes it as it is.  A non-empty prefix of one, or a
+    ``expand_to_candidates`` builds one after checking every id, and
+    ``_rankings`` builds one per distinct formal sheet from the layout's own
+    box codes (for a sweep, ``formal_ballots`` and ``stvsim count``), so the
+    count takes it as it is.  A non-empty prefix of one, or a
     reordering of some of its candidates that keeps no id twice, keeps that
     promise; a slice is a plain tuple until it is wrapped again.
     """

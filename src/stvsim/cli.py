@@ -138,7 +138,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(outdir: Path, command: str, args, inputs: list[str]) -> None:
+def write_manifest(outdir: Path, command: str, args) -> None:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -148,7 +148,8 @@ def write_manifest(outdir: Path, command: str, args, inputs: list[str]) -> None:
         "command": command,
         "config": config,
         "base_seed": config.get("seed"),
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        # keyed by the flag that names the file, so inputs that share a file name keep their own digests
+        "inputs": {flag: _sha256(config[flag]) for flag in ("election", "matrix") if config.get(flag)},
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -199,7 +200,7 @@ def cmd_count(args) -> int:
             fh.write("\n".join(winners) + "\n")
         with open(out / "transcript.txt", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(transcript.to_text())
-        write_manifest(out, "count", args, [args.election])
+        write_manifest(out, "count", args)
     return EXIT_OK
 
 
@@ -225,8 +226,7 @@ def cmd_simulate(args) -> int:
     report = run_sweep(election, config)
     out = Path(args.out)
     written = write_report(report, out, ballot_rates=args.ballot_rates)
-    inputs = [args.election] + ([args.matrix] if args.matrix else [])
-    write_manifest(out, "simulate", args, inputs)
+    write_manifest(out, "simulate", args)
     print(f"wrote {', '.join(written)} and manifest.json to {out}")
     for p in report.points:
         top = max(p.winner_sets.items(), key=lambda kv: kv[1])[0] if p.winner_sets else ()
@@ -267,7 +267,7 @@ def cmd_analyze(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / filename, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        write_manifest(out, f"analyze {args.subcommand}", args, [args.election])
+        write_manifest(out, f"analyze {args.subcommand}", args)
         print(f"wrote {out / filename}")
     else:
         print(text, end="")

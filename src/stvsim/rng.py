@@ -118,19 +118,19 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return draws
 
 
-def raw_words(seeds: np.ndarray, sizes: np.ndarray, first: int = 0, stride: int = 1) -> np.ndarray:
+def raw_words(seeds: np.ndarray, sizes: np.ndarray, stride: int = 1) -> np.ndarray:
     """The raw 64-bit words of a ragged set of streams, end to end.
 
-    Stream i (seed ``seeds[i]``) gives its draws ``first + stride * k`` for
+    Stream i (seed ``seeds[i]``) gives its draws ``stride * k`` for
     k < ``sizes[i]``: the words that ``RandomStream(seeds[i]).next_raw``
     returns there, before ``uniform`` scales them.  Element k of stream i's
-    run is ``mix64(s_i + (first + 1 + stride * k) * GAMMA)``; the runs are
-    laid out in one pass, as each run's base repeated plus its flat index
-    times ``stride * GAMMA``, and mixed in place.
+    run is ``mix64(s_i + (1 + stride * k) * GAMMA)``; the runs are laid out
+    in one pass, as each run's base repeated plus its flat index times
+    ``stride * GAMMA``, and mixed in place.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    base = (first + 1 - stride * starts).astype(np.uint64)  # modulo 2^64
+    base = (1 - stride * starts).astype(np.uint64)  # modulo 2^64
     base *= _GAMMA_U
     base += seeds
     words = np.repeat(base, sizes)

@@ -80,7 +80,6 @@ from .ballots import (
     CandidateRanking,
     ElectionMeta,
     FormalityRules,
-    Preferences,
     VoteStyle,
     _box_ids,
     _classify,
@@ -236,17 +235,10 @@ class _Prepared:
     blocks: list[tuple[int, int]]  # ballot ranges of at most BLOCK_DIGITS digits, or one ballot
 
 
-def formal_ballots(election: ElectionFile, rules: FormalityRules | None = None) -> list[tuple[Preferences, int]]:
-    """Each distinct formal ballot with its number of papers, in file order."""
-    meta = election.meta
-    ((_, physical_sheet, style, n_boxes, codes),) = _classify(meta, election.sheets, [rules or FormalityRules()])
-    boxes = list(map(_box_ids(meta).__getitem__, codes.tolist()))
-    bounds = [0, *np.cumsum(n_boxes).tolist()]
-    prefs = [
-        Preferences(VoteStyle.BTL if btl else VoteStyle.ATL, tuple(boxes[a:b]))
-        for btl, a, b in zip(style.tolist(), bounds, bounds[1:])
-    ]
-    return list(zip(prefs, np.bincount(physical_sheet[physical_sheet >= 0], minlength=len(prefs)).tolist()))
+def formal_ballots(election: ElectionFile, rules: FormalityRules | None = None) -> list[tuple[CandidateRanking, int]]:
+    """Each distinct formal ballot's candidate ranking with its number of papers, in file order."""
+    (prep,) = _prepare(election, [rules or FormalityRules()])
+    return list(zip(prep.rankings, prep.papers))
 
 
 def _prepare(election: ElectionFile, variants: Iterable[FormalityRules]) -> list[_Prepared]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -135,6 +136,24 @@ class TestSimulate:
         assert manifest["base_seed"] == 5
         assert manifest["command"] == "simulate"
         assert "inputs" in manifest and manifest["tool_version"]
+
+    def test_manifest_keys_each_input_digest_by_its_flag(self, tmp_path, election_path):
+        # Two inputs with the same file name each keep their own digest.
+        (tmp_path / "A").mkdir()
+        (tmp_path / "B").mkdir()
+        election, matrix = tmp_path / "A" / "in.txt", tmp_path / "B" / "in.txt"
+        election.write_bytes(Path(election_path).read_bytes())
+        matrix.write_bytes(Path(BUNDLED_CONFUSION_TABLE).read_bytes())
+        out = tmp_path / "sim"
+        assert main([
+            "simulate", "--election", str(election), "--model", "confusion", "--matrix", str(matrix),
+            "--runs", "1", "--seed", "5", "--jobs", "1", "--out", str(out),
+        ]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "election": hashlib.sha256(election.read_bytes()).hexdigest(),
+            "matrix": hashlib.sha256(matrix.read_bytes()).hexdigest(),
+        }
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_64_bits_is_data_error(self, tmp_path, election_path, capsys, seed):

@@ -78,25 +78,25 @@ def test_mix64_avalanche():
     assert bin(base ^ flipped).count("1") > 16
 
 
-@pytest.mark.parametrize("first, stride", [(0, 1), (0, 2), (1, 2), (3, 1)])
-def test_raw_words_match_streams(first, stride):
+@pytest.mark.parametrize("stride", [1, 2])
+def test_raw_words_match_streams(stride):
     sizes = np.array([3, 0, 5, 1, 0, 4])
     seeds = seed_vector((21, 2), 0, len(sizes))
-    words = raw_words(seeds, sizes, first, stride)
+    words = raw_words(seeds, sizes, stride)
     expected = []
     for seed, size in zip(seeds.tolist(), sizes.tolist()):
         stream = RandomStream(seed)
-        draws = [stream.next_raw() for _ in range(first + stride * size)]
-        expected += draws[first::stride][:size]
+        draws = [stream.next_raw() for _ in range(stride * size)]
+        expected += draws[::stride][:size]
     assert words.dtype == np.uint64
     assert words.tolist() == expected
     # the raw word is the integer that mix64 returns at the draw's counter
-    assert words[0] == mix64(int(seeds[0]) + (first + 1) * 0x9E3779B97F4A7C15)
+    assert words[0] == mix64(int(seeds[0]) + 0x9E3779B97F4A7C15)
 
 
 def test_raw_words_of_no_streams():
     for sizes in ([], [0, 0]):
-        assert raw_words(seed_vector((1,), 0, len(sizes)), np.array(sizes, dtype=np.int64), 0, 2).tolist() == []
+        assert raw_words(seed_vector((1,), 0, len(sizes)), np.array(sizes, dtype=np.int64), 2).tolist() == []
 
 
 def test_locate_reads_the_flat_layout():

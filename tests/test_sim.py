@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -611,7 +612,9 @@ class TestDigitStore:
             MarkSheet(marks_for_ranking(rng.sample([g.id for g in groups], 11)), {}, 100),
         ))
         (prep,) = sim._prepare(election, [FormalityRules()])
-        sheets = [prefs for prefs, _ in formal_ballots(election)]  # in the order of prep's sheet ids
+        # the record loop's distinct formal sheets, in first-record order: the order of prep's sheet ids
+        sheets = list(dict.fromkeys(p for sheet in election.sheets if (p := classify_formality(sheet)) is not None))
+        assert prep.rankings == [expand_to_candidates(prefs, meta) for prefs in sheets]
         seeds = seed_vector((20, 0), 0, election.total_ballots)
         row, rank, new = sim._changed_boxes(prep, [model], 0, len(prep.ballot_sheet), seeds)
         expected = set()
@@ -706,8 +709,12 @@ class TestOneClassificationPass:
                 merged[prefs] += sheet.multiplicity
                 formal += sheet.multiplicity
         ballots = formal_ballots(election, rules)
-        assert ballots == list(merged.items())
+        assert ballots == [(expand_to_candidates(prefs, election.meta), papers) for prefs, papers in merged.items()]
+        assert all(type(ranking) is CandidateRanking for ranking, _ in ballots)
         assert sum(papers for _, papers in ballots) == formal
+        # each distinct sheet keeps its style: an ATL sheet has prefix ends, a BTL sheet None
+        (prep,) = sim._prepare(election, [rules])
+        assert [ends is None for ends in prep.prefix_ends] == [prefs.style is VoteStyle.BTL for prefs in merged]
 
     @pytest.mark.parametrize("btl_required", [6, 1])
     def test_count_command_matches_record_loop(self, btl_required, tmp_path):
@@ -726,4 +733,39 @@ class TestOneClassificationPass:
         ]
         assert len(records) > len(formal_ballots(election, rules))  # a repeated record is merged
         _, transcript = count_stv(records, election.meta)
+        assert (out / "transcript.txt").read_text(encoding="utf-8") == transcript.to_text()
+
+    def test_count_command_expands_no_sheet_and_builds_no_preferences(self, tmp_path, monkeypatch):
+        path = tmp_path / "mixed.stv"
+        write_election_file(mixed_election(), path)
+        calls = Counter()
+        post_init = Preferences.__post_init__
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(Preferences, "__post_init__", counted("Preferences", post_init))
+        for module in (ballots, count, sim):
+            for name in ("classify_formality", "expand_to_candidates"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert main(["count", "--election", str(path), "--out", str(tmp_path / "count")]) == EXIT_OK
+        monkeypatch.undo()
+        assert calls == Counter()
+
+    def test_count_command_seat_override_counts_the_record_loop_for_those_seats(self, tmp_path):
+        election = mixed_election()
+        path = tmp_path / "mixed.stv"
+        write_election_file(election, path)
+        out = tmp_path / "count"
+        assert main(["count", "--election", str(path), "--seats", "5", "--out", str(out)]) == EXIT_OK
+        records = [
+            (prefs, sheet.multiplicity) for sheet in election.sheets if (prefs := classify_formality(sheet)) is not None
+        ]
+        winners, transcript = count_stv(records, dataclasses.replace(election.meta, seats=5))
+        assert len(winners) == 5 != election.meta.seats
+        assert (out / "winners.txt").read_text(encoding="utf-8") == "\n".join(winners) + "\n"
         assert (out / "transcript.txt").read_text(encoding="utf-8") == transcript.to_text()
