@@ -8,8 +8,10 @@ every seat is filled or the number of continuing candidates equals the
 number of unfilled seats.
 
 Ballot weights are exact rationals throughout.  A candidate's pile is held
-as parcels of papers that share one exact weight, so a transfer does its
-rational arithmetic once per (parcel, receiving candidate), not per paper.
+as parcels of papers that share one exact weight, keyed by its integer
+(numerator, denominator), so a transfer does its rational arithmetic once
+per (parcel, receiving candidate), not per paper; a whole weight's receipts
+are int products.  Countback tally histories are built only for ties.
 Under the default TRUNCATE_TO_INTEGER rounding, reported tallies are
 integers: each candidate's received transfer is floored and the units that
 vanish are tracked as cumulative rounding loss, so the conservation identity
@@ -22,6 +24,7 @@ identity holds in rationals with zero loss.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,8 +163,9 @@ class CountTranscript:
 
 
 #: Papers that some candidate holds: the ranking, the index in it of the
-#: holder, and the number of papers.
+#: holder, and the number of papers; a parcel is rows with their one weight.
 _Papers = tuple[tuple[str, ...], int, int]
+_Parcel = tuple[Fraction, list[_Papers]]
 
 
 class _Count:
@@ -183,20 +187,26 @@ class _Count:
         total = 0
         first: dict[str, list[_Papers]] = {cid: [] for cid in meta.candidate_ids}
         for ranking, mult in ballots:
+            try:
+                mult = operator.index(mult)
+            except TypeError:
+                raise CountError(f"ballot multiplicity must be an integer, got {mult!r}") from None
             if mult < 1:
                 raise CountError("ballot multiplicity must be >= 1")
             if not isinstance(ranking, CandidateRanking):
                 if not isinstance(ranking, Preferences):
                     raise TypeError(f"a ballot ranks by Preferences or CandidateRanking, not {type(ranking).__name__}")
                 ranking = expand_to_candidates(ranking, meta)
+            elif not ranking:
+                raise CountError("a ballot must rank at least one candidate")
             first[ranking[0]].append((ranking, 0, mult))
             self.tallies[ranking[0]] += mult
             total += mult
-        #: Each candidate's pile, as parcels of papers that share one exact
-        #: weight; a first preference's papers are one parcel of whole weight.
+        #: Each candidate's pile: (weight, rows) parcels keyed by the weight's
+        #: (numerator, denominator); a first preference's papers are one parcel of whole weight.
         whole = Fraction(1)
-        self.piles: dict[str, dict[Fraction, list[_Papers]]] = {
-            cid: {whole: rows} if rows else {} for cid, rows in first.items()
+        self.piles: dict[str, dict[tuple[int, int], _Parcel]] = {
+            cid: {(1, 1): (whole, rows)} if rows else {} for cid, rows in first.items()
         }
         if total == 0:
             raise CountError("cannot count an election with no formal ballots")
@@ -217,15 +227,20 @@ class _Count:
         return (self.tallies[cid], *(rec.tallies.get(cid, -1) for rec in reversed(self.transcript.rounds)))
 
     def _order_descending(self, cids: list[str]) -> list[str]:
-        # highest standing first; ``cids`` come in ballot-paper order and the
-        # sort is stable under reverse, so a full-history tie keeps that order
-        return sorted(cids, key=self._standing, reverse=True)
+        # Highest standing first: both sorts are stable under reverse, so this
+        # is one sort by standing, and a full-history tie keeps ballot-paper order.
+        tally = self.tallies.__getitem__
+        ordered = []
+        for _, run in itertools.groupby(sorted(cids, key=tally, reverse=True), key=tally):
+            run = list(run)
+            ordered += sorted(run, key=self._standing, reverse=True) if len(run) > 1 else run
+        return ordered
 
     def _pick_elimination(self, rec: RoundRecord) -> str:
         lowest = min(self.tallies[c] for c in self.continuing)
         # Only the tied need their tally history.
         tied = [c for c in self.continuing if self.tallies[c] == lowest]
-        loser = min(tied, key=self._standing)
+        loser = min(tied, key=self._standing) if len(tied) > 1 else tied[0]
         if len(tied) > 1:
             rec.ties.append(
                 f"elimination tie among {', '.join(tied)} "
@@ -235,41 +250,47 @@ class _Count:
 
     # -- transfers ---------------------------------------------------------
 
-    def _next_holder(self, ranking: tuple[str, ...], pos: int) -> int | None:
-        for i in range(pos + 1, len(ranking)):
-            if ranking[i] in self.continuing:
-                return i
-        return None
-
-    def _move_pile(self, pile: dict[Fraction, list[_Papers]], new_weight, moved_out: int | Fraction) -> None:
+    def _move_pile(self, pile: dict[tuple[int, int], _Parcel], new_weight, moved_out: int | Fraction) -> None:
         """Distribute a pile and keep the conservation ledger balanced.
 
         ``moved_out`` is the tally amount leaving the source (the surplus, or
         an eliminated candidate's whole tally).  Each parcel's papers are
-        summed per receiving candidate (or exhaustion) and weighed once.  Each
-        receipt, and the exhausted amount, is floored under integer rounding
-        and kept exact otherwise.  The event's loss is moved_out minus
-        everything delivered: exactly 0 in exact mode, and under integer
-        rounding it can go negative once a pile's exact weight has drifted
-        above its floored tally; the running identity stays exact either way.
-        A parcel's rows join each receiver's pile of weight w in one append.
+        summed per receiving candidate (or exhaustion) as they are grouped,
+        and weighed once: an int product for a whole weight, one ``Fraction``
+        product otherwise.  Each receipt, and the exhausted amount, is floored
+        under integer rounding and kept exact otherwise.  The event's loss is
+        moved_out minus everything delivered: exactly 0 in exact mode, and
+        under integer rounding it can go negative once a pile's exact weight
+        has drifted above its floored tally; the running identity stays exact
+        either way.  A group's rows join the receiver's parcel in one append.
         """
-        received: dict[str | None, Fraction] = {}  # None: exhausted
-        for weight, parcel in pile.items():
+        continuing = self.continuing
+        received: dict[str | None, int | Fraction] = {}  # None: exhausted
+        for weight, parcel in pile.values():
             w = new_weight(weight)
-            if not (0 <= w <= 1):
+            num, den = w.numerator, w.denominator
+            if not (0 <= num <= den):
                 raise CountInvariantError(f"ballot weight {w} outside [0, 1]", self.transcript)
-            moved: dict[str | None, list[_Papers]] = {}
+            moved: dict[str | None, list] = {}  # holder -> [papers, rows]
             for ranking, pos, n in parcel:
-                nxt = self._next_holder(ranking, pos)
-                moved.setdefault(None if nxt is None else ranking[nxt], []).append((ranking, nxt, n))
-            for cid, rows in moved.items():
-                received[cid] = received.get(cid, 0) + w * sum(n for _, _, n in rows)
+                for nxt in range(pos + 1, len(ranking)):
+                    if ranking[nxt] in continuing:
+                        holder = ranking[nxt]
+                        break
+                else:
+                    nxt = holder = None
+                group = moved.get(holder)
+                if group is None:
+                    group = moved[holder] = [0, []]
+                group[0] += n
+                group[1].append((ranking, nxt, n))
+            for cid, (papers, rows) in moved.items():
+                received[cid] = received.get(cid, 0) + (papers * num if den == 1 else w * papers)
                 if cid is not None:
-                    self.piles[cid].setdefault(w, []).extend(rows)
+                    self.piles[cid].setdefault((num, den), (w, []))[1].extend(rows)
 
         settle = (lambda v: v.numerator // v.denominator) if self.trunc else (lambda v: v)
-        delivered = settle(received.pop(None, Fraction(0)))
+        delivered = settle(received.pop(None, 0))
         self.exhausted += delivered
         for cid, amount in received.items():
             got = settle(amount)
@@ -332,7 +353,7 @@ class _Count:
             tv = Fraction(surplus) / Fraction(tally)
             new_weight = lambda w: w * tv
         else:
-            papers = sum(n for parcel in pile.values() for _, _, n in parcel)
+            papers = sum(n for _, parcel in pile.values() for _, _, n in parcel)
             tv = Fraction(surplus) / papers if papers else Fraction(0)
             new_weight = lambda w: tv
         if not (0 <= tv <= 1):
