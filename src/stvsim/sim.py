@@ -940,15 +940,18 @@ def write_report(report: SimReport, outdir, ballot_rates: bool = False) -> list[
             ),
         )
     if ballot_rates:
+        heads: dict[int, list[str]] = {}  # per formality variant: each formal ballot's first three fields
         for i, p in enumerate(report.points):
             idx = np.flatnonzero(p.style_codes >= 0)
-            formal = p.formal_runs_per_ballot[idx]
-            columns = (idx, p.style_codes[idx], p.orig_prefs[idx], formal, formal / p.runs)
+            if p.btl_required not in heads:
+                columns = zip(idx.tolist(), p.style_codes[idx].tolist(), p.orig_prefs[idx].tolist())
+                heads[p.btl_required] = [f"{b},{'BTL' if s else 'ATL'},{n}," for b, s, n in columns]
+            tails = [f"{k},{k / p.runs!r}" for k in range(p.runs + 1)]  # per formal-run count
             emit(
                 f"ballot_rates_{i:02d}.csv",
                 ["ballot", "style", "original_prefs", "formal_runs", "rate"],
-                zip(*(column.tolist() for column in columns)),
-                lambda row: f"{row[0]},{'BTL' if row[1] else 'ATL'},{row[2]},{row[3]},{row[4]!r}",
+                zip(heads[p.btl_required], p.formal_runs_per_ballot[idx].tolist()),
+                lambda row: row[0] + tails[row[1]],
             )
     for path in out.iterdir():
         if path.name not in written and re.fullmatch(r"histograms\.csv|ballot_rates_\d{2,}\.csv", path.name):
