@@ -23,6 +23,7 @@ import pytest
 
 from stvsim import (
     BallotError,
+    CandidateRanking,
     CountError,
     CountRules,
     Preferences,
@@ -80,9 +81,13 @@ def test_checked_candidate_rankings_match_golden_files(rules):
         ((Preferences(VoteStyle.BTL, ("c0", "zz")), 1), BallotError, "ranking references unknown candidate 'zz'"),
         ((Preferences(VoteStyle.ATL, ("Z",)), 1), BallotError, "unknown group id 'Z'"),
         ((Preferences(VoteStyle.BTL, ("c0",)), 0), CountError, "ballot multiplicity must be >= 1"),
+        ((Preferences(VoteStyle.BTL, ("c0",)), 2.5), CountError, "ballot multiplicity must be an integer, got 2.5"),
+        ((Preferences(VoteStyle.BTL, ("c0",)), 2.0), CountError, "ballot multiplicity must be an integer, got 2.0"),
         ((("c0",), 1), TypeError, "a ballot ranks by Preferences or CandidateRanking, not tuple"),
+        ((CandidateRanking(()), 1), CountError, "a ballot must rank at least one candidate"),
     ],
-    ids=["unknown-candidate", "unknown-group", "no-papers", "unchecked-tuple"],
+    ids=["unknown-candidate", "unknown-group", "no-papers", "fractional-papers", "float-papers", "unchecked-tuple",
+         "empty-ranking"],
 )
 def test_bad_ballots_fail_in_the_count(ballot, error, message):
     meta, ballots = elections()[0]
