@@ -240,8 +240,9 @@ class _Count:
         lowest = min(self.tallies[c] for c in self.continuing)
         # Only the tied need their tally history.
         tied = [c for c in self.continuing if self.tallies[c] == lowest]
-        loser = min(tied, key=self._standing) if len(tied) > 1 else tied[0]
+        loser = tied[0]
         if len(tied) > 1:
+            loser = min(tied, key=self._standing)
             rec.ties.append(
                 f"elimination tie among {', '.join(tied)} "
                 f"at {self.tallies[loser]}; {loser} eliminated by countback/index"
@@ -412,7 +413,7 @@ def count_stv(
     expanded and its ids checked by ``expand_to_candidates``, which fails
     on an unknown id; a ``CandidateRanking``, the checked result of that
     call for ``meta`` (or a prefix or re-read of one), is counted as it is;
-    any other ranking raises ``TypeError``.  Papers below 1 raise
-    ``CountError``.
+    any other ranking raises ``TypeError``.  Papers that are not an integer
+    (numpy ints pass) or are below 1, and an empty ranking, raise ``CountError``.
     """
     return _Count(ballots, meta, rules or CountRules()).run()

@@ -35,7 +35,6 @@ from stvsim import (
     TallyRounding,
     VoteStyle,
     count_stv,
-    expand_to_candidates,
 )
 
 RULES = [CountRules(surplus, rounding) for surplus in SurplusMethod for rounding in TallyRounding]
@@ -119,13 +118,6 @@ def test_large_count_exercises_what_small_goldens_lack(rules):
     # At least one elimination tie is decided by tally history, not by ballot-paper order.
     ties = re.findall(r"\n  tie\telimination tie among (.*) at \S+; (\S+) eliminated", text)
     assert any(loser != tied.split(", ")[0] for tied, loser in ties)
-
-
-def test_checked_rankings_give_the_same_transcript():
-    meta, ballots = large_election()
-    checked = [(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots]
-    for rules in RULES:
-        assert count_stv(checked, meta, rules)[1].to_text() == transcript(rules)
 
 
 if __name__ == "__main__":
