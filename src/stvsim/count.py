@@ -242,7 +242,16 @@ class _Count:
         tied = [c for c in self.continuing if self.tallies[c] == lowest]
         loser = tied[0]
         if len(tied) > 1:
-            loser = min(tied, key=self._standing)
+            # Countback: keep the lowest of each past round's tallies, most
+            # recent first, until one is left; a tie over the whole history
+            # goes to the first in ballot-paper order, as min by _standing would.
+            still_tied = tied
+            for past in reversed(self.transcript.rounds):
+                if len(still_tied) == 1:
+                    break
+                low = min(past.tallies.get(c, -1) for c in still_tied)
+                still_tied = [c for c in still_tied if past.tallies.get(c, -1) == low]
+            loser = still_tied[0]
             rec.ties.append(
                 f"elimination tie among {', '.join(tied)} "
                 f"at {self.tallies[loser]}; {loser} eliminated by countback/index"

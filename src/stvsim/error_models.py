@@ -41,7 +41,7 @@ from .ballots import (
     classify_formality,
     marks_from_preferences,
 )
-from .rng import RandomStream, below, draw_matrix, locate, rate_bound, raw_words, uniforms
+from .rng import DrawPlan, RandomStream, below, draw_matrix, rate_bound, uniforms
 
 
 class ErrorModelError(ValueError):
@@ -240,29 +240,51 @@ def perturb_ballot(
 #
 # A draw fires (``uniform() < rate``) exactly when its raw SplitMix64 word
 # is below the rate's integer bound, ``ceil(rate * 2^53) * 2^11``
-# (``rng.rate_bound``), so the helpers draw raw words (``rng.raw_words``)
-# and compare them with integers.  Only the words that can change something
-# under some model are kept, and only those get a ballot, a position and
-# whatever else their outcome needs: under truncation, the words below the
-# highest rate's bound; under the uniform model, the fire words below it;
-# under the confusion model, the words outside the window in which every
-# digit stays as it is (``ConfusionModel.stay_window``).
+# (``rng.rate_bound``), so the helpers draw raw words and compare them with
+# integers.  Where the words of each ballot lie depends only on how many
+# digits (or preferences) each ballot has, so a caller that draws the same
+# ballots many times passes an ``rng.DrawPlan`` of those counts, built once
+# with ``draw_stride`` draws per digit, in place of the counts; the helpers
+# then only add the seeds, mix and compare.  Only the words that can change
+# something under some model are kept, and only those get a ballot (by
+# binary search over the plan's run ends), a position and whatever else
+# their outcome needs: under truncation, the words below the highest rate's
+# bound; under the uniform model, the fire words below it; under the
+# confusion model, the words outside the window in which every digit stays
+# as it is (``ConfusionModel.stay_window``).
 
 
-def truncation_lengths_batch(n_prefs: np.ndarray, rates: Sequence[float], seeds: np.ndarray) -> np.ndarray:
+def draw_stride(models: Sequence[ErrorModel]) -> int:
+    """Draws per digit (or preference) under one family of models: 2 under the uniform model, else 1."""
+    return 2 if isinstance(models[0], UniformDigitModel) else 1
+
+
+def _plan(sizes: np.ndarray | DrawPlan, stride: int) -> DrawPlan:
+    """``sizes`` if it is a plan already, which must have this stride; else the plan of these sizes."""
+    if not isinstance(sizes, DrawPlan):
+        return DrawPlan(sizes, stride)
+    if sizes.stride != stride:
+        raise ErrorModelError(f"these models read {stride} draws per digit, not the plan's {sizes.stride}")
+    return sizes
+
+
+def truncation_lengths_batch(
+    n_prefs: np.ndarray | DrawPlan, rates: Sequence[float], seeds: np.ndarray
+) -> np.ndarray:
     """Surviving length of each ballot under the truncation model, one row per rate.
 
-    Ballot i ranks ``n_prefs[i]`` preferences and owns substream ``seeds[i]``.
+    Ballot i ranks ``n_prefs[i]`` preferences and owns substream ``seeds[i]``;
+    ``n_prefs`` may be given as a ``DrawPlan`` of them, of stride 1.
     Preference k consumes draw k of it, and the list ends before the first
     preference whose draw falls below the rate, so a ballot's length never
     grows as the rate rises.
     """
-    n_prefs = np.asarray(n_prefs, dtype=np.int64)
-    lengths = np.tile(n_prefs, (len(rates), 1))
-    words = raw_words(seeds, n_prefs)
+    plan = _plan(n_prefs, 1)
+    lengths = np.tile(plan.sizes, (len(rates), 1))
+    words = plan.words(seeds)
     low = np.flatnonzero(below(words, rate_bound(max(rates))))
     words = words[low]
-    owner, index = locate(n_prefs, low)
+    owner, index = plan.locate(low)
     for row, rate in zip(lengths, rates):
         fired = below(words, rate_bound(rate))
         np.minimum.at(row, owner[fired], index[fired])
@@ -270,14 +292,20 @@ def truncation_lengths_batch(n_prefs: np.ndarray, rates: Sequence[float], seeds:
 
 
 def corrupt_digits_batch(
-    digits: np.ndarray, start: np.ndarray, n_digits: np.ndarray, models: Sequence[ErrorModel], seeds: np.ndarray
+    digits: np.ndarray,
+    start: np.ndarray,
+    n_digits: np.ndarray | DrawPlan,
+    models: Sequence[ErrorModel],
+    seeds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The digits each model changes on the ballots of a ragged digit store.
 
     Ballot i writes the ``n_digits[i]`` digits (uint8, 0-9) from
     ``digits[start[i]]`` on, in canonical order, and owns substream
-    ``seeds[i]``; ``start`` and ``n_digits`` are integer arrays.  The
-    models are all uniform or all confusion models.  Returns the changed
+    ``seeds[i]``; ``start`` and ``n_digits`` are integer arrays, and
+    ``n_digits`` may be given as a ``DrawPlan`` of them, of stride
+    ``draw_stride(models)``.  The models are all uniform or all confusion
+    models.  Returns the changed
     digits in (model, ballot, position) order as four arrays: the model's
     index, the ballot's, the digit's position in its ballot and its new
     value.  Matches the scalar draw discipline: under the uniform model
@@ -287,22 +315,24 @@ def corrupt_digits_batch(
     same new values; the confusion model resamples digit k from draw k.
     """
     if all(isinstance(m, UniformDigitModel) for m in models):
-        words = raw_words(seeds, n_digits, stride=2)
+        plan = _plan(n_digits, 2)
+        words = plan.words(seeds)
         kept = np.flatnonzero(below(words, rate_bound(max(m.rate for m in models))))
         words = words[kept]
-        ballot, position = locate(n_digits, kept)
+        ballot, position = plan.locate(kept)
         clean = digits[start[ballot] + position]
         new = (draw_matrix(seeds[ballot], 2 * position + 1) * 10).astype(np.uint8)
         differs = new != clean
         hits = [np.flatnonzero(below(words, rate_bound(m.rate)) & differs) for m in models]
         values = [new[hit] for hit in hits]
     elif all(isinstance(m, ConfusionModel) for m in models):
-        words = raw_words(seeds, n_digits)
+        plan = _plan(n_digits, 1)
+        words = plan.words(seeds)
         low = max(m.stay_window[0] for m in models)
         high = min(m.stay_window[1] for m in models)
         kept = np.flatnonzero(below(words, low) | ~below(words, high))
         draws = uniforms(words[kept])
-        ballot, position = locate(n_digits, kept)
+        ballot, position = plan.locate(kept)
         clean = digits[start[ballot] + position]
         # The new digit is the number of CDF values in its column at or below the draw, at most 9.
         news = [np.minimum((draws >= m.column_cdfs[:, clean]).sum(axis=0), 9).astype(np.uint8) for m in models]

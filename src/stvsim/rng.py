@@ -17,6 +17,7 @@ with other SplitMix64 *stream protocols* is not a goal.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -74,10 +75,9 @@ class RandomStream:
         return int(self.uniform() * n)
 
 
-def _mix64_vec(z: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
     """``mix64`` on a uint64 array, in place, with one spare array of its shape; returns the array."""
-    if spare is None:
-        spare = np.empty_like(z)
+    spare = np.empty_like(z)
     for shift, multiplier in ((30, _M1_U), (27, _M2_U), (31, None)):
         np.right_shift(z, np.uint64(shift), out=spare)
         z ^= spare
@@ -118,26 +118,67 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return draws
 
 
-def raw_words(seeds: np.ndarray, sizes: np.ndarray, stride: int = 1) -> np.ndarray:
-    """The raw 64-bit words of a ragged set of streams, end to end.
+def _steps(n: int, stride: int) -> np.ndarray:
+    """``k * stride * GAMMA`` modulo 2^64 for k < n, as uint64."""
+    steps = np.arange(n, dtype=np.uint64)
+    steps *= np.uint64(stride * GAMMA & MASK64)
+    return steps
 
-    Stream i (seed ``seeds[i]``) gives its draws ``stride * k`` for
-    k < ``sizes[i]``: the words that ``RandomStream(seeds[i]).next_raw``
-    returns there, before ``uniform`` scales them.  Element k of stream i's
-    run is ``mix64(s_i + (1 + stride * k) * GAMMA)``; the runs are laid out
-    in one pass, as each run's base repeated plus its flat index times
-    ``stride * GAMMA``, and mixed in place.
+
+class DrawPlan:
+    """The layout of the raw words that a ragged set of streams gives end to end.
+
+    Stream i gives ``sizes[i]`` words: its draws ``stride * k`` for
+    k < ``sizes[i]``, the words that ``RandomStream(seed_i).next_raw``
+    returns there, before ``uniform`` scales them.  Its word k lies at flat
+    index ``start_i + k`` and is ``mix64(seed_i + (1 + stride * k) * GAMMA)``,
+    that is the stream's base ``(1 - stride * start_i) * GAMMA`` plus its
+    seed, plus the step ``stride * GAMMA`` times the flat index, modulo 2^64.
+    Everything but the seeds is a function of the sizes, so a plan keeps the
+    sizes, the run ends and the bases (one entry per stream) and a step
+    table (one per word, which the plans of one ``draw_plans`` call share),
+    and draws any seeds' words in one pass.  The sizes sum to less than 2^31.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    base = (1 - stride * starts).astype(np.uint64)  # modulo 2^64
-    base *= _GAMMA_U
-    base += seeds
-    words = np.repeat(base, sizes)
-    spare = np.arange(len(words), dtype=np.uint64)
-    spare *= np.uint64(stride * GAMMA & MASK64)
-    words += spare
-    return _mix64_vec(words, spare)
+
+    __slots__ = ("stride", "sizes", "ends", "bases", "steps")
+
+    def __init__(self, sizes, stride: int = 1, steps: np.ndarray | None = None):
+        ends = np.cumsum(sizes, dtype=np.int64)
+        total = int(ends[-1]) if len(ends) else 0
+        if total >= 1 << 31:
+            raise ValueError(f"a draw plan holds fewer than 2^31 words, not {total}")
+        self.stride = stride
+        self.sizes = np.asarray(sizes).astype(np.int32)
+        self.ends = ends.astype(np.int32)
+        ends -= self.sizes  # the starts
+        ends *= -stride
+        ends += 1
+        self.bases = ends.astype(np.uint64)  # modulo 2^64
+        self.bases *= _GAMMA_U
+        self.steps = _steps(total, stride) if steps is None else steps
+        if len(self.steps) < total:
+            raise ValueError(f"a step table of {len(self.steps)} words is too short for {total}")
+
+    def words(self, seeds: np.ndarray) -> np.ndarray:
+        """The raw words of the streams with these seeds (uint64, one per stream), end to end."""
+        words = np.repeat(self.bases + seeds, self.sizes)
+        words += self.steps[:len(words)]
+        return _mix64_vec(words)
+
+    def locate(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stream and the position (int32) within its run of each flat word index."""
+        flat = flat.astype(np.int32)  # so that the search and the sums do not widen the plan's arrays
+        owner = np.searchsorted(self.ends, flat, side="right")
+        flat -= self.ends[owner]
+        flat += self.sizes[owner]
+        return owner, flat
+
+
+def draw_plans(blocks: Iterable[np.ndarray], stride: int = 1) -> list[DrawPlan]:
+    """One ``DrawPlan`` per array of stream sizes, all sharing one step table as long as the largest."""
+    blocks = list(blocks)
+    steps = _steps(max((int(np.sum(sizes, dtype=np.int64)) for sizes in blocks), default=0), stride)
+    return [DrawPlan(sizes, stride, steps) for sizes in blocks]
 
 
 def rate_bound(rate: float) -> int:
@@ -156,10 +197,3 @@ def below(words: np.ndarray, bound: int) -> np.ndarray:
     if bound > MASK64:
         return np.ones(words.shape, dtype=bool)
     return words < np.uint64(bound)
-
-
-def locate(sizes: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The run and the position within it of each flat index, when runs of the given sizes lie end to end."""
-    ends = np.cumsum(sizes)
-    owner = np.searchsorted(ends, flat, side="right")
-    return owner, flat - (ends - sizes)[owner]

@@ -93,10 +93,11 @@ from .error_models import (
     TruncationModel,
     UniformDigitModel,
     corrupt_digits_batch,
+    draw_stride,
     truncation_lengths_batch,
 )
 from .ingest import ElectionFile
-from .rng import MASK64, seed_vector
+from .rng import MASK64, DrawPlan, draw_plans, seed_vector
 
 MODEL_FAMILIES = ("truncation", "digit", "confusion")
 
@@ -331,19 +332,31 @@ def _layout(
 # -- one run: the flat pass ------------------------------------------------------
 
 
+def _draw_plans(prep: _Prepared, models: list[ErrorModel]) -> list[DrawPlan]:
+    """The ``DrawPlan`` of each block of ``prep.blocks``: where one run's words for ``models`` lie.
+
+    A formal ballot draws one word per preference under truncation and
+    ``draw_stride(models)`` per digit under a digit model.  The plans share
+    one step table, as long as the block with the most words.
+    """
+    sizes = (prep.n_boxes if isinstance(models[0], TruncationModel) else prep.n_digits)[prep.ballot_sheet]
+    return draw_plans((sizes[lo:hi] for lo, hi in prep.blocks), draw_stride(models))
+
+
 def _changed_boxes(
-    prep: _Prepared, models: list[ErrorModel], lo: int, hi: int, seeds: np.ndarray
+    prep: _Prepared, models: list[ErrorModel], lo: int, hi: int, plan: DrawPlan, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corrupt the digits of formal ballots [lo, hi) under every model and read the boxes that changed.
 
-    ``seeds`` holds every physical ballot's substream seed.  Returns, per
-    changed box in (model, ballot) order, its run row
-    ``model * n_formal + formal ballot``, its rank (its clean value) and its
-    new value.  A changed digit always changes its box's value.
+    ``plan`` is the block's, from ``_draw_plans``; ``seeds`` holds every
+    physical ballot's substream seed.  Returns, per changed box in (model,
+    ballot) order, its run row ``model * n_formal + formal ballot``, its
+    rank (its clean value) and its new value.  A changed digit always
+    changes its box's value.
     """
     sheet = prep.ballot_sheet[lo:hi]
     model, ballot, position, new = corrupt_digits_batch(
-        prep.digits, prep.digit_start[sheet], prep.n_digits[sheet], models, seeds[prep.ballot_index[lo:hi]]
+        prep.digits, prep.digit_start[sheet], plan, models, seeds[prep.ballot_index[lo:hi]]
     )
     row = model * len(prep.ballot_sheet) + lo + ballot
     hit_at = prep.digit_start[sheet[ballot]] + position
@@ -379,17 +392,23 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
 
 
 def _perturb_run(
-    prep: _Prepared, models: list[ErrorModel], seeds: np.ndarray, prefixes: dict[tuple[int, int], CandidateRanking]
+    prep: _Prepared,
+    models: list[ErrorModel],
+    plans: list[DrawPlan],
+    seeds: np.ndarray,
+    prefixes: dict[int, CandidateRanking],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[CandidateRanking, int]]]]:
     """One run's pass over the formal ballots for every variant and model.
 
-    ``models`` are one family's; ``seeds`` holds every physical ballot's
-    substream seed.  Block by block, each block is drawn and corrupted once
-    for all models, and only what changed is kept: one (run row
-    ``model * n_formal + formal ballot``, rank, new value) record per
-    changed box, where under truncation the box of the preference that
-    fired reads 0.  Then, once per run, the changed rows' prefixes are cut
-    and one comparison decides their formality for every variant.  Yields, per
+    ``models`` are one family's and ``plans`` their ``_draw_plans``; ``seeds``
+    holds every physical ballot's substream seed.  Block by block, each
+    block is drawn from its plan and corrupted once for all models, and only
+    what changed is kept: one (run row ``model * n_formal + formal ballot``,
+    rank, new value) record per changed box, where under truncation the box
+    of the preference that fired reads 0.  Then, once per run, the changes
+    are sorted by row, where a row differing from the one before starts a
+    changed row, the changed rows' prefixes are cut and one comparison
+    decides their formality for every variant.  Yields, per
     (variant, model), variant-major, the changed formal ballots (ascending
     indices into ``ballot_index``), their surviving preference counts (0 if
     informal) and the row's formal ballots as ``(CandidateRanking, papers)``
@@ -403,21 +422,24 @@ def _perturb_run(
     truncation = isinstance(models[0], TruncationModel)
     empty = np.zeros(0, dtype=np.int64)
     changes = [(empty, empty, empty)]
-    for lo, hi in prep.blocks:
+    for (lo, hi), plan in zip(prep.blocks, plans):
         if truncation:
-            n_prefs = prep.n_boxes[prep.ballot_sheet[lo:hi]]
-            prefix = truncation_lengths_batch(n_prefs, [m.rate for m in models], seeds[prep.ballot_index[lo:hi]])
-            model, ballot = np.nonzero(prefix < n_prefs)
+            prefix = truncation_lengths_batch(plan, [m.rate for m in models], seeds[prep.ballot_index[lo:hi]])
+            model, ballot = np.nonzero(prefix < plan.sizes)
             fired = prefix[model, ballot] + 1  # the rank of the preference that fired; its box reads 0
             changes.append((model * n_formal + lo + ballot, fired, np.zeros(len(fired), dtype=np.int64)))
         else:
-            changes.append(_changed_boxes(prep, models, lo, hi, seeds))
+            changes.append(_changed_boxes(prep, models, lo, hi, plan, seeds))
 
     # Blocks arrive model by model: bring each row's changes together, in order.
     row, rank, value = map(np.concatenate, zip(*changes))
+    del changes  # the rows' ballots are built while this frame lives
     order = np.argsort(row, kind="stable")
-    rank, value = rank[order], value[order]
-    changed, at = np.unique(row[order], return_inverse=True)  # the changed rows; each change's row among them
+    row, rank, value = row[order], rank[order], value[order]
+    first = np.ones(len(row), dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    changed = row[first]  # the changed rows
+    at = np.cumsum(first) - 1  # each change's row among them
     model, ballot = np.divmod(changed, n_formal)
     sheet = prep.ballot_sheet[ballot]
     prefix = prep.n_boxes[sheet]
@@ -440,8 +462,7 @@ def _perturb_run(
     keys, papers = np.unique(
         ((v_cut * n_models + model[cut]) * n_sheets + sheet[cut]) * stride + prefix[cut], return_counts=True
     )
-    cut_row, keys = np.divmod(keys, n_sheets * stride)
-    cuts = list(zip(*(a.tolist() for a in np.divmod(keys, stride)), papers.tolist()))
+    cut_row, keys = np.divmod(keys, n_sheets * stride)  # each cut's row and (sheet, length) key
     v_moved, moved = np.nonzero(formal & inside)
     row_ends = np.arange(len(prep.rules) * n_models + 1)
     cut_rows = np.searchsorted(cut_row, row_ends).tolist()
@@ -453,10 +474,12 @@ def _perturb_run(
     for row, (v, m) in enumerate(itertools.product(range(len(prep.rules)), range(n_models))):
         present = np.flatnonzero(kept[m])
         ballots = [(rankings[s], n) for s, n in zip(present.tolist(), kept[m, present].tolist())]
-        for s, length, n in cuts[cut_rows[row]:cut_rows[row + 1]]:
-            if (cut := prefixes.get((s, length))) is None:
+        cuts = slice(cut_rows[row], cut_rows[row + 1])
+        for key, n in zip(keys[cuts].tolist(), papers[cuts].tolist()):
+            if (cut := prefixes.get(key)) is None:
+                s, length = divmod(key, stride)
                 cut = CandidateRanking(rankings[s][:length if ends[s] is None else ends[s][length]])
-                prefixes[s, length] = cut
+                prefixes[key] = cut
             ballots.append((cut, n))
         for c in moved[moved_rows[row]:moved_rows[row + 1]]:
             own = slice(box_rows[c], box_rows[c + 1])
@@ -521,10 +544,11 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
         record(slice(None), 0, n_runs, list(zip(prep.rankings, prep.papers)))
     else:
         models = [point.model for point in points if point.btl_required == points[0].btl_required]
-        prefixes: dict[tuple[int, int], CandidateRanking] = {}  # each cut (sheet, length) ranking, built once
+        plans = _draw_plans(prep, models)
+        prefixes: dict[int, CandidateRanking] = {}  # each cut ranking by its (sheet, length) key, built once
         for i, run in enumerate(range(run_lo, run_hi)):
             seeds = seed_vector((base_seed, run), 0, prep.n_physical)
-            for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, seeds, prefixes)):
+            for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, plans, seeds, prefixes)):
                 informal = changed[lengths == 0]
                 formal_runs[j, informal] -= 1
                 atl = np.count_nonzero(style[informal] == 0)

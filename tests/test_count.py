@@ -159,6 +159,36 @@ class TestTieBreaks:
         first_elim = next(r for r in tr.rounds if r.eliminated)
         assert first_elim.eliminated == "c0"
 
+    def test_countback_reaches_back_to_the_first_round_that_differs(self):
+        # c1 and c2 tie at 5 after c4 goes, and at 4 after c3 goes; only the
+        # first round (c1 4, c2 3) tells them apart, so c2 goes, not c1, which
+        # comes first on the ballot paper.
+        meta = simple_meta(5)
+        ballots = [
+            btl(["c0"], 9),
+            btl(["c1"], 4),
+            btl(["c2"], 3),
+            btl(["c3", "c2"], 1),
+            btl(["c4", "c1"], 1),
+            btl(["c4", "c2"], 1),
+        ]
+        winners, tr = count_stv(ballots, meta)
+        assert [r.eliminated for r in tr.rounds if r.eliminated] == ["c3", "c4", "c2", "c1"]
+        assert [(r.tallies["c1"], r.tallies["c2"]) for r in tr.rounds[:3]] == [(4, 3), (4, 4), (5, 5)]
+        assert tr.rounds[3].ties == ["elimination tie among c1, c2 at 5; c2 eliminated by countback/index"]
+        assert winners == ["c0"]
+
+    def test_a_tie_over_every_round_goes_to_ballot_paper_order(self):
+        # c2 and c1 hold 3 each in both rounds; c1 comes first on the ballot
+        # paper, so it goes, though c2 is the one listed first on the ballots.
+        meta = simple_meta(4)
+        ballots = [btl(["c0"], 7), btl(["c2"], 3), btl(["c1"], 3), btl(["c3"], 1)]
+        winners, tr = count_stv(ballots, meta)
+        assert [r.eliminated for r in tr.rounds if r.eliminated] == ["c3", "c1", "c2"]
+        assert [(r.tallies["c1"], r.tallies["c2"]) for r in tr.rounds[:2]] == [(3, 3), (3, 3)]
+        assert tr.rounds[2].ties == ["elimination tie among c1, c2 at 3; c1 eliminated by countback/index"]
+        assert winners == ["c0"]
+
     def test_tie_notes_do_not_depend_on_hash_order(self):
         # Two election-order ties in one round (quota 23): the notes follow
         # ballot-paper order under every hash seed.

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stvsim.rng import (
     MASK64,
+    DrawPlan,
     RandomStream,
     below,
     derive_seed,
     draw_matrix,
-    locate,
+    draw_plans,
     mix64,
     rate_bound,
-    raw_words,
     seed_vector,
 )
 
@@ -79,10 +81,10 @@ def test_mix64_avalanche():
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_raw_words_match_streams(stride):
+def test_plan_words_match_streams(stride):
     sizes = np.array([3, 0, 5, 1, 0, 4])
     seeds = seed_vector((21, 2), 0, len(sizes))
-    words = raw_words(seeds, sizes, stride)
+    words = DrawPlan(sizes, stride).words(seeds)
     expected = []
     for seed, size in zip(seeds.tolist(), sizes.tolist()):
         stream = RandomStream(seed)
@@ -94,18 +96,79 @@ def test_raw_words_match_streams(stride):
     assert words[0] == mix64(int(seeds[0]) + 0x9E3779B97F4A7C15)
 
 
-def test_raw_words_of_no_streams():
+def test_plan_of_no_streams():
     for sizes in ([], [0, 0]):
-        assert raw_words(seed_vector((1,), 0, len(sizes)), np.array(sizes, dtype=np.int64), 2).tolist() == []
+        assert DrawPlan(np.array(sizes, dtype=np.int64), 2).words(seed_vector((1,), 0, len(sizes))).tolist() == []
+    (plan,) = draw_plans([np.zeros(0, dtype=np.int64)])
+    assert len(plan.steps) == 0 and plan.words(np.zeros(0, dtype=np.uint64)).tolist() == []
 
 
-def test_locate_reads_the_flat_layout():
-    sizes = np.array([2, 0, 3, 1])
-    owner, index = locate(sizes, np.arange(6))
+def test_plan_locates_the_flat_layout():
+    plan = DrawPlan(np.array([2, 0, 3, 1]))
+    owner, index = plan.locate(np.arange(6))
     assert owner.tolist() == [0, 0, 2, 2, 2, 3]
     assert index.tolist() == [0, 1, 0, 1, 2, 0]
     # any subset of flat indices, read alone
-    assert [a.tolist() for a in locate(sizes, np.array([0, 2, 3, 5]))] == [[0, 2, 2, 3], [0, 0, 1, 0]]
+    assert [a.tolist() for a in plan.locate(np.array([0, 2, 3, 5]))] == [[0, 2, 2, 3], [0, 0, 1, 0]]
+
+
+def test_plans_share_one_step_table_as_long_as_the_largest():
+    blocks = [np.array([4, 1]), np.array([2, 0, 7]), np.array([], dtype=np.int64)]
+    plans = draw_plans(blocks, 2)
+    assert all(plan.steps is plans[0].steps for plan in plans)
+    assert len(plans[0].steps) == 9
+    for sizes, plan in zip(blocks, plans):
+        assert plan.sizes.dtype == plan.ends.dtype == np.int32
+        seeds = seed_vector((8,), 0, len(sizes))
+        assert plan.words(seeds).tolist() == DrawPlan(sizes, 2).words(seeds).tolist()
+    with pytest.raises(ValueError, match="too short"):
+        DrawPlan(np.array([5, 5]), 1, plans[0].steps)
+
+
+@st.composite
+def ragged_streams(draw):
+    """Word counts with zeros among them, a stride and one random seed per stream."""
+    sizes = draw(st.lists(st.integers(0, 9), max_size=8))
+    seeds = draw(st.lists(st.integers(0, MASK64), min_size=len(sizes), max_size=len(sizes)))
+    return np.array(sizes, dtype=np.int64), draw(st.sampled_from([1, 2])), np.array(seeds, dtype=np.uint64)
+
+
+WORD_BOUNDS = st.integers(0, 1 << 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_streams(), WORD_BOUNDS, WORD_BOUNDS)
+def test_a_plan_keeps_what_a_scalar_scan_of_the_streams_keeps(streams, low, high):
+    # Kept words: below a bound, below 0 (none), below 2^64 (rate 1: all),
+    # and outside a two-sided window [low, high), which keeps all when empty.
+    sizes, stride, seeds = streams
+    scalar = []  # (flat index, stream, position, word), from RandomStream alone
+    for i, (seed, size) in enumerate(zip(seeds.tolist(), sizes.tolist())):
+        stream = RandomStream(seed)
+        for k, word in enumerate([stream.next_raw() for _ in range(stride * size)][::stride]):
+            scalar.append((len(scalar), i, k, word))
+    (plan,) = draw_plans([sizes], stride)
+    words = plan.words(seeds)
+    assert words.tolist() == [word for *_, word in scalar]
+    keeps = {
+        "below low": lambda w: w < low,
+        "none": lambda w: w < 0,
+        "all": lambda w: w < 1 << 64,
+        "outside window": lambda w: w < low or w >= high,
+    }
+    masks = {
+        "below low": below(words, low),
+        "none": below(words, 0),
+        "all": below(words, 1 << 64),
+        "outside window": below(words, low) | ~below(words, high),
+    }
+    for name, keep in keeps.items():
+        kept = np.flatnonzero(masks[name])
+        owner, position = plan.locate(kept)
+        expected = [(flat, i, k) for flat, i, k, word in scalar if keep(word)]
+        assert list(zip(kept.tolist(), owner.tolist(), position.tolist())) == expected, name
+    if low >= high:
+        assert masks["outside window"].all()
 
 
 @pytest.mark.parametrize("rate", [0.0, 2.0**-53, 1e-12, 0.0025, 0.5, 1 - 2.0**-53, 1.0])

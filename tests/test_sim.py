@@ -51,8 +51,8 @@ from stvsim import (
 )
 from stvsim import ballots, count, error_models, sim
 from stvsim.cli import EXIT_OK, main
-from stvsim.error_models import corrupt_digits_batch, truncation_lengths_batch
-from stvsim.rng import seed_vector
+from stvsim.error_models import corrupt_digits_batch, draw_stride, truncation_lengths_batch
+from stvsim.rng import DrawPlan, seed_vector
 from stvsim.synth import formality_bias_election, marks_for_ranking, truncation_ladder_election
 
 from test_differential import HEAVY_CONFUSION, mixed_election
@@ -530,7 +530,7 @@ class TestCoupledDraws:
         models = [UniformDigitModel(1e-12), UniformDigitModel(2e-12)]
         seeds = seed_vector((5, 0), 0, election.total_ballots)
         for prep in sim._prepare(election, rules):
-            rows = list(sim._perturb_run(prep, models, seeds, {}))
+            rows = list(sim._perturb_run(prep, models, sim._draw_plans(prep, models), seeds, {}))
             assert len(rows) == len(prep.rules) * len(models)
             for changed, lengths, ballots in rows:
                 assert len(changed) == len(lengths) == 0
@@ -558,7 +558,8 @@ class TestCoupledDraws:
         tracemalloc.start()
         try:
             rows = 0
-            for changed, _, _ in sim._perturb_run(prep, [model], seeds, {}):
+            plans = sim._draw_plans(prep, [model])  # built once per task; counted here
+            for changed, _, _ in sim._perturb_run(prep, [model], plans, seeds, {}):
                 assert len(changed) > 0
                 rows += 1
             peak = tracemalloc.get_traced_memory()[1]
@@ -566,6 +567,25 @@ class TestCoupledDraws:
             tracemalloc.stop()
         assert rows == 1
         assert peak < key_array, (peak, key_array)
+
+    @pytest.mark.parametrize("block_digits", [sim.BLOCK_DIGITS, 64], ids=["default-blocks", "one-ballot-blocks"])
+    @pytest.mark.parametrize(
+        "model",
+        [UniformDigitModel(0.005), TruncationModel(0.005), HEAVY_CONFUSION],
+        ids=["digit", "truncation", "confusion"],
+    )
+    def test_a_tasks_plans_hold_three_numbers_per_ballot_and_one_step_table(self, model, block_digits, monkeypatch):
+        # The ladder's 111-digit BTL ballots each fill a block of their own at 64 digits.
+        monkeypatch.setattr(sim, "BLOCK_DIGITS", block_digits)
+        (prep,) = sim._prepare(truncation_ladder_election(), [FormalityRules()])
+        plans = sim._draw_plans(prep, [model])
+        assert len(plans) == len(prep.blocks) > 1
+        assert all(plan.steps is plans[0].steps for plan in plans)
+        words = (prep.n_boxes if isinstance(model, TruncationModel) else prep.n_digits)[prep.ballot_sheet]
+        for (lo, hi), plan in zip(prep.blocks, plans):
+            assert plan.sizes.tolist() == words[lo:hi].tolist()
+        arrays = {id(a): a.nbytes for plan in plans for a in (plan.sizes, plan.ends, plan.bases, plan.steps)}
+        assert sum(arrays.values()) <= 24 * len(prep.ballot_sheet) + 8 * (block_digits + int(words.max()))
 
     def test_a_variants_points_share_its_arrays_across_workers(self):
         # Variants 6 and 1 classify mixed_election() apart, so each is its own
@@ -616,7 +636,8 @@ class TestDigitStore:
         sheets = list(dict.fromkeys(p for sheet in election.sheets if (p := classify_formality(sheet)) is not None))
         assert prep.rankings == [expand_to_candidates(prefs, meta) for prefs in sheets]
         seeds = seed_vector((20, 0), 0, election.total_ballots)
-        row, rank, new = sim._changed_boxes(prep, [model], 0, len(prep.ballot_sheet), seeds)
+        plan = DrawPlan(prep.n_digits[prep.ballot_sheet], draw_stride([model]))  # one block of every ballot
+        row, rank, new = sim._changed_boxes(prep, [model], 0, len(prep.ballot_sheet), plan, seeds)
         expected = set()
         for ballot, (i, s) in enumerate(zip(prep.ballot_index.tolist(), prep.ballot_sheet.tolist())):
             clean = marks_from_preferences(sheets[s])
