@@ -378,7 +378,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     ph.set_defaults(func=cmd_analyze)
     registry["analyze histogram"] = ph
 
-    p = sub.add_parser("estimate-rate", help="binomial rate estimate with exact 95% interval")
+    p = sub.add_parser("estimate-rate", help="binomial rate estimate with exact 95%% interval")
     p.add_argument("--errors", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=cmd_estimate_rate)

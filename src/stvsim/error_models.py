@@ -268,9 +268,7 @@ def _plan(sizes: np.ndarray | DrawPlan, stride: int) -> DrawPlan:
     return sizes
 
 
-def truncation_lengths_batch(
-    n_prefs: np.ndarray | DrawPlan, rates: Sequence[float], seeds: np.ndarray
-) -> np.ndarray:
+def truncation_lengths_batch(n_prefs: np.ndarray | DrawPlan, rates: Sequence[float], seeds: np.ndarray) -> np.ndarray:
     """Surviving length of each ballot under the truncation model, one row per rate.
 
     Ballot i ranks ``n_prefs[i]`` preferences and owns substream ``seeds[i]``;
@@ -305,14 +303,14 @@ def corrupt_digits_batch(
     ``seeds[i]``; ``start`` and ``n_digits`` are integer arrays, and
     ``n_digits`` may be given as a ``DrawPlan`` of them, of stride
     ``draw_stride(models)``.  The models are all uniform or all confusion
-    models.  Returns the changed
-    digits in (model, ballot, position) order as four arrays: the model's
-    index, the ballot's, the digit's position in its ballot and its new
-    value.  Matches the scalar draw discipline: under the uniform model
-    digit k fires on draw 2k and takes its replacement from draw 2k + 1
-    (read only where it fired at the highest rate), so the digits changed
-    at a lower rate are a subset of those changed at a higher one, with the
-    same new values; the confusion model resamples digit k from draw k.
+    models.  Returns the changed digits in (model, ballot, position) order
+    as four arrays: the model's index, the ballot's, the digit's position in
+    its ballot and its new value.  Matches the scalar draw discipline: under
+    the uniform model digit k fires on draw 2k and takes its replacement
+    from draw 2k + 1 (read only where it fired at the highest rate), so the
+    digits changed at a lower rate are a subset of those changed at a higher
+    one, with the same new values; the confusion model resamples digit k
+    from draw k.
     """
     if all(isinstance(m, UniformDigitModel) for m in models):
         plan = _plan(n_digits, 2)

@@ -31,12 +31,17 @@ just a sheet id.  A run draws over all formal ballots
 in blocks of consecutive ballots holding at most ``BLOCK_DIGITS`` digits,
 so the per-digit raw words never outgrow one block.  In each block, every
 (ballot, digit) gets draw k of its ballot's substream (the scalar path's
-draw discipline) as a raw 64-bit word, read off the ballots' digit counts
-and offsets into the digit store with no per-digit layout.  A draw fires
+draw discipline) as a raw 64-bit word.  Where a block's words lie depends
+only on its ballots' sheets, so a task plans each block once
+(``rng.DrawPlan``): per ballot, its word count, where its words end and a
+64-bit base, and one step table, as long as the largest block, that every
+block shares.  A run then adds each ballot's seed to its base, repeats it
+over the ballot's words, adds the steps and mixes.  A draw fires
 exactly when its word is below the rate's integer bound, so a block
 compares words once at the highest rate, and only the digits that fire
 there (or, under the confusion model, that leave every digit's stay
-window) get their ballot, position, clean digit and new value: a digit
+window) get their ballot (by binary search over the plan's word ends),
+position, clean digit and new value: a digit
 that fires at one rate fires, with the same new value, at every higher
 rate, and a list cut at one rate is cut no later at a higher one.  A
 fired digit finds its box by binary search over the box ends.  The
@@ -44,9 +49,10 @@ truncation model draws one word per preference in the same way.
 Under every model a block keeps only one change record per changed box:
 its (rate, ballot) row, its rank and its new value, where under
 truncation the box of the preference that fired reads 0.  The rest of the
-run reads only those rows: the first number 1, 2, ... no longer held by
-exactly one box cuts a ranking, and one comparison decides formality for
-every (variant, rate, changed ballot).
+run reads only those rows, sorted once: a record whose row differs from
+the one before starts a changed row.  The first number 1, 2, ... no
+longer held by exactly one box cuts a ranking, and one comparison decides
+formality for every (variant, rate, changed ballot).
 Every other ballot keeps its clean ranking, so a (variant, rate) row
 hands the count one list of (``CandidateRanking``, papers) pairs, and
 builds no ``Preferences``: each sheet's clean papers that no changed
@@ -405,10 +411,11 @@ def _perturb_run(
     block is drawn from its plan and corrupted once for all models, and only
     what changed is kept: one (run row ``model * n_formal + formal ballot``,
     rank, new value) record per changed box, where under truncation the box
-    of the preference that fired reads 0.  Then, once per run, the changes
-    are sorted by row, where a row differing from the one before starts a
-    changed row, the changed rows' prefixes are cut and one comparison
-    decides their formality for every variant.  Yields, per
+    of the preference that fired reads 0.  Then, once per run, the records
+    are sorted by row (one whose row differs from the one before starts a
+    changed row), the changed rows' prefixes are cut (under truncation a
+    row's one record is the preference its ranking stops before), and one
+    comparison decides their formality for every variant.  Yields, per
     (variant, model), variant-major, the changed formal ballots (ascending
     indices into ``ballot_index``), their surviving preference counts (0 if
     informal) and the row's formal ballots as ``(CandidateRanking, papers)``
@@ -416,6 +423,8 @@ def _perturb_run(
     stored ranking; one pair per distinct cut prefix, a slice of it; then
     one per moved ballot, re-read by ``_reread``.  Every other formal
     ballot keeps its clean ranking.  No pair's ids are checked again.
+    ``prefixes`` holds the cut rankings built so far, by the key
+    ``sheet * (max n_boxes + 1) + length``, for the task's later runs.
     """
     n_formal = len(prep.ballot_sheet)
     n_models = len(models)
@@ -438,12 +447,16 @@ def _perturb_run(
     row, rank, value = row[order], rank[order], value[order]
     first = np.ones(len(row), dtype=bool)
     np.not_equal(row[1:], row[:-1], out=first[1:])
-    changed = row[first]  # the changed rows
+    box_rows = np.append(np.flatnonzero(first), len(row))  # where each changed row's records start; the end
+    changed = row[box_rows[:-1]]  # the changed rows
     at = np.cumsum(first) - 1  # each change's row among them
     model, ballot = np.divmod(changed, n_formal)
     sheet = prep.ballot_sheet[ballot]
-    prefix = prep.n_boxes[sheet]
-    _cut_prefixes(prefix, at, rank, value)
+    if truncation:  # a row's one record is the preference that fired, and its ranking stops before it
+        prefix = rank - 1
+    else:
+        prefix = prep.n_boxes[sheet]
+        _cut_prefixes(prefix, at, rank, value)
     # rows where a changed box took a rank inside the prefix
     inside = np.zeros(len(changed), dtype=bool)
     inside[at[rank <= prefix[at]]] = True
@@ -469,7 +482,6 @@ def _perturb_run(
     moved_rows = np.searchsorted(v_moved * n_models + model[moved], row_ends).tolist()
     moved = moved.tolist()
     model_rows = np.searchsorted(model, np.arange(n_models + 1))  # each model's changed rows
-    box_rows = np.searchsorted(at, np.arange(len(changed) + 1))  # each changed row's boxes
     rankings, ends = prep.rankings, prep.prefix_ends
     for row, (v, m) in enumerate(itertools.product(range(len(prep.rules)), range(n_models))):
         present = np.flatnonzero(kept[m])
@@ -511,10 +523,12 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     tally starts from the clean election, the same in every run and
     variant of the group, and each run subtracts what its changed ballots
     lost; the clean count is taken once for all zero-error points, over
-    the stored candidate rankings, and weighted by the runs.  Each row of
-    ``_perturb_run`` is counted as it comes.  Without count rules no run is counted and the
-    ``Counter`` is empty.  A count that breaks an invariant is re-raised
-    naming the grid point, run and base seed that reproduce it.
+    the stored candidate rankings, and weighted by the runs.  The perturbed
+    points' blocks are planned once (``_draw_plans``) for all of the task's
+    runs, and each row of ``_perturb_run`` is counted as it comes.  Without
+    count rules no run is counted and the ``Counter`` is empty.  A count
+    that breaks an invariant is re-raised naming the grid point, run and
+    base seed that reproduce it.
     """
     prep, meta, count_rules, points, base_seed, run_lo, run_hi = args
     n_runs = run_hi - run_lo

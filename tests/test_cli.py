@@ -12,7 +12,7 @@ from stvsim import (
     read_election_file,
     write_election_file,
 )
-from stvsim.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from stvsim.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from stvsim.synth import formality_bias_election
 
 
@@ -425,6 +425,20 @@ class TestConfigFile:
 class TestUsage:
     def test_no_command_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [
+        [], ["ingest"], ["count"], ["simulate"], ["analyze"], ["analyze", "partition"], ["analyze", "forensics"],
+        ["analyze", "histogram"], ["estimate-rate"],
+    ])
+    def test_every_help_text_prints_and_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser()[0].parse_args([*command, "--help"])
+        assert exc.value.code == 0
+        assert main([*command, "--help"]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.startswith("usage: stvsim")
+        if not command:  # argparse formats each subcommand's help with %, so a bare % broke the top level
+            assert "binomial rate estimate with exact 95% interval" in text
 
     def test_unknown_flag_is_usage_error(self, election_path):
         assert main(["count", "--election", election_path, "--frobnicate"]) == EXIT_USAGE
