@@ -11,7 +11,8 @@ Ballot weights are exact rationals throughout.  A candidate's pile is held
 as parcels of papers that share one exact weight, keyed by its integer
 (numerator, denominator), so a transfer does its rational arithmetic once
 per (parcel, receiving candidate), not per paper; a whole weight's receipts
-are int products.  Countback tally histories are built only for ties.
+are int products.  Countback reads tally histories only for ties, and an
+elimination tie reads back only as far as the round that breaks it.
 Under the default TRUNCATE_TO_INTEGER rounding, reported tallies are
 integers: each candidate's received transfer is floored and the units that
 vanish are tracked as cumulative rounding loss, so the conservation identity
@@ -244,13 +245,19 @@ class _Count:
         if len(tied) > 1:
             # Countback: keep the lowest of each past round's tallies, most
             # recent first, until one is left; a tie over the whole history
-            # goes to the first in ballot-paper order, as min by _standing would.
+            # goes to the first in ballot-paper order, as min by _standing
+            # would.  A continuing candidate has a tally in every round.
             still_tied = tied
+            tallies_of = operator.itemgetter(*still_tied)
             for past in reversed(self.transcript.rounds):
+                values = tallies_of(past.tallies)
+                if values.count(values[0]) == len(values):
+                    continue
+                low = min(values)
+                still_tied = [c for c, v in zip(still_tied, values) if v == low]
                 if len(still_tied) == 1:
                     break
-                low = min(past.tallies.get(c, -1) for c in still_tied)
-                still_tied = [c for c in still_tied if past.tallies.get(c, -1) == low]
+                tallies_of = operator.itemgetter(*still_tied)
             loser = still_tied[0]
             rec.ties.append(
                 f"elimination tie among {', '.join(tied)} "
