@@ -41,10 +41,10 @@ exactly when its word is below the rate's integer bound, so a block
 compares words once at the highest rate, and only the digits that fire
 there (or, under the confusion model, that leave every digit's stay
 window) get their ballot (by binary search over the plan's word ends),
-position, clean digit and new value: a digit
-that fires at one rate fires, with the same new value, at every higher
-rate, and a list cut at one rate is cut no later at a higher one.  A
-fired digit finds its box by binary search over the box ends.  The
+position, clean digit and new value: a digit that fires at one rate
+fires, with the same new value, at every higher rate, and a list cut at
+one rate is cut no later at a higher one.  A fired digit finds its box
+by binary search over the box ends.  The
 truncation model draws one word per preference in the same way.
 Under every model a block keeps only one change record per changed box:
 its (rate, ballot) row, its rank and its new value, where under
