@@ -242,16 +242,16 @@ def perturb_ballot(
 # is below the rate's integer bound, ``ceil(rate * 2^53) * 2^11``
 # (``rng.rate_bound``), so the helpers draw raw words and compare them with
 # integers.  Where the words of each ballot lie depends only on how many
-# digits (or preferences) each ballot has, so a caller that draws the same
-# ballots many times passes an ``rng.DrawPlan`` of those counts, built once
-# with ``draw_stride`` draws per digit, in place of the counts; the helpers
-# then only add the seeds, mix and compare.  Only the words that can change
-# something under some model are kept, and only those get a ballot (by
-# binary search over the plan's run ends), a position and whatever else
-# their outcome needs: under truncation, the words below the highest rate's
-# bound; under the uniform model, the fire words below it; under the
-# confusion model, the words outside the window in which every digit stays
-# as it is (``ConfusionModel.stay_window``).
+# digits (or preferences) each ballot has, so the helpers take an
+# ``rng.DrawPlan`` of those counts, built once with ``draw_stride`` draws
+# per digit, and only add the seeds, mix and compare, one block of the plan
+# at a time.  Only the words that can change something under some model
+# are kept: under truncation, the words below the highest rate's bound;
+# under the uniform model, the fire words below it; under the confusion
+# model, the words outside the window in which every digit stays as it is
+# (``ConfusionModel.stay_window``).  The kept words of every block then get
+# their ballot (by one binary search over the plan's run ends), their
+# position and whatever else their outcome needs, all at once.
 
 
 def draw_stride(models: Sequence[ErrorModel]) -> int:
@@ -259,30 +259,23 @@ def draw_stride(models: Sequence[ErrorModel]) -> int:
     return 2 if isinstance(models[0], UniformDigitModel) else 1
 
 
-def _plan(sizes: np.ndarray | DrawPlan, stride: int) -> DrawPlan:
-    """``sizes`` if it is a plan already, which must have this stride; else the plan of these sizes."""
-    if not isinstance(sizes, DrawPlan):
-        return DrawPlan(sizes, stride)
-    if sizes.stride != stride:
-        raise ErrorModelError(f"these models read {stride} draws per digit, not the plan's {sizes.stride}")
-    return sizes
+def _check_stride(plan: DrawPlan, stride: int) -> None:
+    if plan.stride != stride:
+        raise ErrorModelError(f"these models read {stride} draws per digit, not the plan's {plan.stride}")
 
 
-def truncation_lengths_batch(n_prefs: np.ndarray | DrawPlan, rates: Sequence[float], seeds: np.ndarray) -> np.ndarray:
+def truncation_lengths_batch(plan: DrawPlan, rates: Sequence[float], seeds: np.ndarray) -> np.ndarray:
     """Surviving length of each ballot under the truncation model, one row per rate.
 
-    Ballot i ranks ``n_prefs[i]`` preferences and owns substream ``seeds[i]``;
-    ``n_prefs`` may be given as a ``DrawPlan`` of them, of stride 1.
-    Preference k consumes draw k of it, and the list ends before the first
-    preference whose draw falls below the rate, so a ballot's length never
-    grows as the rate rises.
+    Ballot i ranks ``plan.sizes[i]`` preferences and owns substream
+    ``seeds[i]``; the plan has stride 1.  Preference k consumes draw k of
+    it, and the list ends before the first preference whose draw falls below
+    the rate, so a ballot's length never grows as the rate rises.
     """
-    plan = _plan(n_prefs, 1)
+    _check_stride(plan, 1)
+    bound = rate_bound(max(rates))
+    owner, index, words = plan.select(seeds, lambda block: below(block, bound))
     lengths = np.tile(plan.sizes, (len(rates), 1))
-    words = plan.words(seeds)
-    low = np.flatnonzero(below(words, rate_bound(max(rates))))
-    words = words[low]
-    owner, index = plan.locate(low)
     for row, rate in zip(lengths, rates):
         fired = below(words, rate_bound(rate))
         np.minimum.at(row, owner[fired], index[fired])
@@ -292,16 +285,15 @@ def truncation_lengths_batch(n_prefs: np.ndarray | DrawPlan, rates: Sequence[flo
 def corrupt_digits_batch(
     digits: np.ndarray,
     start: np.ndarray,
-    n_digits: np.ndarray | DrawPlan,
+    plan: DrawPlan,
     models: Sequence[ErrorModel],
     seeds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The digits each model changes on the ballots of a ragged digit store.
 
-    Ballot i writes the ``n_digits[i]`` digits (uint8, 0-9) from
+    Ballot i writes the ``plan.sizes[i]`` digits (uint8, 0-9) from
     ``digits[start[i]]`` on, in canonical order, and owns substream
-    ``seeds[i]``; ``start`` and ``n_digits`` are integer arrays, and
-    ``n_digits`` may be given as a ``DrawPlan`` of them, of stride
+    ``seeds[i]``; ``start`` is an integer array, and the plan has stride
     ``draw_stride(models)``.  The models are all uniform or all confusion
     models.  Returns the changed digits in (model, ballot, position) order
     as four arrays: the model's index, the ballot's, the digit's position in
@@ -313,29 +305,32 @@ def corrupt_digits_batch(
     from draw k.
     """
     if all(isinstance(m, UniformDigitModel) for m in models):
-        plan = _plan(n_digits, 2)
-        words = plan.words(seeds)
-        kept = np.flatnonzero(below(words, rate_bound(max(m.rate for m in models))))
-        words = words[kept]
-        ballot, position = plan.locate(kept)
+        _check_stride(plan, 2)
+        bound = rate_bound(max(m.rate for m in models))
+        ballot, position, words = plan.select(seeds, lambda block: below(block, bound))
         clean = digits[start[ballot] + position]
         new = (draw_matrix(seeds[ballot], 2 * position + 1) * 10).astype(np.uint8)
         differs = new != clean
         hits = [np.flatnonzero(below(words, rate_bound(m.rate)) & differs) for m in models]
         values = [new[hit] for hit in hits]
     elif all(isinstance(m, ConfusionModel) for m in models):
-        plan = _plan(n_digits, 1)
-        words = plan.words(seeds)
+        _check_stride(plan, 1)
         low = max(m.stay_window[0] for m in models)
         high = min(m.stay_window[1] for m in models)
-        kept = np.flatnonzero(below(words, low) | ~below(words, high))
-        draws = uniforms(words[kept])
-        ballot, position = plan.locate(kept)
+        ballot, position, words = plan.select(seeds, lambda block: below(block, low) | ~below(block, high))
+        draws = uniforms(words)
         clean = digits[start[ballot] + position]
-        # The new digit is the number of CDF values in its column at or below the draw, at most 9.
-        news = [np.minimum((draws >= m.column_cdfs[:, clean]).sum(axis=0), 9).astype(np.uint8) for m in models]
-        hits = [np.flatnonzero(new != clean) for new in news]
-        values = [new[hit] for new, hit in zip(news, hits)]
+        # The new digit is the number of CDF values in its column at or below
+        # the draw, at most 9.  A column's CDF never falls, so counting over
+        # the first 9 rows caps the count at 9.
+        hits, values = [], []
+        for m in models:
+            new = np.zeros(len(clean), dtype=np.uint8)
+            for cdf in m.column_cdfs[:9]:
+                new += draws >= cdf[clean]
+            hit = np.flatnonzero(new != clean)
+            hits.append(hit)
+            values.append(new[hit])
     else:
         raise ErrorModelError(f"models {models!r} do not corrupt digits as one family")
     hit = np.concatenate(hits)

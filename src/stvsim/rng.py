@@ -17,7 +17,6 @@ with other SplitMix64 *stream protocols* is not a goal.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -126,44 +125,63 @@ def _steps(n: int, stride: int) -> np.ndarray:
 
 
 class DrawPlan:
-    """The layout of the raw words that a ragged set of streams gives end to end.
+    """The layout of the raw words that a ragged set of streams gives end to end, in blocks.
 
     Stream i gives ``sizes[i]`` words: its draws ``stride * k`` for
     k < ``sizes[i]``, the words that ``RandomStream(seed_i).next_raw``
     returns there, before ``uniform`` scales them.  Its word k lies at flat
-    index ``start_i + k`` and is ``mix64(seed_i + (1 + stride * k) * GAMMA)``,
-    that is the stream's base ``(1 - stride * start_i) * GAMMA`` plus its
-    seed, plus the step ``stride * GAMMA`` times the flat index, modulo 2^64.
-    Everything but the seeds is a function of the sizes, so a plan keeps the
-    sizes, the run ends and the bases (one entry per stream) and a step
-    table (one per word, which the plans of one ``draw_plans`` call share),
-    and draws any seeds' words in one pass.  The sizes sum to less than 2^31.
+    index ``start_i + k``.  The streams fall into blocks of consecutive
+    streams (``bounds``: the first stream of each block, then the number of
+    streams; by default one block), and a block's words are made together:
+    stream i's word k is ``mix64(seed_i + (1 + stride * k) * GAMMA)``, that
+    is the stream's base ``(1 - stride * b_i) * GAMMA``, where b_i is where
+    its words start within its block, plus its seed, plus the step
+    ``stride * GAMMA`` times the word's index within the block, modulo 2^64.
+    Everything but the seeds is a function of the sizes and the blocks, so a
+    plan keeps the sizes, the run ends and the bases (one entry per stream),
+    the block bounds and one step table as long as the largest block, and
+    makes any seeds' words one block at a time.  The sizes sum to less than
+    2^31, so flat indices and positions are int32.
     """
 
-    __slots__ = ("stride", "sizes", "ends", "bases", "steps")
+    __slots__ = ("stride", "sizes", "ends", "bases", "bounds", "steps")
 
-    def __init__(self, sizes, stride: int = 1, steps: np.ndarray | None = None):
+    def __init__(self, sizes, stride: int = 1, bounds=None):
+        sizes = np.asarray(sizes).astype(np.int32)
         ends = np.cumsum(sizes, dtype=np.int64)
         total = int(ends[-1]) if len(ends) else 0
         if total >= 1 << 31:
             raise ValueError(f"a draw plan holds fewer than 2^31 words, not {total}")
         self.stride = stride
-        self.sizes = np.asarray(sizes).astype(np.int32)
+        self.sizes = sizes
         self.ends = ends.astype(np.int32)
-        ends -= self.sizes  # the starts
+        self.bounds = np.array((0, len(sizes)) if bounds is None else bounds, dtype=np.int32)
+        block_words = np.append(0, ends)[self.bounds]  # where each block's words start; the end
+        ends -= sizes  # the starts
+        ends -= np.repeat(block_words[:-1], np.diff(self.bounds))  # within the block
         ends *= -stride
         ends += 1
         self.bases = ends.astype(np.uint64)  # modulo 2^64
         self.bases *= _GAMMA_U
-        self.steps = _steps(total, stride) if steps is None else steps
-        if len(self.steps) < total:
-            raise ValueError(f"a step table of {len(self.steps)} words is too short for {total}")
+        self.steps = _steps(int(np.diff(block_words).max(initial=0)), stride)
 
-    def words(self, seeds: np.ndarray) -> np.ndarray:
-        """The raw words of the streams with these seeds (uint64, one per stream), end to end."""
-        words = np.repeat(self.bases + seeds, self.sizes)
-        words += self.steps[:len(words)]
-        return _mix64_vec(words)
+    def select(self, seeds: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stream, the position (int32) and the raw word of each word that ``keep`` keeps, in flat order.
+
+        ``seeds`` holds one uint64 seed per stream, and ``keep`` takes a
+        block's words and returns a bool mask of those to keep, so no array
+        of words outgrows one block.  The kept words of every block are
+        located at once.
+        """
+        flats, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+        bounds = self.bounds.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            words = np.repeat(self.bases[lo:hi] + seeds[lo:hi], self.sizes[lo:hi])
+            words += self.steps[:len(words)]
+            index = np.flatnonzero(keep(_mix64_vec(words)))
+            kept.append(words[index])
+            flats.append(index + (int(self.ends[lo - 1]) if lo else 0))
+        return *self.locate(np.concatenate(flats)), np.concatenate(kept)
 
     def locate(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The stream and the position (int32) within its run of each flat word index."""
@@ -172,13 +190,6 @@ class DrawPlan:
         flat -= self.ends[owner]
         flat += self.sizes[owner]
         return owner, flat
-
-
-def draw_plans(blocks: Iterable[np.ndarray], stride: int = 1) -> list[DrawPlan]:
-    """One ``DrawPlan`` per array of stream sizes, all sharing one step table as long as the largest."""
-    blocks = list(blocks)
-    steps = _steps(max((int(np.sum(sizes, dtype=np.int64)) for sizes in blocks), default=0), stride)
-    return [DrawPlan(sizes, stride, steps) for sizes in blocks]
 
 
 def rate_bound(rate: float) -> int:

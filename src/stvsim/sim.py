@@ -71,6 +71,7 @@ built once from its tasks' tallies, in run order.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import json
 import re
@@ -103,7 +104,7 @@ from .error_models import (
     truncation_lengths_batch,
 )
 from .ingest import ElectionFile
-from .rng import MASK64, DrawPlan, draw_plans, seed_vector
+from .rng import MASK64, DrawPlan, seed_vector
 
 MODEL_FAMILIES = ("truncation", "digit", "confusion")
 
@@ -338,34 +339,31 @@ def _layout(
 # -- one run: the flat pass ------------------------------------------------------
 
 
-def _draw_plans(prep: _Prepared, models: list[ErrorModel]) -> list[DrawPlan]:
-    """The ``DrawPlan`` of each block of ``prep.blocks``: where one run's words for ``models`` lie.
+def _draw_plan(prep: _Prepared, models: list[ErrorModel]) -> DrawPlan:
+    """The ``DrawPlan`` of ``prep``'s formal ballots in its blocks: where one run's words for ``models`` lie.
 
     A formal ballot draws one word per preference under truncation and
-    ``draw_stride(models)`` per digit under a digit model.  The plans share
-    one step table, as long as the block with the most words.
+    ``draw_stride(models)`` per digit under a digit model.  The plan's step
+    table is as long as the block with the most words.
     """
     sizes = (prep.n_boxes if isinstance(models[0], TruncationModel) else prep.n_digits)[prep.ballot_sheet]
-    return draw_plans((sizes[lo:hi] for lo, hi in prep.blocks), draw_stride(models))
+    return DrawPlan(sizes, draw_stride(models), [lo for lo, _ in prep.blocks] + [len(sizes)])
 
 
 def _changed_boxes(
-    prep: _Prepared, models: list[ErrorModel], lo: int, hi: int, plan: DrawPlan, seeds: np.ndarray
+    prep: _Prepared, models: list[ErrorModel], plan: DrawPlan, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corrupt the digits of formal ballots [lo, hi) under every model and read the boxes that changed.
+    """Corrupt the digits of every formal ballot under every model and read the boxes that changed.
 
-    ``plan`` is the block's, from ``_draw_plans``; ``seeds`` holds every
-    physical ballot's substream seed.  Returns, per changed box in (model,
-    ballot) order, its run row ``model * n_formal + formal ballot``, its
-    rank (its clean value) and its new value.  A changed digit always
-    changes its box's value.
+    ``plan`` is ``_draw_plan``'s; ``seeds`` holds each formal ballot's
+    substream seed.  Returns, per changed box in (model, ballot) order, its
+    run row ``model * n_formal + formal ballot``, its rank (its clean value)
+    and its new value.  A changed digit always changes its box's value.
     """
-    sheet = prep.ballot_sheet[lo:hi]
-    model, ballot, position, new = corrupt_digits_batch(
-        prep.digits, prep.digit_start[sheet], plan, models, seeds[prep.ballot_index[lo:hi]]
-    )
-    row = model * len(prep.ballot_sheet) + lo + ballot
-    hit_at = prep.digit_start[sheet[ballot]] + position
+    start = prep.digit_start[prep.ballot_sheet]
+    model, ballot, position, new = corrupt_digits_batch(prep.digits, start, plan, models, seeds)
+    row = model * len(prep.ballot_sheet) + ballot
+    hit_at = start[ballot] + position
     box = np.searchsorted(prep.box_end, hit_at, side="right")
     delta = (new.astype(np.int64) - prep.digits[hit_at]) * 10 ** (prep.box_end[box] - 1 - hit_at)
     # A box's digits are adjacent, so its changed digits are too.
@@ -384,67 +382,69 @@ def _cut_prefixes(prefix: np.ndarray, ballot: np.ndarray, rank: np.ndarray, valu
     its rank and gives one to its new value; the ranking now stops before
     the first number whose holders no longer number one (the rule of
     ``interpret_marks``).  Numbers above the count, and 0, cannot extend it.
+    A ballot's ranks are distinct, so a number keeps one holder exactly when
+    its sorted tagged keys, lost ``2 * key`` and gained ``2 * key + 1``, are
+    one lost key then one gained key.
     """
     if not len(ballot):
         return
     lands = (value >= 1) & (value <= prefix[ballot])
     stride = int(prefix.max()) + 1
     keys = np.concatenate((ballot * stride + rank, ballot[lands] * stride + value[lands]))
-    numbers, inverse = np.unique(keys, return_inverse=True)
-    lost = np.bincount(inverse[:len(ballot)], minlength=len(numbers))
-    gained = np.bincount(inverse[len(ballot):], minlength=len(numbers))
-    broken = numbers[lost != gained]
+    keys *= 2
+    keys[len(ballot):] += 1
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:] >> 1, keys[:-1] >> 1, out=first[1:])
+    starts = np.flatnonzero(first)
+    intact = (np.diff(starts, append=len(keys)) == 2) & (keys[starts] & 1 == 0)
+    broken = keys[starts[~intact]] >> 1
     np.minimum.at(prefix, broken // stride, broken % stride - 1)
 
 
 def _perturb_run(
     prep: _Prepared,
     models: list[ErrorModel],
-    plans: list[DrawPlan],
+    plan: DrawPlan,
     seeds: np.ndarray,
     prefixes: dict[int, CandidateRanking],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[CandidateRanking, int]]]]:
     """One run's pass over the formal ballots for every variant and model.
 
-    ``models`` are one family's and ``plans`` their ``_draw_plans``; ``seeds``
-    holds every physical ballot's substream seed.  Block by block, each
-    block is drawn from its plan and corrupted once for all models, and only
-    what changed is kept: one (run row ``model * n_formal + formal ballot``,
+    ``models`` are one family's and ``plan`` their ``_draw_plan``; ``seeds``
+    holds every physical ballot's substream seed.  The plan's blocks are
+    drawn one at a time, and only the words that can change something are
+    kept; then, once per run, every model decides them and only what
+    changed is kept: one (run row ``model * n_formal + formal ballot``,
     rank, new value) record per changed box, where under truncation the box
-    of the preference that fired reads 0.  Then, once per run, the records
-    are sorted by row (one whose row differs from the one before starts a
-    changed row), the changed rows' prefixes are cut (under truncation a
-    row's one record is the preference its ranking stops before), and one
-    comparison decides their formality for every variant.  Yields, per
-    (variant, model), variant-major, the changed formal ballots (ascending
-    indices into ``ballot_index``), their surviving preference counts (0 if
-    informal) and the row's formal ballots as ``(CandidateRanking, papers)``
-    pairs: each sheet's clean papers that no changed ballot took, with its
-    stored ranking; one pair per distinct cut prefix, a slice of it; then
-    one per moved ballot, re-read by ``_reread``.  Every other formal
-    ballot keeps its clean ranking.  No pair's ids are checked again.
-    ``prefixes`` holds the cut rankings built so far, by the key
+    of the preference that fired reads 0.  The records come in row order (a
+    record whose row differs from the one before starts a changed row), the
+    changed rows' prefixes are cut (under truncation a row's one record is
+    the preference its ranking stops before), and one comparison decides
+    their formality for every variant.  Yields, per (variant, model),
+    variant-major, the changed formal ballots (ascending indices into
+    ``ballot_index``), their surviving preference counts (0 if informal) and
+    the row's formal ballots as ``(CandidateRanking, papers)`` pairs: each
+    sheet's clean papers that no changed ballot took, with its stored
+    ranking; one pair per distinct cut prefix, a slice of it; then one per
+    moved ballot, re-read by ``_reread``.  Every other formal ballot keeps
+    its clean ranking.  No pair's ids are checked again.  ``prefixes`` holds
+    the cut rankings built so far, by the key
     ``sheet * (max n_boxes + 1) + length``, for the task's later runs.
     """
     n_formal = len(prep.ballot_sheet)
     n_models = len(models)
     truncation = isinstance(models[0], TruncationModel)
-    empty = np.zeros(0, dtype=np.int64)
-    changes = [(empty, empty, empty)]
-    for (lo, hi), plan in zip(prep.blocks, plans):
-        if truncation:
-            prefix = truncation_lengths_batch(plan, [m.rate for m in models], seeds[prep.ballot_index[lo:hi]])
-            model, ballot = np.nonzero(prefix < plan.sizes)
-            fired = prefix[model, ballot] + 1  # the rank of the preference that fired; its box reads 0
-            changes.append((model * n_formal + lo + ballot, fired, np.zeros(len(fired), dtype=np.int64)))
-        else:
-            changes.append(_changed_boxes(prep, models, lo, hi, plan, seeds))
-
-    # Blocks arrive model by model: bring each row's changes together, in order.
-    row, rank, value = map(np.concatenate, zip(*changes))
-    del changes  # the rows' ballots are built while this frame lives
-    order = np.argsort(row, kind="stable")
-    row, rank, value = row[order], rank[order], value[order]
+    seeds = seeds[prep.ballot_index]
+    if truncation:
+        lengths = truncation_lengths_batch(plan, [m.rate for m in models], seeds)
+        model, ballot = np.nonzero(lengths < plan.sizes)
+        rank = lengths[model, ballot] + 1  # the preference that fired; its box reads 0
+        del lengths
+        row, value = model * n_formal + ballot, np.zeros(len(rank), dtype=np.int64)
+    else:
+        row, rank, value = _changed_boxes(prep, models, plan, seeds)
+    del seeds  # the rows' ballots are built while this frame lives
     first = np.ones(len(row), dtype=bool)
     np.not_equal(row[1:], row[:-1], out=first[1:])
     box_rows = np.append(np.flatnonzero(first), len(row))  # where each changed row's records start; the end
@@ -524,54 +524,66 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     variant of the group, and each run subtracts what its changed ballots
     lost; the clean count is taken once for all zero-error points, over
     the stored candidate rankings, and weighted by the runs.  The perturbed
-    points' blocks are planned once (``_draw_plans``) for all of the task's
+    points' draws are planned once (``_draw_plan``) for all of the task's
     runs, and each row of ``_perturb_run`` is counted as it comes.  Without
     count rules no run is counted and the ``Counter`` is empty.  A count
     that breaks an invariant is re-raised naming the grid point, run and
     base seed that reproduce it.
+
+    The cyclic garbage collector is off for the task, and back in the
+    caller's state after it, also when a count raises.  A task makes no
+    reference cycles, so a collection would free nothing, yet at Senate
+    scale it walks every ranking that the task holds, several times a
+    count.
     """
     prep, meta, count_rules, points, base_seed, run_lo, run_hi = args
-    n_runs = run_hi - run_lo
-    # per formal ballot, in physical order
-    style = prep.style_codes[prep.ballot_index]
-    orig = prep.orig_prefs[prep.ballot_index].astype(np.int64)
-    formal_runs = np.full((len(points), len(orig)), n_runs, dtype=np.int64)
-    atl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 0), dtype=np.int64)
-    btl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 1), dtype=np.int64)
-    n_buckets = int(orig.max(initial=0)) + 1
-    surviving = np.tile(n_runs * np.bincount(orig, minlength=n_buckets) * np.arange(n_buckets), (len(points), 1))
-    outcomes = [Counter() for _ in points]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        n_runs = run_hi - run_lo
+        # per formal ballot, in physical order
+        style = prep.style_codes[prep.ballot_index]
+        orig = prep.orig_prefs[prep.ballot_index].astype(np.int64)
+        formal_runs = np.full((len(points), len(orig)), n_runs, dtype=np.int64)
+        atl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 0), dtype=np.int64)
+        btl_by_run = np.full((len(points), n_runs), np.count_nonzero(style == 1), dtype=np.int64)
+        n_buckets = int(orig.max(initial=0)) + 1
+        surviving = np.tile(n_runs * np.bincount(orig, minlength=n_buckets) * np.arange(n_buckets), (len(points), 1))
+        outcomes = [Counter() for _ in points]
 
-    def record(rows: slice, i: int, runs: int, ballots) -> None:
-        """Count these ballots, which ``runs`` runs from the chunk's run i all left, for the points of ``rows``."""
-        if count_rules is None:
-            return
-        try:
-            winners = tuple(sorted(count_stv(ballots, meta, count_rules)[0])) if ballots else None
-        except CountInvariantError as exc:
-            where = f"grid point {points[rows][0].index}, run {run_lo + i}, base seed {base_seed}"
-            raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
-        for outcome in outcomes[rows]:
-            outcome[winners] += runs
+        def record(rows: slice, i: int, runs: int, ballots) -> None:
+            """Count these ballots, which ``runs`` runs from the chunk's run i all left, for the points of ``rows``."""
+            if count_rules is None:
+                return
+            try:
+                winners = tuple(sorted(count_stv(ballots, meta, count_rules)[0])) if ballots else None
+            except CountInvariantError as exc:
+                where = f"grid point {points[rows][0].index}, run {run_lo + i}, base seed {base_seed}"
+                raise CountInvariantError(f"{where}: {exc}", exc.transcript) from exc
+            for outcome in outcomes[rows]:
+                outcome[winners] += runs
 
-    if points[0].model is None:
-        record(slice(None), 0, n_runs, list(zip(prep.rankings, prep.papers)))
-    else:
-        models = [point.model for point in points if point.btl_required == points[0].btl_required]
-        plans = _draw_plans(prep, models)
-        prefixes: dict[int, CandidateRanking] = {}  # each cut ranking by its (sheet, length) key, built once
-        for i, run in enumerate(range(run_lo, run_hi)):
-            seeds = seed_vector((base_seed, run), 0, prep.n_physical)
-            for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, plans, seeds, prefixes)):
-                informal = changed[lengths == 0]
-                formal_runs[j, informal] -= 1
-                atl = np.count_nonzero(style[informal] == 0)
-                atl_by_run[j, i] -= atl
-                btl_by_run[j, i] -= len(informal) - atl
-                was = orig[changed]
-                surviving[j] -= np.bincount(was, weights=was - lengths, minlength=n_buckets).astype(np.int64)
-                record(slice(j, j + 1), i, 1, ballots)
-    return list(zip(formal_runs, atl_by_run, btl_by_run, surviving, outcomes))
+        if points[0].model is None:
+            record(slice(None), 0, n_runs, list(zip(prep.rankings, prep.papers)))
+        else:
+            models = [point.model for point in points if point.btl_required == points[0].btl_required]
+            plan = _draw_plan(prep, models)
+            prefixes: dict[int, CandidateRanking] = {}  # each cut ranking by its (sheet, length) key, built once
+            for i, run in enumerate(range(run_lo, run_hi)):
+                seeds = seed_vector((base_seed, run), 0, prep.n_physical)
+                for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, plan, seeds, prefixes)):
+                    informal = changed[lengths == 0]
+                    formal_runs[j, informal] -= 1
+                    atl = np.count_nonzero(style[informal] == 0)
+                    atl_by_run[j, i] -= atl
+                    btl_by_run[j, i] -= len(informal) - atl
+                    was = orig[changed]
+                    surviving[j] -= np.bincount(was, weights=was - lengths, minlength=n_buckets).astype(np.int64)
+                    record(slice(j, j + 1), i, 1, ballots)
+        return list(zip(formal_runs, atl_by_run, btl_by_run, surviving, outcomes))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _point_result(point: GridPoint, prep: _Prepared, parts: list[tuple]) -> PointResult:

@@ -47,7 +47,7 @@ from stvsim import (
 )
 from stvsim.cli import main as cli_main
 from stvsim.error_models import corrupt_digits_batch
-from stvsim.rng import seed_vector
+from stvsim.rng import DrawPlan, seed_vector
 from stvsim.sim import partition_by_preference
 from stvsim.synth import formality_bias_election, truncation_ladder_election
 
@@ -167,7 +167,7 @@ def test_criterion_4_error_model_calibration():
         digits = np.tile(np.arange(10, dtype=np.uint8), 5)  # every stream writes these 50 digits
         start, sizes = np.zeros(streams, dtype=np.int64), np.full(streams, 50)
         seeds = seed_vector((8888, 0), 0, streams)
-        changed = len(corrupt_digits_batch(digits, start, sizes, [UniformDigitModel(0.01)], seeds)[0])
+        changed = len(corrupt_digits_batch(digits, start, DrawPlan(sizes, 2), [UniformDigitModel(0.01)], seeds)[0])
         n_digits = 50 * streams
         p = 0.009
         sigma = math.sqrt(p * (1 - p) / n_digits)
@@ -176,7 +176,7 @@ def test_criterion_4_error_model_calibration():
         # shipped confusion table: mean per-digit change rate 0.89% +/- 0.05%
         table = load_confusion_table(BUNDLED_CONFUSION_TABLE)
         seeds = seed_vector((8888, 1), 0, streams)
-        observed = len(corrupt_digits_batch(digits, start, sizes, [table], seeds)[0]) / n_digits
+        observed = len(corrupt_digits_batch(digits, start, DrawPlan(sizes), [table], seeds)[0]) / n_digits
         assert abs(observed - 0.0089) < 0.0005
 
 

@@ -39,7 +39,7 @@ from stvsim import (
 )
 from stvsim.rng import seed_vector
 from stvsim import sim
-from stvsim.sim import _build_points, _draw_plans, _perturb_run, _prepare
+from stvsim.sim import _build_points, _draw_plan, _perturb_run, _prepare
 from stvsim.synth import formality_bias_election, marks_for_ranking
 
 BASE_SEED = 2024
@@ -168,12 +168,12 @@ def test_sweep_matches_scalar_path(family, fixture):
         # one shared pass per run, in whole-election blocks and in small ones;
         # its rows are the group's perturbed points, variant by variant
         passes = []
-        plans, small_plans = _draw_plans(prep, models), _draw_plans(small_blocks, models)
+        plan, small_plan = _draw_plan(prep, models), _draw_plan(small_blocks, models)
         for run in range(RUNS):
             seeds = seed_vector((BASE_SEED, run), 0, election.total_ballots)
             passes.append((
-                list(_perturb_run(prep, models, plans, seeds, {})),
-                list(_perturb_run(small_blocks, models, small_plans, seeds, {})),
+                list(_perturb_run(prep, models, plan, seeds, {})),
+                list(_perturb_run(small_blocks, models, small_plan, seeds, {})),
             ))
             assert len(passes[-1][0]) == len(passes[-1][1]) == len(perturbed)
         for point, result in group:

@@ -23,8 +23,8 @@ from stvsim import (
     marks_from_preferences,
     perturb_ballot,
 )
-from stvsim.error_models import corrupt_digits_batch, truncation_lengths_batch
-from stvsim.rng import seed_vector
+from stvsim.error_models import corrupt_digits_batch, draw_stride, truncation_lengths_batch
+from stvsim.rng import DrawPlan, seed_vector
 
 from oracles import truncation_length_pmf
 
@@ -47,7 +47,8 @@ def stream(*parts):
 def corrupt_rows(digits, model, seeds):
     """One corrupted copy of ``digits`` per seed, through the batch form: every ballot reads the same store."""
     n, d = len(seeds), len(digits)
-    _, ballot, position, new = corrupt_digits_batch(digits, np.zeros(n, dtype=np.int64), np.full(n, d), [model], seeds)
+    plan = DrawPlan(np.full(n, d), draw_stride([model]))
+    _, ballot, position, new = corrupt_digits_batch(digits, np.zeros(n, dtype=np.int64), plan, [model], seeds)
     rows = np.tile(digits, (n, 1))
     rows[ballot, position] = new
     return rows
@@ -68,7 +69,7 @@ class TestTruncationModel:
         # length-3 list at rate 0.5: P(len) = (0.5, 0.25, 0.125, 0.125)
         prefs = btl_prefs(3)
         trials = 120_000
-        (lengths,) = truncation_lengths_batch(np.full(trials, 3), [0.5], seed_vector((42,), 0, trials))
+        (lengths,) = truncation_lengths_batch(DrawPlan(np.full(trials, 3)), [0.5], seed_vector((42,), 0, trials))
         pmf = truncation_length_pmf(3, 0.5)
         assert pmf == [0.5, 0.25, 0.125, 0.125]
         for length, p in enumerate(pmf):
@@ -79,7 +80,7 @@ class TestTruncationModel:
     def test_scalar_matches_batch(self):
         prefs = btl_prefs(7)
         seeds = seed_vector((9, 0, 0), 0, 200)
-        (lengths,) = truncation_lengths_batch(np.full(200, 7), [0.3], seeds)
+        (lengths,) = truncation_lengths_batch(DrawPlan(np.full(200, 7)), [0.3], seeds)
         for i in range(200):
             out = apply_truncation_model(prefs, 0.3, RandomStream(int(seeds[i])))
             assert len(out) == lengths[i]
@@ -217,7 +218,7 @@ class TestConfusionModel:
         for name, model in [*tables.items(), *others]:
             low, high = model.stay_window
             assert (low >= high) == (name in tables), name
-            changes = corrupt_digits_batch(store, np.cumsum(sizes) - sizes, sizes, [model], seeds)
+            changes = corrupt_digits_batch(store, np.cumsum(sizes) - sizes, DrawPlan(sizes), [model], seeds)
             m, ballot, position, new = (a.tolist() for a in changes)
             assert set(m) <= {0}
             if name == "identity":

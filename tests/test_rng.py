@@ -10,7 +10,6 @@ from stvsim.rng import (
     below,
     derive_seed,
     draw_matrix,
-    draw_plans,
     mix64,
     rate_bound,
     seed_vector,
@@ -80,27 +79,33 @@ def test_mix64_avalanche():
     assert bin(base ^ flipped).count("1") > 16
 
 
+def every(words):
+    return np.ones(len(words), dtype=bool)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_plan_words_match_streams(stride):
     sizes = np.array([3, 0, 5, 1, 0, 4])
     seeds = seed_vector((21, 2), 0, len(sizes))
-    words = DrawPlan(sizes, stride).words(seeds)
+    owner, position, words = DrawPlan(sizes, stride).select(seeds, every)
     expected = []
     for seed, size in zip(seeds.tolist(), sizes.tolist()):
         stream = RandomStream(seed)
         draws = [stream.next_raw() for _ in range(stride * size)]
         expected += draws[::stride][:size]
-    assert words.dtype == np.uint64
+    assert words.dtype == np.uint64 and position.dtype == np.int32
     assert words.tolist() == expected
+    assert owner.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
+    assert position.tolist() == [k for size in sizes.tolist() for k in range(size)]
     # the raw word is the integer that mix64 returns at the draw's counter
     assert words[0] == mix64(int(seeds[0]) + 0x9E3779B97F4A7C15)
 
 
 def test_plan_of_no_streams():
-    for sizes in ([], [0, 0]):
-        assert DrawPlan(np.array(sizes, dtype=np.int64), 2).words(seed_vector((1,), 0, len(sizes))).tolist() == []
-    (plan,) = draw_plans([np.zeros(0, dtype=np.int64)])
-    assert len(plan.steps) == 0 and plan.words(np.zeros(0, dtype=np.uint64)).tolist() == []
+    for sizes, bounds in (([], None), ([], [0]), ([0, 0], None), ([0, 0], [0, 1, 2])):
+        plan = DrawPlan(np.array(sizes, dtype=np.int64), 2, bounds)
+        assert len(plan.steps) == 0
+        assert all(len(a) == 0 for a in plan.select(seed_vector((1,), 0, len(sizes)), every))
 
 
 def test_plan_locates_the_flat_layout():
@@ -112,25 +117,33 @@ def test_plan_locates_the_flat_layout():
     assert [a.tolist() for a in plan.locate(np.array([0, 2, 3, 5]))] == [[0, 2, 2, 3], [0, 0, 1, 0]]
 
 
-def test_plans_share_one_step_table_as_long_as_the_largest():
-    blocks = [np.array([4, 1]), np.array([2, 0, 7]), np.array([], dtype=np.int64)]
-    plans = draw_plans(blocks, 2)
-    assert all(plan.steps is plans[0].steps for plan in plans)
-    assert len(plans[0].steps) == 9
-    for sizes, plan in zip(blocks, plans):
-        assert plan.sizes.dtype == plan.ends.dtype == np.int32
-        seeds = seed_vector((8,), 0, len(sizes))
-        assert plan.words(seeds).tolist() == DrawPlan(sizes, 2).words(seeds).tolist()
-    with pytest.raises(ValueError, match="too short"):
-        DrawPlan(np.array([5, 5]), 1, plans[0].steps)
+def test_a_plans_step_table_is_as_long_as_its_largest_block():
+    sizes = np.array([4, 1, 2, 0, 7, 3])
+    plan = DrawPlan(sizes, 2, [0, 2, 5, 5, 6])  # blocks of 5, 9, 0 and 3 words
+    assert len(plan.steps) == 9
+    assert plan.sizes.dtype == plan.ends.dtype == plan.bounds.dtype == np.int32
+    seeds = seed_vector((8,), 0, len(sizes))
+    assert [a.tolist() for a in plan.select(seeds, every)] == [a.tolist() for a in DrawPlan(sizes, 2).select(seeds, every)]
+
+
+def greedy_blocks(sizes: list[int], budget: int) -> list[int]:
+    """Block bounds of consecutive streams with at most ``budget`` words, or one stream."""
+    bounds, used = [0], 0
+    for i, size in enumerate(sizes):
+        if used and used + size > budget:
+            bounds.append(i)
+            used = 0
+        used += size
+    return bounds + [len(sizes)]
 
 
 @st.composite
 def ragged_streams(draw):
-    """Word counts with zeros among them, a stride and one random seed per stream."""
-    sizes = draw(st.lists(st.integers(0, 9), max_size=8))
+    """Word counts with zeros among them, a stride, one random seed per stream and a block budget."""
+    sizes = draw(st.lists(st.integers(0, 30), max_size=10))
     seeds = draw(st.lists(st.integers(0, MASK64), min_size=len(sizes), max_size=len(sizes)))
-    return np.array(sizes, dtype=np.int64), draw(st.sampled_from([1, 2])), np.array(seeds, dtype=np.uint64)
+    stride, budget = draw(st.sampled_from([1, 2])), draw(st.integers(16, 80))
+    return np.array(sizes, dtype=np.int64), stride, np.array(seeds, dtype=np.uint64), budget
 
 
 WORD_BOUNDS = st.integers(0, 1 << 64)
@@ -141,34 +154,28 @@ WORD_BOUNDS = st.integers(0, 1 << 64)
 def test_a_plan_keeps_what_a_scalar_scan_of_the_streams_keeps(streams, low, high):
     # Kept words: below a bound, below 0 (none), below 2^64 (rate 1: all),
     # and outside a two-sided window [low, high), which keeps all when empty.
-    sizes, stride, seeds = streams
-    scalar = []  # (flat index, stream, position, word), from RandomStream alone
+    sizes, stride, seeds, budget = streams
+    scalar = []  # (stream, position, word), from RandomStream alone
     for i, (seed, size) in enumerate(zip(seeds.tolist(), sizes.tolist())):
         stream = RandomStream(seed)
         for k, word in enumerate([stream.next_raw() for _ in range(stride * size)][::stride]):
-            scalar.append((len(scalar), i, k, word))
-    (plan,) = draw_plans([sizes], stride)
-    words = plan.words(seeds)
-    assert words.tolist() == [word for *_, word in scalar]
+            scalar.append((i, k, word))
+    bounds = greedy_blocks(sizes.tolist(), budget)
+    plan, whole = DrawPlan(sizes, stride, bounds), DrawPlan(sizes, stride)
+    assert len(plan.steps) <= max(budget, *sizes.tolist(), 0)
     keeps = {
-        "below low": lambda w: w < low,
-        "none": lambda w: w < 0,
-        "all": lambda w: w < 1 << 64,
-        "outside window": lambda w: w < low or w >= high,
+        "below low": (lambda w: w < low, lambda words: below(words, low)),
+        "none": (lambda w: w < 0, lambda words: below(words, 0)),
+        "all": (lambda w: w < 1 << 64, lambda words: below(words, 1 << 64)),
+        "outside window": (lambda w: w < low or w >= high, lambda words: below(words, low) | ~below(words, high)),
     }
-    masks = {
-        "below low": below(words, low),
-        "none": below(words, 0),
-        "all": below(words, 1 << 64),
-        "outside window": below(words, low) | ~below(words, high),
-    }
-    for name, keep in keeps.items():
-        kept = np.flatnonzero(masks[name])
-        owner, position = plan.locate(kept)
-        expected = [(flat, i, k) for flat, i, k, word in scalar if keep(word)]
-        assert list(zip(kept.tolist(), owner.tolist(), position.tolist())) == expected, name
+    for name, (keep, mask) in keeps.items():
+        expected = [(i, k, word) for i, k, word in scalar if keep(word)]
+        for one in (plan, whole):
+            kept = list(zip(*(a.tolist() for a in one.select(seeds, mask))))
+            assert kept == expected, (name, one is plan)
     if low >= high:
-        assert masks["outside window"].all()
+        assert len(plan.select(seeds, keeps["outside window"][1])[2]) == len(scalar)
 
 
 @pytest.mark.parametrize("rate", [0.0, 2.0**-53, 1e-12, 0.0025, 0.5, 1 - 2.0**-53, 1.0])

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stvsim import (
     BUNDLED_CONFUSION_TABLE,
@@ -39,6 +42,7 @@ from stvsim import (
     count_stv,
     expand_to_candidates,
     formal_ballots,
+    interpret_marks,
     formality_rate_report,
     load_confusion_table,
     marks_from_preferences,
@@ -504,10 +508,11 @@ class TestCoupledDraws:
         n, d = 40, len(digits)
         for run in range(3):
             seeds = seed_vector((12, run), 0, n)
-            model, ballot, position, new = corrupt_digits_batch(digits, np.zeros(n, dtype=np.int64), np.full(n, d), models, seeds)
+            plan = DrawPlan(np.full(n, d), draw_stride(models))
+            model, ballot, position, new = corrupt_digits_batch(digits, np.zeros(n, dtype=np.int64), plan, models, seeds)
             rows = np.tile(digits, (len(rates), n, 1))
             rows[model, ballot, position] = new
-            lengths = truncation_lengths_batch(np.full(n, len(prefs.ranking)), rates, seeds)
+            lengths = truncation_lengths_batch(DrawPlan(np.full(n, len(prefs.ranking))), rates, seeds)
             for i, seed in enumerate(seeds.tolist()):
                 for j, rate in enumerate(rates):  # each row is the scalar path's outcome at its rate
                     scalar = apply_digit_model(sheet, rate, RandomStream(seed))
@@ -530,7 +535,7 @@ class TestCoupledDraws:
         models = [UniformDigitModel(1e-12), UniformDigitModel(2e-12)]
         seeds = seed_vector((5, 0), 0, election.total_ballots)
         for prep in sim._prepare(election, rules):
-            rows = list(sim._perturb_run(prep, models, sim._draw_plans(prep, models), seeds, {}))
+            rows = list(sim._perturb_run(prep, models, sim._draw_plan(prep, models), seeds, {}))
             assert len(rows) == len(prep.rules) * len(models)
             for changed, lengths, ballots in rows:
                 assert len(changed) == len(lengths) == 0
@@ -558,8 +563,8 @@ class TestCoupledDraws:
         tracemalloc.start()
         try:
             rows = 0
-            plans = sim._draw_plans(prep, [model])  # built once per task; counted here
-            for changed, _, _ in sim._perturb_run(prep, [model], plans, seeds, {}):
+            plan = sim._draw_plan(prep, [model])  # built once per task; counted here
+            for changed, _, _ in sim._perturb_run(prep, [model], plan, seeds, {}):
                 assert len(changed) > 0
                 rows += 1
             peak = tracemalloc.get_traced_memory()[1]
@@ -574,18 +579,18 @@ class TestCoupledDraws:
         [UniformDigitModel(0.005), TruncationModel(0.005), HEAVY_CONFUSION],
         ids=["digit", "truncation", "confusion"],
     )
-    def test_a_tasks_plans_hold_three_numbers_per_ballot_and_one_step_table(self, model, block_digits, monkeypatch):
+    def test_a_tasks_plan_holds_three_numbers_per_ballot_and_one_step_table(self, model, block_digits, monkeypatch):
         # The ladder's 111-digit BTL ballots each fill a block of their own at 64 digits.
         monkeypatch.setattr(sim, "BLOCK_DIGITS", block_digits)
         (prep,) = sim._prepare(truncation_ladder_election(), [FormalityRules()])
-        plans = sim._draw_plans(prep, [model])
-        assert len(plans) == len(prep.blocks) > 1
-        assert all(plan.steps is plans[0].steps for plan in plans)
+        plan = sim._draw_plan(prep, [model])
+        assert len(prep.blocks) > 1
+        assert plan.bounds.tolist() == [lo for lo, _ in prep.blocks] + [len(prep.ballot_sheet)]
         words = (prep.n_boxes if isinstance(model, TruncationModel) else prep.n_digits)[prep.ballot_sheet]
-        for (lo, hi), plan in zip(prep.blocks, plans):
-            assert plan.sizes.tolist() == words[lo:hi].tolist()
-        arrays = {id(a): a.nbytes for plan in plans for a in (plan.sizes, plan.ends, plan.bases, plan.steps)}
-        assert sum(arrays.values()) <= 24 * len(prep.ballot_sheet) + 8 * (block_digits + int(words.max()))
+        assert plan.sizes.tolist() == words.tolist()
+        assert len(plan.steps) == max(int(words[lo:hi].sum()) for lo, hi in prep.blocks)
+        arrays = (plan.sizes, plan.ends, plan.bases, plan.bounds, plan.steps)
+        assert sum(a.nbytes for a in arrays) <= 24 * len(prep.ballot_sheet) + 8 * (block_digits + int(words.max()))
 
     def test_a_variants_points_share_its_arrays_across_workers(self):
         # Variants 6 and 1 classify mixed_election() apart, so each is its own
@@ -637,7 +642,7 @@ class TestDigitStore:
         assert prep.rankings == [expand_to_candidates(prefs, meta) for prefs in sheets]
         seeds = seed_vector((20, 0), 0, election.total_ballots)
         plan = DrawPlan(prep.n_digits[prep.ballot_sheet], draw_stride([model]))  # one block of every ballot
-        row, rank, new = sim._changed_boxes(prep, [model], 0, len(prep.ballot_sheet), plan, seeds)
+        row, rank, new = sim._changed_boxes(prep, [model], plan, seeds[prep.ballot_index])
         expected = set()
         for ballot, (i, s) in enumerate(zip(prep.ballot_index.tolist(), prep.ballot_sheet.tolist())):
             clean = marks_from_preferences(sheets[s])
@@ -647,6 +652,71 @@ class TestDigitStore:
         assert set(zip(row.tolist(), rank.tolist(), new.tolist())) == expected
         assert len(row) == len(expected)
         assert any(r >= 100 and r // 100 != v // 100 for _, r, v in expected)  # a changed hundreds digit
+
+
+@st.composite
+def changed_boxes(draw):
+    """Ballots of 1-12 preferences, each with a set of changed boxes (by rank) and their new values."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    ballot, rank, value = [], [], []
+    for b, n in enumerate(counts):
+        for r in sorted(draw(st.sets(st.integers(1, n), max_size=n))):
+            ballot.append(b)
+            rank.append(r)
+            value.append(draw(st.one_of(st.integers(0, n + 2), st.integers(100, 999)).filter(lambda v: v != r)))
+    return counts, ballot, rank, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed_boxes())
+def test_cut_prefixes_read_the_changed_boxes_as_interpret_marks_does(boxes):
+    counts, ballot, rank, value = boxes
+    prefix = np.array(counts, dtype=np.int64)
+    sim._cut_prefixes(prefix, np.array(ballot, dtype=np.int64), np.array(rank), np.array(value))
+    for b, n in enumerate(counts):
+        marks = {r: r for r in range(1, n + 1)}  # each box by its clean value
+        marks.update((r, v) for owner, r, v in zip(ballot, rank, value) if owner == b)
+        assert prefix[b] == len(interpret_marks(marks)), b
+
+
+class TestCollector:
+    @pytest.mark.parametrize("family", ["digit", "truncation", "confusion"])
+    def test_a_sweep_leaves_no_cyclic_garbage(self, family):
+        # A task runs with the collector off, so a reference cycle made
+        # inside one would stay until the next collection.
+        election = formality_bias_election(60, 60) if family == "digit" else truncation_ladder_election(20, 20)
+        config = SimConfig(
+            base_seed=5, runs_per_point=3, model=family, btl_required_grid=(6, 1),
+            rates=() if family == "confusion" else (0.05, 0.2),
+            confusion=HEAVY_CONFUSION if family == "confusion" else None,
+        )
+        gc.collect()
+        report = run_sweep(election, config)
+        assert gc.collect() == 0
+        assert report.points[1].formal_runs_per_ballot.sum() < report.points[0].formal_runs_per_ballot.sum()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_a_task_restores_the_collectors_state_when_a_count_fails(self, small_election, monkeypatch, enabled):
+        during = []
+
+        def fail(self, rec):
+            during.append(gc.isenabled())
+            raise CountInvariantError("injected fault", self.transcript)
+
+        monkeypatch.setattr(count._Count, "_check_conservation", fail)
+        config = SimConfig(base_seed=3, runs_per_point=2, model="digit", rates=(0.5,))
+        points = sim._build_points(config)
+        (prep,) = sim._prepare(small_election, [config.rules_for(6)])
+        caller = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for task in (points[:1], points[1:]):  # the zero-error task, then a perturbed one
+                with pytest.raises(CountInvariantError, match="injected fault"):
+                    sim._run_chunk((prep, small_election.meta, CountRules(), task, 3, 0, 2))
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert during == [False, False]
 
 
 class TestCountFailureContext:
