@@ -31,28 +31,29 @@ just a sheet id.  A run draws over all formal ballots
 in blocks of consecutive ballots holding at most ``BLOCK_DIGITS`` digits,
 so the per-digit raw words never outgrow one block.  In each block, every
 (ballot, digit) gets draw k of its ballot's substream (the scalar path's
-draw discipline) as a raw 64-bit word.  Where a block's words lie depends
-only on its ballots' sheets, so a task plans each block once
-(``rng.DrawPlan``): per ballot, its word count, where its words end and a
-64-bit base, and one step table, as long as the largest block, that every
-block shares.  A run then adds each ballot's seed to its base, repeats it
-over the ballot's words, adds the steps and mixes.  A draw fires
-exactly when its word is below the rate's integer bound, so a block
-compares words once at the highest rate, and only the digits that fire
-there (or, under the confusion model, that leave every digit's stay
-window) get their ballot (by binary search over the plan's word ends),
-position, clean digit and new value: a digit that fires at one rate
-fires, with the same new value, at every higher rate, and a list cut at
-one rate is cut no later at a higher one.  A fired digit finds its box
-by binary search over the box ends.  The
-truncation model draws one word per preference in the same way.
-Under every model a block keeps only one change record per changed box:
-its (rate, ballot) row, its rank and its new value, where under
-truncation the box of the preference that fired reads 0.  The rest of the
-run reads only those rows, sorted once: a record whose row differs from
-the one before starts a changed row.  The first number 1, 2, ... no
-longer held by exactly one box cuts a ranking, and one comparison decides
-formality for every (variant, rate, changed ballot).
+draw discipline) as a raw 64-bit word.  Where the words lie depends only
+on the ballots' sheets, so a task plans them once (``rng.DrawPlan``): per
+formal ballot, its word count, where its words end and a 64-bit base
+within its block, plus the block bounds and one step table as long as the
+largest block.  A run then adds each ballot's seed to its base, repeats
+it over the ballot's words, adds the steps and mixes, one block at a
+time.  A draw fires exactly when its word is below the rate's integer
+bound, so a block compares words once at the highest rate and keeps only
+the words that fire there (or, under the confusion model, that leave
+every digit's stay window): a digit that fires at one rate fires, with
+the same new value, at every higher rate, and a list cut at one rate is
+cut no later at a higher one.  Once per run, the kept words of every
+block get their ballot (by one binary search over the plan's word ends),
+position, clean digit and new value under every model, and a changed
+digit finds its box by binary search over the box ends.  The truncation
+model draws one word per preference in the same way.  Under every model
+a run keeps only one change record per changed box: its (rate, ballot)
+row, its rank and its new value, where under truncation the box of the
+preference that fired reads 0.  The records come in row order, and a
+record whose row differs from the one before starts a changed row.  The
+first number 1, 2, ... no longer held by exactly one box cuts a ranking,
+and one comparison decides formality for every (variant, rate, changed
+ballot).
 Every other ballot keeps its clean ranking, so a (variant, rate) row
 hands the count one list of (``CandidateRanking``, papers) pairs, and
 builds no ``Preferences``: each sheet's clean papers that no changed
@@ -66,7 +67,8 @@ and yields each row's list one at a time, so a row's memory follows the
 ballots its run changed.  A group's
 zero-error points, the clean election in every run, are one task.  A task
 returns each point's raw tallies over its runs, and each point's result is
-built once from its tasks' tallies, in run order.
+built once from its tasks' tallies, in run order.  A task runs with the
+cyclic garbage collector off (``_run_chunk``).
 """
 from __future__ import annotations
 
@@ -193,11 +195,11 @@ def _build_points(config: SimConfig) -> list[GridPoint]:
 # -- prepared ballot data, one per classification group --------------------------
 
 #: Digit budget of one block of a run's flat pass: the per-digit arrays
-#: (raw words and one spare array) exist for one block at a time, so a
-#: run's working memory does not grow with the election.  At 2^15 each
-#: 8-byte array of a block is 256 KiB.  Only the few digits that fire get
-#: more than a word, so a block costs a fixed number of numpy calls plus
-#: time per digit, and larger blocks amortise those calls.
+#: (raw words, one spare array and the plan's step table) hold one block
+#: at a time, so a run's working memory does not grow with the election.
+#: At 2^15 each 8-byte array of a block is 256 KiB.  Only the words that
+#: can fire outlive their block, and they are decided once per run, so a
+#: block costs a few numpy calls plus time per digit.
 BLOCK_DIGITS = 1 << 15
 
 # Powers of ten from 10: one plus the number of them at or below a box

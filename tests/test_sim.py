@@ -42,8 +42,8 @@ from stvsim import (
     count_stv,
     expand_to_candidates,
     formal_ballots,
-    interpret_marks,
     formality_rate_report,
+    interpret_marks,
     load_confusion_table,
     marks_from_preferences,
     partition_by_preference,
@@ -579,7 +579,7 @@ class TestCoupledDraws:
         [UniformDigitModel(0.005), TruncationModel(0.005), HEAVY_CONFUSION],
         ids=["digit", "truncation", "confusion"],
     )
-    def test_a_tasks_plan_holds_three_numbers_per_ballot_and_one_step_table(self, model, block_digits, monkeypatch):
+    def test_a_tasks_plans_hold_three_numbers_per_ballot_and_one_step_table(self, model, block_digits, monkeypatch):
         # The ladder's 111-digit BTL ballots each fill a block of their own at 64 digits.
         monkeypatch.setattr(sim, "BLOCK_DIGITS", block_digits)
         (prep,) = sim._prepare(truncation_ladder_election(), [FormalityRules()])
