@@ -14,6 +14,7 @@ from stvsim import (
     VoteStyle,
     count_stv,
     droop_quota,
+    expand_to_candidates,
 )
 
 meta = ElectionMeta(
@@ -28,11 +29,13 @@ meta = ElectionMeta(
     ),
 )
 
-ballots = [
+papers = [
     (Preferences(VoteStyle.ATL, ("A", "B")), 617),   # expands to a1, a2, b1, b2
     (Preferences(VoteStyle.BTL, ("b1", "a2")), 247),
     (Preferences(VoteStyle.BTL, ("b2", "b1")), 136),
 ]
+# The count takes checked candidate rankings, so each ballot is expanded first.
+ballots = [(expand_to_candidates(prefs, meta), n) for prefs, n in papers]
 
 total = sum(m for _, m in ballots)
 print(f"{total} formal ballots, quota {droop_quota(total, meta.seats)}")

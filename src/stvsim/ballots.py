@@ -255,10 +255,11 @@ class CandidateRanking(tuple):
 
     ``expand_to_candidates`` builds one after checking every id, and
     ``_rankings`` builds one per distinct formal sheet from the layout's own
-    box codes (for a sweep, ``formal_ballots`` and ``stvsim count``), so the
-    count takes it as it is.  A non-empty prefix of one, or a
-    reordering of some of its candidates that keeps no id twice, keeps that
-    promise; a slice is a plain tuple until it is wrapped again.
+    box codes (for a sweep, ``formal_ballots`` and ``stvsim count``).  It is
+    the only ranking that the count takes, and it is counted as it is.  A
+    non-empty prefix of one, or a reordering of some of its candidates that
+    keeps no id twice, keeps that promise; a slice is a plain tuple until it
+    is wrapped again.
     """
 
     __slots__ = ()

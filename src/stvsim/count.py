@@ -32,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .ballots import CandidateRanking, ElectionMeta, Preferences, expand_to_candidates
+from .ballots import CandidateRanking, ElectionMeta
 
 
 class CountError(ValueError):
@@ -170,9 +170,9 @@ _Parcel = tuple[Fraction, list[_Papers]]
 
 
 class _Count:
-    def __init__(
-        self, ballots: Iterable[tuple[Preferences | CandidateRanking, int]], meta: ElectionMeta, rules: CountRules
-    ):
+    """One count's state, from ``count_stv``'s (``CandidateRanking``, papers) pairs, whose ids are not checked again."""
+
+    def __init__(self, ballots: Iterable[tuple[CandidateRanking, int]], meta: ElectionMeta, rules: CountRules):
         self.meta = meta
         self.rules = rules
         self.trunc = rules.tally_rounding is TallyRounding.TRUNCATE_TO_INTEGER
@@ -195,10 +195,8 @@ class _Count:
             if mult < 1:
                 raise CountError("ballot multiplicity must be >= 1")
             if not isinstance(ranking, CandidateRanking):
-                if not isinstance(ranking, Preferences):
-                    raise TypeError(f"a ballot ranks by Preferences or CandidateRanking, not {type(ranking).__name__}")
-                ranking = expand_to_candidates(ranking, meta)
-            elif not ranking:
+                raise TypeError(f"count a CandidateRanking from expand_to_candidates, not {type(ranking).__name__}")
+            if not ranking:
                 raise CountError("a ballot must rank at least one candidate")
             first[ranking[0]].append((ranking, 0, mult))
             self.tallies[ranking[0]] += mult
@@ -419,17 +417,16 @@ class _Count:
 
 
 def count_stv(
-    ballots: Iterable[tuple[Preferences | CandidateRanking, int]],
+    ballots: Iterable[tuple[CandidateRanking, int]],
     meta: ElectionMeta,
     rules: CountRules | None = None,
 ) -> tuple[list[str], CountTranscript]:
     """Count an election.  Returns (elected candidate ids in order, transcript).
 
-    Each ballot is a (ranking, papers) pair.  A ``Preferences`` ranking is
-    expanded and its ids checked by ``expand_to_candidates``, which fails
-    on an unknown id; a ``CandidateRanking``, the checked result of that
-    call for ``meta`` (or a prefix or re-read of one), is counted as it is;
-    any other ranking raises ``TypeError``.  Papers that are not an integer
-    (numpy ints pass) or are below 1, and an empty ranking, raise ``CountError``.
+    Each ballot is a (``CandidateRanking``, papers) pair: the checked result
+    of ``expand_to_candidates`` for ``meta`` (or a prefix or re-read of
+    one), counted as it is.  Any other ranking, ``Preferences`` included,
+    raises ``TypeError``.  Papers that are not an integer (numpy ints pass)
+    or are below 1, and an empty ranking, raise ``CountError``.
     """
     return _Count(ballots, meta, rules or CountRules()).run()

@@ -242,7 +242,9 @@ class _Prepared:
     # per formal physical ballot, in physical order
     ballot_index: np.ndarray  # physical index
     ballot_sheet: np.ndarray  # int32 sheet id
-    blocks: list[tuple[int, int]]  # ballot ranges of at most BLOCK_DIGITS digits, or one ballot
+    # int32, as DrawPlan takes them: the first formal ballot of each block of
+    # at most BLOCK_DIGITS digits (or of one ballot), then the number of formal ballots
+    bounds: np.ndarray
 
 
 def formal_ballots(election: ElectionFile, rules: FormalityRules | None = None) -> list[tuple[CandidateRanking, int]]:
@@ -298,13 +300,10 @@ def _layout(
 
     # Blocks: runs of consecutive formal ballots within the digit budget.
     ends = np.cumsum(n_digits[ballot_sheet])
-    blocks = []
-    lo = 0
-    while lo < len(ends):
+    bounds = [0]
+    while (lo := bounds[-1]) < len(ends):
         budget = (ends[lo - 1] if lo else 0) + BLOCK_DIGITS
-        hi = max(int(np.searchsorted(ends, budget, side="right")), lo + 1)
-        blocks.append((lo, hi))
-        lo = hi
+        bounds.append(max(int(np.searchsorted(ends, budget, side="right")), lo + 1))
 
     rankings, prefix_ends = _rankings(meta, sheet_style, n_boxes, codes)
     styles = np.full(n_physical, -1, dtype=np.int8)
@@ -334,7 +333,7 @@ def _layout(
         digits=digits,
         ballot_index=np.flatnonzero(baseline),
         ballot_sheet=ballot_sheet,
-        blocks=blocks,
+        bounds=np.array(bounds, dtype=np.int32),
     )
 
 
@@ -349,7 +348,7 @@ def _draw_plan(prep: _Prepared, models: list[ErrorModel]) -> DrawPlan:
     table is as long as the block with the most words.
     """
     sizes = (prep.n_boxes if isinstance(models[0], TruncationModel) else prep.n_digits)[prep.ballot_sheet]
-    return DrawPlan(sizes, draw_stride(models), [lo for lo, _ in prep.blocks] + [len(sizes)])
+    return DrawPlan(sizes, draw_stride(models), prep.bounds)
 
 
 def _changed_boxes(
@@ -409,7 +408,6 @@ def _perturb_run(
     models: list[ErrorModel],
     plan: DrawPlan,
     seeds: np.ndarray,
-    prefixes: dict[int, CandidateRanking],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[CandidateRanking, int]]]]:
     """One run's pass over the formal ballots for every variant and model.
 
@@ -430,9 +428,8 @@ def _perturb_run(
     sheet's clean papers that no changed ballot took, with its stored
     ranking; one pair per distinct cut prefix, a slice of it; then one per
     moved ballot, re-read by ``_reread``.  Every other formal ballot keeps
-    its clean ranking.  No pair's ids are checked again.  ``prefixes`` holds
-    the cut rankings built so far, by the key
-    ``sheet * (max n_boxes + 1) + length``, for the task's later runs.
+    its clean ranking.  No pair's ids are checked again, and each cut
+    ranking is built for its row alone.
     """
     n_formal = len(prep.ballot_sheet)
     n_models = len(models)
@@ -490,11 +487,8 @@ def _perturb_run(
         ballots = [(rankings[s], n) for s, n in zip(present.tolist(), kept[m, present].tolist())]
         cuts = slice(cut_rows[row], cut_rows[row + 1])
         for key, n in zip(keys[cuts].tolist(), papers[cuts].tolist()):
-            if (cut := prefixes.get(key)) is None:
-                s, length = divmod(key, stride)
-                cut = CandidateRanking(rankings[s][:length if ends[s] is None else ends[s][length]])
-                prefixes[key] = cut
-            ballots.append((cut, n))
+            s, length = divmod(key, stride)
+            ballots.append((CandidateRanking(rankings[s][:length if ends[s] is None else ends[s][length]]), n))
         for c in moved[moved_rows[row]:moved_rows[row + 1]]:
             own = slice(box_rows[c], box_rows[c + 1])
             ballots.append((_reread(prep, int(sheet[c]), rank[own].tolist(), value[own].tolist()), 1))
@@ -527,10 +521,11 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     lost; the clean count is taken once for all zero-error points, over
     the stored candidate rankings, and weighted by the runs.  The perturbed
     points' draws are planned once (``_draw_plan``) for all of the task's
-    runs, and each row of ``_perturb_run`` is counted as it comes.  Without
-    count rules no run is counted and the ``Counter`` is empty.  A count
-    that breaks an invariant is re-raised naming the grid point, run and
-    base seed that reproduce it.
+    runs, and each row of ``_perturb_run`` is counted as it comes and then
+    dropped: no ranking outlives its row, so a task's memory does not grow
+    with its runs.  Without count rules no run is counted and the
+    ``Counter`` is empty.  A count that breaks an invariant is re-raised
+    naming the grid point, run and base seed that reproduce it.
 
     The cyclic garbage collector is off for the task, and back in the
     caller's state after it, also when a count raises.  A task makes no
@@ -570,10 +565,9 @@ def _run_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
         else:
             models = [point.model for point in points if point.btl_required == points[0].btl_required]
             plan = _draw_plan(prep, models)
-            prefixes: dict[int, CandidateRanking] = {}  # each cut ranking by its (sheet, length) key, built once
             for i, run in enumerate(range(run_lo, run_hi)):
                 seeds = seed_vector((base_seed, run), 0, prep.n_physical)
-                for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, plan, seeds, prefixes)):
+                for j, (changed, lengths, ballots) in enumerate(_perturb_run(prep, models, plan, seeds)):
                     informal = changed[lengths == 0]
                     formal_runs[j, informal] -= 1
                     atl = np.count_nonzero(style[informal] == 0)

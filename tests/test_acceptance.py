@@ -39,6 +39,7 @@ from stvsim import (
     binomial_estimate,
     count_stv,
     droop_quota,
+    expand_to_candidates,
     formality_rate_report,
     load_confusion_table,
     read_election_file,
@@ -131,7 +132,7 @@ def test_criterion_2_oracle_equivalence():
         rng = random.Random(42)
         for _ in range(1000):
             meta, ballots = random_election(rng, max_candidates=5, max_ballots=100, seats=1)
-            winners, _ = count_stv(ballots, meta)
+            winners, _ = count_stv([(expand_to_candidates(prefs, meta), n) for prefs, n in ballots], meta)
             assert winners[0] == irv_winner(ballots, list(meta.candidate_ids))
 
 
@@ -148,9 +149,10 @@ def test_criterion_3_conservation():
         for trial in range(100):
             seats = rng.randint(2, 4)
             meta, ballots = random_election(rng, max_candidates=9, max_ballots=400, seats=seats)
+            checked = [(expand_to_candidates(prefs, meta), n) for prefs, n in ballots]
             for rounding in (TallyRounding.EXACT, TallyRounding.TRUNCATE_TO_INTEGER):
                 rules = CountRules(tally_rounding=rounding)
-                _, transcript = count_stv(ballots, meta, rules)
+                _, transcript = count_stv(checked, meta, rules)
                 for rec in transcript.rounds:
                     held = sum(rec.tallies.values())
                     assert held + rec.exhausted + rec.rounding_loss == transcript.total_ballots

@@ -23,6 +23,7 @@ from stvsim import (
     VoteStyle,
     count_stv,
     droop_quota,
+    expand_to_candidates,
 )
 
 from oracles import irv_winner, random_election
@@ -34,6 +35,11 @@ ALL_RULES = [CountRules(surplus, rounding) for surplus in SurplusMethod for roun
 
 def btl(ranking, mult=1):
     return (Preferences(VoteStyle.BTL, tuple(ranking)), mult)
+
+
+def count(ballots, meta, rules=None):
+    """``count_stv`` of (``Preferences``, papers) pairs, each ranking expanded first, as the count takes them."""
+    return count_stv([(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots], meta, rules)
 
 
 def simple_meta(n, seats=1):
@@ -61,21 +67,21 @@ class TestDroopQuota:
 class TestCountExamples:
     def test_majority_single_seat(self):
         meta = simple_meta(2)
-        winners, tr = count_stv([btl(["c0"], 60), btl(["c1"], 40)], meta)
+        winners, tr = count([btl(["c0"], 60), btl(["c1"], 40)], meta)
         assert winners == ["c0"]
         assert tr.quota == 51
         assert len(tr.rounds) == 1
 
     def test_two_seat_surplus(self):
         meta = simple_meta(3, seats=2)
-        winners, tr = count_stv([btl(["c0", "c1"], 60), btl(["c2"], 40)], meta)
+        winners, tr = count([btl(["c0", "c1"], 60), btl(["c2"], 40)], meta)
         assert tr.quota == 34
         assert winners == ["c0", "c2"]
 
     def test_elimination_then_majority(self):
         meta = simple_meta(3)
         ballots = [btl(["c0"], 40), btl(["c1"], 35), btl(["c2", "c1"], 25)]
-        winners, tr = count_stv(ballots, meta)
+        winners, tr = count(ballots, meta)
         assert winners == ["c1"]
         assert tr.rounds[1].eliminated == "c2"
         assert tr.rounds[1].tallies["c1"] == 60
@@ -83,19 +89,19 @@ class TestCountExamples:
     def test_surplus_methods_agree_at_weight_one(self):
         meta = simple_meta(3, seats=2)
         ballots = [btl(["c0", "c1"], 60), btl(["c2"], 40)]
-        wig, _ = count_stv(ballots, meta)
-        uig, _ = count_stv(ballots, meta, UIG)
+        wig, _ = count(ballots, meta)
+        uig, _ = count(ballots, meta, UIG)
         assert wig == uig
 
     def test_empty_election_raises(self):
         with pytest.raises(CountError):
-            count_stv([], simple_meta(3))
+            count([], simple_meta(3))
 
     def test_integer_papers_of_any_int_type_count_as_python_ints(self):
         meta = simple_meta(3, seats=2)
         ballots = [btl(["c0", "c1"], 60), btl(["c2"], 40)]
-        _, tr = count_stv(ballots, meta)
-        _, np_tr = count_stv([(prefs, np.int64(n)) for prefs, n in ballots], meta)
+        _, tr = count(ballots, meta)
+        _, np_tr = count([(prefs, np.int64(n)) for prefs, n in ballots], meta)
         assert np_tr.to_text() == tr.to_text()
         assert all(type(t) is int for rec in np_tr.rounds for t in rec.tallies.values())
 
@@ -104,7 +110,7 @@ class TestSurplusDistribution:
     def test_weighted_transfer_value(self):
         # 80 ballots [c0, c1], 20 [c2]; 2 seats; Q = 34; surplus 46 at tv 46/80
         meta = simple_meta(3, seats=2)
-        winners, tr = count_stv([btl(["c0", "c1"], 80), btl(["c2"], 20)], meta, EXACT)
+        winners, tr = count([btl(["c0", "c1"], 80), btl(["c2"], 20)], meta, EXACT)
         surplus_round = tr.rounds[1]
         assert surplus_round.kind == "surplus"
         assert surplus_round.transfer_value == Fraction(46, 80)
@@ -114,7 +120,7 @@ class TestSurplusDistribution:
     def test_truncation_rounding_loss_observable(self):
         meta = simple_meta(4, seats=2)
         ballots = [btl(["c0", "c1"], 79), btl(["c0", "c2"], 21), btl(["c3"], 1)]
-        winners, tr = count_stv(ballots, meta)
+        winners, tr = count(ballots, meta)
         surplus_round = tr.rounds[1]
         # Q=34, surplus 66, tv 66/100: c1 floor(79*0.66)=52, c2 floor(21*0.66)=13, loss 1
         assert surplus_round.transfer_value == Fraction(66, 100)
@@ -126,8 +132,8 @@ class TestSurplusDistribution:
         # second-round surplus where incoming weights differ between methods
         meta = simple_meta(4, seats=3)
         ballots = [btl(["c0", "c1", "c2"], 90), btl(["c3"], 10)]
-        w_wig, t_wig = count_stv(ballots, meta, EXACT)
-        w_uig, t_uig = count_stv(
+        w_wig, t_wig = count(ballots, meta, EXACT)
+        w_uig, t_uig = count(
             ballots, meta, CountRules(SurplusMethod.UNWEIGHTED_INCLUSIVE_GREGORY, TallyRounding.EXACT)
         )
         assert w_wig == w_uig  # same winners here, different arithmetic paths
@@ -145,7 +151,7 @@ class TestTieBreaks:
             btl(["c2"], 4),
             btl(["c3", "c2"], 1),
         ]
-        winners, tr = count_stv(ballots, meta)
+        winners, tr = count(ballots, meta)
         # round 2: c3 eliminated, c2 -> 5 (ties c1); countback says c2 had 4 in round 1
         elim_rounds = [r for r in tr.rounds if r.eliminated]
         assert elim_rounds[0].eliminated == "c3"
@@ -155,7 +161,7 @@ class TestTieBreaks:
     def test_full_history_tie_lowest_index_loses(self):
         meta = simple_meta(3)
         ballots = [btl(["c0"], 5), btl(["c1"], 5), btl(["c2"], 8)]
-        winners, tr = count_stv(ballots, meta)
+        winners, tr = count(ballots, meta)
         first_elim = next(r for r in tr.rounds if r.eliminated)
         assert first_elim.eliminated == "c0"
 
@@ -172,7 +178,7 @@ class TestTieBreaks:
             btl(["c4", "c1"], 1),
             btl(["c4", "c2"], 1),
         ]
-        winners, tr = count_stv(ballots, meta)
+        winners, tr = count(ballots, meta)
         assert [r.eliminated for r in tr.rounds if r.eliminated] == ["c3", "c4", "c2", "c1"]
         assert [(r.tallies["c1"], r.tallies["c2"]) for r in tr.rounds[:3]] == [(4, 3), (4, 4), (5, 5)]
         assert tr.rounds[3].ties == ["elimination tie among c1, c2 at 5; c2 eliminated by countback/index"]
@@ -183,7 +189,7 @@ class TestTieBreaks:
         # paper, so it goes, though c2 is the one listed first on the ballots.
         meta = simple_meta(4)
         ballots = [btl(["c0"], 7), btl(["c2"], 3), btl(["c1"], 3), btl(["c3"], 1)]
-        winners, tr = count_stv(ballots, meta)
+        winners, tr = count(ballots, meta)
         assert [r.eliminated for r in tr.rounds if r.eliminated] == ["c3", "c1", "c2"]
         assert [(r.tallies["c1"], r.tallies["c2"]) for r in tr.rounds[:2]] == [(3, 3), (3, 3)]
         assert tr.rounds[2].ties == ["elimination tie among c1, c2 at 3; c1 eliminated by countback/index"]
@@ -193,10 +199,10 @@ class TestTieBreaks:
         # Two election-order ties in one round (quota 23): the notes follow
         # ballot-paper order under every hash seed.
         code = (
-            "from stvsim import Candidate, ElectionMeta, Group, Preferences, VoteStyle, count_stv\n"
+            "from stvsim import Candidate, CandidateRanking, ElectionMeta, Group, count_stv\n"
             "meta = ElectionMeta('tie', 4, (Group('G', 'G'),),\n"
             "    tuple(Candidate(c, c, 'G', i) for i, c in enumerate('abcde', 1)))\n"
-            "ballots = [(Preferences(VoteStyle.BTL, (c,)), n) for c, n in zip('abcd', (30, 30, 25, 25))]\n"
+            "ballots = [(CandidateRanking((c,)), n) for c, n in zip('abcd', (30, 30, 25, 25))]\n"
             "print(count_stv(ballots, meta)[1].to_text(), end='')\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(stvsim.__file__).resolve().parents[1])}
@@ -215,8 +221,8 @@ class TestTieBreaks:
     def test_deterministic_repeat(self):
         rng = random.Random(314)
         meta, ballots = random_election(rng, max_candidates=6, max_ballots=60, seats=2)
-        first = count_stv(ballots, meta)
-        second = count_stv(ballots, meta)
+        first = count(ballots, meta)
+        second = count(ballots, meta)
         assert first[0] == second[0]
         assert first[1].to_text() == second[1].to_text()
 
@@ -226,7 +232,7 @@ class TestOracleEquivalence:
         rng = random.Random(20240101)
         for _ in range(300):
             meta, ballots = random_election(rng)
-            winners, _ = count_stv(ballots, meta)
+            winners, _ = count(ballots, meta)
             assert winners[0] == irv_winner(ballots, list(meta.candidate_ids))
 
     def test_strict_majority_always_wins(self):
@@ -239,7 +245,7 @@ class TestOracleEquivalence:
             others = [c for c in ids if c != majority]
             for i, c in enumerate(others):
                 ballots.append(btl([c] + rng.sample([x for x in ids if x != c], 2), 15 + i))
-            winners, _ = count_stv(ballots, meta)
+            winners, _ = count(ballots, meta)
             assert winners == [majority]
 
 
@@ -252,7 +258,7 @@ class TestConservation:
         for _ in range(40):
             seats = rng.randint(1, 4)
             meta, ballots = random_election(rng, max_candidates=8, max_ballots=250, seats=seats)
-            winners, tr = count_stv(ballots, meta, rules)
+            winners, tr = count(ballots, meta, rules)
             assert len(winners) == seats
             assert len(set(winners)) == seats
             for rec in tr.rounds:
@@ -265,7 +271,7 @@ class TestConservation:
         rng = random.Random(818)
         for _ in range(50):
             meta, ballots = random_election(rng, max_candidates=7, max_ballots=200, seats=3)
-            _, tr = count_stv(ballots, meta)
+            _, tr = count(ballots, meta)
             for rec in tr.rounds:
                 if rec.transfer_value is not None:
                     assert 0 <= rec.transfer_value <= 1
@@ -297,8 +303,8 @@ class TestOrderAndSplitInvariance:
     def test_same_transcript_under_every_rule_set(self, case):
         meta, ballots, split = case
         for rules in ALL_RULES:
-            _, tr = count_stv(ballots, meta, rules)
-            assert count_stv(split, meta, rules)[1].to_text() == tr.to_text()
+            _, tr = count(ballots, meta, rules)
+            assert count(split, meta, rules)[1].to_text() == tr.to_text()
             if rules.tally_rounding is TallyRounding.EXACT:
                 assert tr.rounding_loss == 0
 
@@ -307,7 +313,7 @@ class TestTranscript:
     def test_golden_text(self):
         meta = simple_meta(3)
         ballots = [btl(["c0"], 40), btl(["c1"], 35), btl(["c2", "c1"], 25)]
-        _, tr = count_stv(ballots, meta)
+        _, tr = count(ballots, meta)
         assert tr.to_text() == (
             "election\ttest\n"
             "seats\t1\n"
@@ -331,12 +337,12 @@ class TestTranscript:
     def test_final_margin(self):
         meta = simple_meta(3)
         ballots = [btl(["c0"], 40), btl(["c1"], 35), btl(["c2", "c1"], 25)]
-        _, tr = count_stv(ballots, meta)
+        _, tr = count(ballots, meta)
         assert tr.final_margin() == 20  # 60 vs 40 in the deciding round
 
     def test_exhausted_ballots_tracked(self):
         meta = simple_meta(3)
         ballots = [btl(["c0"], 10), btl(["c1"], 9), btl(["c2"], 2)]
-        _, tr = count_stv(ballots, meta)
+        _, tr = count(ballots, meta)
         assert tr.rounds[1].exhausted == 2  # c2's ballots have nowhere to go
         assert tr.exhausted == 11  # ... and later c1's join them

@@ -124,7 +124,7 @@ def candidate_multiset(ballots, meta):
 def winner_set(ballots, meta):
     if not ballots:
         return None
-    winners, _ = count_stv(ballots.items(), meta)
+    winners, _ = count_stv([(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots.items()], meta)
     return tuple(sorted(winners))
 
 
@@ -160,7 +160,7 @@ def test_sweep_matches_scalar_path(family, fixture):
     assert len(groups) == len(small_groups) == n_groups
     moved_total = swapped_total = 0
     for prep, small_blocks in zip(groups, small_groups):
-        assert len(small_blocks.blocks) > len(prep.blocks)
+        assert len(small_blocks.bounds) > len(prep.bounds)
         variants = [rules.btl_required_prefs for rules in prep.rules]
         group = [(point, result) for point, result in zip(points, report.points) if point.btl_required in variants]
         perturbed = [point for point, _ in group if point.model is not None]
@@ -172,8 +172,8 @@ def test_sweep_matches_scalar_path(family, fixture):
         for run in range(RUNS):
             seeds = seed_vector((BASE_SEED, run), 0, election.total_ballots)
             passes.append((
-                list(_perturb_run(prep, models, plan, seeds, {})),
-                list(_perturb_run(small_blocks, models, small_plan, seeds, {})),
+                list(_perturb_run(prep, models, plan, seeds)),
+                list(_perturb_run(small_blocks, models, small_plan, seeds)),
             ))
             assert len(passes[-1][0]) == len(passes[-1][1]) == len(perturbed)
         for point, result in group:

@@ -35,6 +35,7 @@ from stvsim import (
     TallyRounding,
     VoteStyle,
     count_stv,
+    expand_to_candidates,
 )
 
 RULES = [CountRules(surplus, rounding) for surplus in SurplusMethod for rounding in TallyRounding]
@@ -97,7 +98,8 @@ def large_election(seed: int = 2024) -> tuple[ElectionMeta, list[tuple[Preferenc
 @functools.cache
 def transcript(rules: CountRules) -> str:
     meta, ballots = large_election()
-    return count_stv(ballots, meta, rules)[1].to_text()
+    checked = [(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots]
+    return count_stv(checked, meta, rules)[1].to_text()
 
 
 @pytest.mark.parametrize("rules", RULES, ids=rules_id)

@@ -535,7 +535,7 @@ class TestCoupledDraws:
         models = [UniformDigitModel(1e-12), UniformDigitModel(2e-12)]
         seeds = seed_vector((5, 0), 0, election.total_ballots)
         for prep in sim._prepare(election, rules):
-            rows = list(sim._perturb_run(prep, models, sim._draw_plan(prep, models), seeds, {}))
+            rows = list(sim._perturb_run(prep, models, sim._draw_plan(prep, models), seeds))
             assert len(rows) == len(prep.rules) * len(models)
             for changed, lengths, ballots in rows:
                 assert len(changed) == len(lengths) == 0
@@ -564,7 +564,7 @@ class TestCoupledDraws:
         try:
             rows = 0
             plan = sim._draw_plan(prep, [model])  # built once per task; counted here
-            for changed, _, _ in sim._perturb_run(prep, [model], plan, seeds, {}):
+            for changed, _, _ in sim._perturb_run(prep, [model], plan, seeds):
                 assert len(changed) > 0
                 rows += 1
             peak = tracemalloc.get_traced_memory()[1]
@@ -572,6 +572,30 @@ class TestCoupledDraws:
             tracemalloc.stop()
         assert rows == 1
         assert peak < key_array, (peak, key_array)
+
+    @pytest.mark.parametrize("family", ["truncation", "digit"])
+    def test_a_tasks_memory_does_not_grow_with_its_runs(self, family):
+        # 2,000 distinct 30-preference BTL sheets, one paper each: most of a
+        # run's cut rankings are new, so a task that kept them past their row
+        # would peak about 3.7x higher at 20 runs than at 2.
+        candidates = tuple(Candidate(f"c{i:02d}", "", f"G{i // 5}", i % 5 + 1) for i in range(30))
+        meta = ElectionMeta("wide", 5, tuple(Group(f"G{g}", f"G{g}") for g in range(6)), candidates)
+        rng = random.Random(28)
+        ids = list(meta.candidate_ids)
+        rankings = list(dict.fromkeys(tuple(rng.sample(ids, len(ids))) for _ in range(2000)))
+        assert len(rankings) == 2000
+        election = ElectionFile(meta, tuple(MarkSheet({}, marks_for_ranking(r), 1) for r in rankings))
+        (prep,) = sim._prepare(election, [FormalityRules()])
+        points = sim._build_points(SimConfig(base_seed=11, runs_per_point=20, model=family, rates=(0.05,)))[1:]
+        peaks = []
+        for runs in (2, 20):
+            tracemalloc.start()
+            try:
+                sim._run_chunk((prep, meta, CountRules(), points, 11, 0, runs))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     @pytest.mark.parametrize("block_digits", [sim.BLOCK_DIGITS, 64], ids=["default-blocks", "one-ballot-blocks"])
     @pytest.mark.parametrize(
@@ -584,11 +608,12 @@ class TestCoupledDraws:
         monkeypatch.setattr(sim, "BLOCK_DIGITS", block_digits)
         (prep,) = sim._prepare(truncation_ladder_election(), [FormalityRules()])
         plan = sim._draw_plan(prep, [model])
-        assert len(prep.blocks) > 1
-        assert plan.bounds.tolist() == [lo for lo, _ in prep.blocks] + [len(prep.ballot_sheet)]
+        bounds = prep.bounds.tolist()
+        assert len(bounds) > 2 and bounds[0] == 0 and bounds[-1] == len(prep.ballot_sheet)
+        assert plan.bounds.tolist() == bounds
         words = (prep.n_boxes if isinstance(model, TruncationModel) else prep.n_digits)[prep.ballot_sheet]
         assert plan.sizes.tolist() == words.tolist()
-        assert len(plan.steps) == max(int(words[lo:hi].sum()) for lo, hi in prep.blocks)
+        assert len(plan.steps) == max(int(words[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:]))
         arrays = (plan.sizes, plan.ends, plan.bases, plan.bounds, plan.steps)
         assert sum(a.nbytes for a in arrays) <= 24 * len(prep.ballot_sheet) + 8 * (block_digits + int(words.max()))
 
@@ -818,7 +843,7 @@ class TestOneClassificationPass:
         assert main(args) == EXIT_OK
         rules = FormalityRules(btl_required_prefs=btl_required)
         records = [
-            (prefs, sheet.multiplicity)
+            (expand_to_candidates(prefs, election.meta), sheet.multiplicity)
             for sheet in election.sheets
             if (prefs := classify_formality(sheet, rules)) is not None
         ]
@@ -854,7 +879,9 @@ class TestOneClassificationPass:
         out = tmp_path / "count"
         assert main(["count", "--election", str(path), "--seats", "5", "--out", str(out)]) == EXIT_OK
         records = [
-            (prefs, sheet.multiplicity) for sheet in election.sheets if (prefs := classify_formality(sheet)) is not None
+            (expand_to_candidates(prefs, election.meta), sheet.multiplicity)
+            for sheet in election.sheets
+            if (prefs := classify_formality(sheet)) is not None
         ]
         winners, transcript = count_stv(records, dataclasses.replace(election.meta, seats=5))
         assert len(winners) == 5 != election.meta.seats
