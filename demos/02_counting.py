@@ -29,13 +29,13 @@ meta = ElectionMeta(
     ),
 )
 
-papers = [
+preferences = [
     (Preferences(VoteStyle.ATL, ("A", "B")), 617),   # expands to a1, a2, b1, b2
     (Preferences(VoteStyle.BTL, ("b1", "a2")), 247),
     (Preferences(VoteStyle.BTL, ("b2", "b1")), 136),
 ]
 # The count takes checked candidate rankings, so each ballot is expanded first.
-ballots = [(expand_to_candidates(prefs, meta), n) for prefs, n in papers]
+ballots = [(expand_to_candidates(prefs, meta), n) for prefs, n in preferences]
 
 total = sum(m for _, m in ballots)
 print(f"{total} formal ballots, quota {droop_quota(total, meta.seats)}")

@@ -124,7 +124,8 @@ def candidate_multiset(ballots, meta):
 def winner_set(ballots, meta):
     if not ballots:
         return None
-    winners, _ = count_stv([(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots.items()], meta)
+    checked = [(expand_to_candidates(prefs, meta), papers) for prefs, papers in ballots.items()]
+    winners, _ = count_stv(checked, meta)
     return tuple(sorted(winners))
 
 
