@@ -325,7 +325,7 @@ def test_criterion_10_tasmania_2016():
         for sheet in election.sheets:
             prefs = classify_formality(sheet, FormalityRules())
             if prefs is not None:
-                ballots.append((prefs, sheet.multiplicity))
+                ballots.append((expand_to_candidates(prefs, meta), sheet.multiplicity))
         winners, transcript = count_stv(ballots, meta)
         assert winners[-1] == mckim
         assert transcript.final_margin() == 141

@@ -106,20 +106,6 @@ class TestCountExamples:
         assert np_tr.to_text() == tr.to_text()
         assert all(type(t) is int for rec in np_tr.rounds for t in rec.tallies.values())
 
-    def test_an_atl_ranking_counts_as_its_groups_candidates_in_position_order(self):
-        meta = ElectionMeta(
-            "atl", 2, (Group("A", "A"), Group("B", "B")),
-            (Candidate("a1", "A1", "A", 1), Candidate("a2", "A2", "A", 2),
-             Candidate("b1", "B1", "B", 1), Candidate("b2", "B2", "B", 2)),
-        )
-        atl = [(Preferences(VoteStyle.ATL, ("B", "A")), 50), (Preferences(VoteStyle.ATL, ("A",)), 30), btl(["a2"], 25)]
-        flat = [btl(["b1", "b2", "a1", "a2"], 50), btl(["a1", "a2"], 30), btl(["a2"], 25)]
-        for rules in ALL_RULES:
-            winners, tr = count(atl, meta, rules)
-            flat_winners, flat_tr = count(flat, meta, rules)
-            assert winners == flat_winners
-            assert tr.to_text() == flat_tr.to_text()
-
     def test_the_count_module_imports_no_unchecked_ballot_form(self):
         source = Path(stvsim.count.__file__).read_text(encoding="utf-8")
         imported = {alias.asname or alias.name for node in ast.walk(ast.parse(source))

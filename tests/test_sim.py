@@ -587,6 +587,8 @@ class TestCoupledDraws:
         election = ElectionFile(meta, tuple(MarkSheet({}, marks_for_ranking(r), 1) for r in rankings))
         (prep,) = sim._prepare(election, [FormalityRules()])
         points = sim._build_points(SimConfig(base_seed=11, runs_per_point=20, model=family, rates=(0.05,)))[1:]
+        task = (prep, meta, CountRules(), points, 11, 0, 2)
+        sim._run_chunk(task)  # untraced warm-up, so both readings start from the same free lists
         peaks = []
         for runs in (2, 20):
             tracemalloc.start()
