@@ -11,8 +11,9 @@ Ballot weights are exact rationals throughout.  A candidate's pile is held
 as parcels of papers that share one exact weight, keyed by its integer
 (numerator, denominator), so a transfer does its rational arithmetic once
 per (parcel, receiving candidate), not per paper; a whole weight's receipts
-are int products.  Countback reads tally histories only for ties, and an
-elimination tie reads back only as far as the round that breaks it.
+are int products.  One countback key orders the candidates elected in a
+round and picks who is eliminated: the current tally, then each earlier
+round's tally, most recent first, and then ballot-paper order.
 Under the default TRUNCATE_TO_INTEGER rounding, reported tallies are
 integers: each candidate's received transfer is floored and the units that
 vanish are tracked as cumulative rounding loss, so the conservation identity
@@ -79,12 +80,12 @@ class RoundRecord:
     number: int
     # "first-preferences" | "surplus" | "elimination" | "remaining-seats"
     kind: str
-    source: str | None
-    transfer_value: Fraction | None
+    source: str | None = None
+    transfer_value: Fraction | None = None
     #: Votes held after this round by every candidate not yet eliminated.
     #: Elected candidates appear at their retained amount (their full tally
     #: until their surplus is distributed, the quota afterwards).
-    tallies: dict[str, int | Fraction]
+    tallies: dict[str, int | Fraction] = field(default_factory=dict)
     #: (candidate, surplus) for candidates elected this round; surplus is
     #: None for remaining-seat allocations, which need no quota.
     elected: list[tuple[str, int | Fraction | None]] = field(default_factory=list)
@@ -221,42 +222,27 @@ class _Count:
 
     # -- tie-breaking ------------------------------------------------------
 
-    def _standing(self, cid: str) -> tuple:
-        """Current tally of cid, then its tally history, most recent round first."""
-        return (self.tallies[cid], *(rec.tallies.get(cid, -1) for rec in reversed(self.transcript.rounds)))
+    def _history(self, cids: list[str]) -> dict[str, tuple]:
+        """Countback's key: each of cids' current tally, then its tallies from the latest round back.
+
+        Fewer than two candidates need none.  A continuing candidate has a tally in every round.
+        """
+        if len(cids) < 2:
+            return dict.fromkeys(cids, ())
+        tallies_of = operator.itemgetter(*cids)
+        columns = [tallies_of(self.tallies), *(tallies_of(rec.tallies) for rec in reversed(self.transcript.rounds))]
+        return dict(zip(cids, zip(*columns)))
 
     def _order_descending(self, cids: list[str]) -> list[str]:
-        # Highest standing first: both sorts are stable under reverse, so this
-        # is one sort by standing, and a full-history tie keeps ballot-paper order.
-        tally = self.tallies.__getitem__
-        ordered = []
-        for _, run in itertools.groupby(sorted(cids, key=tally, reverse=True), key=tally):
-            run = list(run)
-            ordered += sorted(run, key=self._standing, reverse=True) if len(run) > 1 else run
-        return ordered
+        # sorted is stable under reverse, so a full-history tie keeps ballot-paper order.
+        return sorted(cids, key=self._history(cids).__getitem__, reverse=True)
 
     def _pick_elimination(self, rec: RoundRecord) -> str:
         lowest = min(self.tallies[c] for c in self.continuing)
-        # Only the tied need their tally history.
         tied = [c for c in self.continuing if self.tallies[c] == lowest]
-        loser = tied[0]
+        # min keeps the first of equal keys: a full-history tie goes to ballot-paper order.
+        loser = min(tied, key=self._history(tied).__getitem__)
         if len(tied) > 1:
-            # Countback: keep the lowest of each past round's tallies, most
-            # recent first, until one is left; a tie over the whole history
-            # goes to the first in ballot-paper order, as min by _standing
-            # would.  A continuing candidate has a tally in every round.
-            still_tied = tied
-            tallies_of = operator.itemgetter(*still_tied)
-            for past in reversed(self.transcript.rounds):
-                values = tallies_of(past.tallies)
-                if values.count(values[0]) == len(values):
-                    continue
-                low = min(values)
-                still_tied = [c for c, v in zip(still_tied, values) if v == low]
-                if len(still_tied) == 1:
-                    break
-                tallies_of = operator.itemgetter(*still_tied)
-            loser = still_tied[0]
             rec.ties.append(
                 f"elimination tie among {', '.join(tied)} "
                 f"at {self.tallies[loser]}; {loser} eliminated by countback/index"
@@ -374,12 +360,12 @@ class _Count:
         if not (0 <= tv <= 1):
             raise CountInvariantError(f"transfer value {tv} outside [0, 1]", self.transcript)
         self.tallies[cid] = self.quota
-        rec = RoundRecord(number=number, kind="surplus", source=cid, transfer_value=tv, tallies={})
+        rec = RoundRecord(number, "surplus", source=cid, transfer_value=tv)
         self._move_pile(pile, new_weight, surplus)
         self._close_round(rec)
 
     def _eliminate(self, number: int) -> None:
-        rec = RoundRecord(number=number, kind="elimination", source=None, transfer_value=None, tallies={})
+        rec = RoundRecord(number, "elimination")
         loser = self._pick_elimination(rec)
         rec.source = loser
         rec.eliminated = loser
@@ -390,16 +376,14 @@ class _Count:
         self._close_round(rec)
 
     def run(self) -> tuple[list[str], CountTranscript]:
-        rec = RoundRecord(number=1, kind="first-preferences", source=None, transfer_value=None, tallies={})
+        rec = RoundRecord(1, "first-preferences")
         self._close_round(rec)
         for number in itertools.count(2):
             if len(self.elected) == self.meta.seats:
                 break
             remaining = self.meta.seats - len(self.elected)
             if len(self.continuing) == remaining:
-                rec = RoundRecord(
-                    number=number, kind="remaining-seats", source=None, transfer_value=None, tallies={}
-                )
+                rec = RoundRecord(number, "remaining-seats")
                 for cid in self._order_descending(list(self.continuing)):
                     del self.continuing[cid]
                     self.elected.append(cid)

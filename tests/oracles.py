@@ -5,13 +5,18 @@ works on plain tallies with no weights, quotas or piles, and the retention
 reference derives its numbers from the documented digit model and
 interpretation rule without the package's RNG, corruption or
 interpretation code.  ``random_election`` draws the uniformly random BTL
-elections that the count is cross-checked on.
+elections that the count is cross-checked on.  ``reference_count`` is a
+multi-seat STV count written apart from ``stvsim.count``, which it must
+never import.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
+from typing import NamedTuple
 
 from stvsim import Candidate, ElectionMeta, Group, Preferences, VoteStyle
 
@@ -177,3 +182,155 @@ def random_election(
         ranking = tuple(rng.sample(ids, k))
         ballots.append((Preferences(VoteStyle.BTL, ranking), 1))
     return meta, ballots
+
+
+class ReferenceRound(NamedTuple):
+    """One round of ``reference_count``, field for field what ``to_text()`` prints of a round."""
+
+    number: int
+    kind: str
+    source: str | None
+    transfer_value: Fraction | None
+    tallies: dict
+    elected: list
+    eliminated: str | None
+    exhausted: int | Fraction
+    loss: int | Fraction
+    ties: list
+
+
+def reference_count(ballots, candidate_ids, seats: int, weighted: bool = True, exact: bool = False):
+    """A plain STV count, slow on purpose: returns (elected, quota, rounds).
+
+    ``ballots`` are (ranking of candidate ids, papers) pairs, and
+    ``candidate_ids`` are in ballot-paper order.  Each pair is one record
+    with its own ``Fraction`` weight and the index in its ranking of the
+    candidate who holds it, so no two records share anything.  The rules:
+
+    - the quota is Droop's, floor(papers / (seats + 1)) + 1;
+    - each round, candidates at or above quota are elected, highest first;
+      each surplus (tally minus quota) is then passed on, in order of
+      election, before anyone is eliminated;
+    - a surplus moves every paper the candidate holds to its next
+      continuing preference: weighted inclusive Gregory multiplies each
+      paper's weight by surplus / tally, and unweighted inclusive Gregory
+      sets it to surplus / papers held.  The candidate keeps the quota;
+    - with no surplus to pass on, the lowest candidate is eliminated and
+      its papers move on at their weight;
+    - unless ``exact``, what each candidate receives in one transfer, and
+      what exhausts in it, is floored to an integer.  What is lost by that
+      accumulates as the loss, and can be negative when the papers' weight
+      is more than the floored tally they came from;
+    - ties go by countback: the candidate whose tally was higher in the
+      latest round that tells them apart stands higher; if none does, the
+      earlier on the ballot paper is elected first, and eliminated first;
+    - when as many candidates continue as seats are left, all of them are
+      elected, highest first, and the count stops.
+    """
+    order = list(candidate_ids)
+    records = [[tuple(ranking), 0, papers, Fraction(1)] for ranking, papers in ballots]  # ranking, at, papers, weight
+    total = sum(record[2] for record in records)
+    quota = total // (seats + 1) + 1
+    settle = (lambda amount: amount) if exact else math.floor
+    tallies = {cid: 0 for cid in order}
+    for ranking, _, papers, _ in records:
+        tallies[ranking[0]] += papers
+    continuing = list(order)
+    elected: list[str] = []
+    to_pass_on: list[str] = []
+    rounds: list[ReferenceRound] = []
+    exhausted = loss = 0
+
+    def above(a: str, b: str) -> bool | None:
+        """Whether a stands above b by countback, or None if no round tells them apart."""
+        for tally_of in [tallies, *(past.tallies for past in reversed(rounds))]:
+            if tally_of[a] != tally_of[b]:
+                return tally_of[a] > tally_of[b]
+        return None
+
+    def standing(a: str, b: str) -> int:
+        """Sort key comparison: the higher first, and the earlier on the ballot paper on a full tie."""
+        if above(a, b) is None:
+            return order.index(a) - order.index(b)
+        return -1 if above(a, b) else 1
+
+    def held_by(cid: str) -> list[list]:
+        return [record for record in records if record[1] is not None and record[0][record[1]] == cid]
+
+    def move_on(moving: list[list], moved_out) -> None:
+        nonlocal exhausted, loss
+        received = {}
+        gone = 0
+        for record in moving:
+            ranking = record[0]
+            at = record[1] + 1
+            while at < len(ranking) and ranking[at] not in continuing:
+                at += 1
+            value = record[2] * record[3]
+            if at == len(ranking):
+                record[1] = None
+                gone += value
+            else:
+                record[1] = at
+                received[ranking[at]] = received.get(ranking[at], 0) + value
+        delivered = settle(gone)
+        exhausted += delivered
+        for cid, amount in received.items():
+            tallies[cid] += settle(amount)
+            delivered += settle(amount)
+        loss += moved_out - delivered
+
+    def close(number: int, kind: str, source=None, transfer_value=None, eliminated=None, ties=()) -> None:
+        ties = list(ties)
+        reachers = [cid for cid in continuing if tallies[cid] >= quota]
+        at_tally: dict = {}
+        for cid in reachers:
+            at_tally.setdefault(tallies[cid], []).append(cid)
+        for tally, group in at_tally.items():
+            if len(group) > 1:
+                ties.append(f"election-order tie among {', '.join(group)} at {tally}; ordered by countback/index")
+        newly = []
+        for cid in sorted(reachers, key=functools.cmp_to_key(standing)):
+            if len(elected) < seats:
+                continuing.remove(cid)
+                elected.append(cid)
+                to_pass_on.append(cid)
+                newly.append((cid, tallies[cid] - quota))
+        rounds.append(ReferenceRound(number, kind, source, transfer_value, dict(tallies), newly, eliminated,
+                                     exhausted, loss, ties))
+
+    close(1, "first-preferences")
+    number = 1
+    while len(elected) < seats:
+        number += 1
+        if len(continuing) == seats - len(elected):
+            last = sorted(continuing, key=functools.cmp_to_key(standing))
+            elected += last
+            rounds.append(ReferenceRound(number, "remaining-seats", None, None, dict(tallies),
+                                         [(cid, None) for cid in last], None, exhausted, loss, []))
+            break
+        if to_pass_on:
+            cid = to_pass_on.pop(0)
+            tally = tallies[cid]
+            surplus = tally - quota
+            moving = held_by(cid)
+            papers = sum(record[2] for record in moving)
+            tv = Fraction(surplus) / tally if weighted else Fraction(surplus) / papers
+            for record in moving:
+                record[3] = record[3] * tv if weighted else tv
+            tallies[cid] = quota
+            move_on(moving, surplus)
+            close(number, "surplus", source=cid, transfer_value=tv)
+        else:
+            lowest = min(tallies[cid] for cid in continuing)
+            tied = [cid for cid in continuing if tallies[cid] == lowest]
+            loser = tied[0]
+            for cid in tied[1:]:
+                if above(loser, cid):
+                    loser = cid
+            notes = [f"elimination tie among {', '.join(tied)} at {lowest}; {loser} eliminated by countback/index"]
+            continuing.remove(loser)
+            moving = held_by(loser)
+            move_on(moving, tallies.pop(loser))
+            close(number, "elimination", source=loser, eliminated=loser, ties=notes if len(tied) > 1 else ())
+    return elected, quota, rounds

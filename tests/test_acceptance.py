@@ -33,10 +33,17 @@ import pytest
 
 from stvsim import (
     BUNDLED_CONFUSION_TABLE,
+    Candidate,
     CountRules,
+    ElectionFile,
+    ElectionMeta,
+    FormalityRules,
+    Group,
+    MarkSheet,
     SimConfig,
     UniformDigitModel,
     binomial_estimate,
+    classify_formality,
     count_stv,
     droop_quota,
     expand_to_candidates,
@@ -50,7 +57,7 @@ from stvsim.cli import main as cli_main
 from stvsim.error_models import corrupt_digits_batch
 from stvsim.rng import DrawPlan, seed_vector
 from stvsim.sim import partition_by_preference
-from stvsim.synth import formality_bias_election, truncation_ladder_election
+from stvsim.synth import formality_bias_election, marks_for_ranking, truncation_ladder_election
 
 from oracles import (
     RETENTION_SWAP_ALLOWANCE,
@@ -305,37 +312,70 @@ def test_criterion_9_cli_determinism(tmp_path):
 TAS2016 = os.environ.get("STVSIM_TAS2016_STV")
 
 
+def tasmania_figures(election, runs: int, jobs: int) -> dict:
+    """Criterion 10's figures for an election with one McKim and one McCulloch standing.
+
+    The clean count's winners, final margin and rounding loss; its formal
+    ballots; the McCulloch-McKim preference partition; and McCulloch's win
+    frequency over ``runs`` runs at a 1% digit error rate.
+    """
+    meta = election.meta
+
+    def find(name_part):
+        matches = [c.id for c in meta.candidates if name_part.lower() in c.name.lower()]
+        assert len(matches) == 1, (name_part, matches)
+        return matches[0]
+
+    mckim = find("McKim")
+    mcculloch = find("McCulloch")
+    ballots = []
+    for sheet in election.sheets:
+        prefs = classify_formality(sheet, FormalityRules())
+        if prefs is not None:
+            ballots.append((expand_to_candidates(prefs, meta), sheet.multiplicity))
+    winners, transcript = count_stv(ballots, meta)
+    config = SimConfig(base_seed=1606, runs_per_point=runs, model="digit", rates=(0.01,), jobs=jobs)
+    return {
+        "mckim": mckim,
+        "winners": winners,
+        "final_margin": transcript.final_margin(),
+        "rounding_loss": transcript.rounding_loss,
+        "formal": transcript.total_ballots,
+        "partition": partition_by_preference(election, mcculloch, mckim),
+        "mcculloch_frequency": run_sweep(election, config).point(0.01).candidate_frequency(mcculloch),
+    }
+
+
 @pytest.mark.skipif(not TAS2016, reason="set STVSIM_TAS2016_STV to the Tasmania 2016 election file")
 def test_criterion_10_tasmania_2016():
     with criterion(10, "Tasmania 2016 reproduction (data-dependent)", 3600.0):
-        election = read_election_file(TAS2016)
-        meta = election.meta
+        figures = tasmania_figures(read_election_file(TAS2016), runs=60, jobs=os.cpu_count() or 1)
+        assert figures["winners"][-1] == figures["mckim"]
+        assert figures["final_margin"] == 141
+        assert figures["rounding_loss"] == 285
+        assert figures["partition"].atl == (73975, 97331, 72468)
+        assert figures["partition"].btl == (17066, 42170, 36149)
+        assert figures["mcculloch_frequency"] > 0.9
 
-        def find(name_part):
-            matches = [c.id for c in meta.candidates if name_part.lower() in c.name.lower()]
-            assert len(matches) == 1, (name_part, matches)
-            return matches[0]
 
-        mckim = find("McKim")
-        mcculloch = find("McCulloch")
-
-        from stvsim import FormalityRules, classify_formality
-
-        ballots = []
-        for sheet in election.sheets:
-            prefs = classify_formality(sheet, FormalityRules())
-            if prefs is not None:
-                ballots.append((expand_to_candidates(prefs, meta), sheet.multiplicity))
-        winners, transcript = count_stv(ballots, meta)
-        assert winners[-1] == mckim
-        assert transcript.final_margin() == 141
-        assert transcript.rounding_loss == 285
-
-        table = partition_by_preference(election, mcculloch, mckim)
-        assert table.atl == (73975, 97331, 72468)
-        assert table.btl == (17066, 42170, 36149)
-
-        config = SimConfig(base_seed=1606, runs_per_point=60, model="digit",
-                           rates=(0.01,), jobs=os.cpu_count() or 1)
-        report = run_sweep(election, config)
-        assert report.point(0.01).candidate_frequency(mcculloch) > 0.9
+def test_criterion_10_runs_on_a_small_synthetic_file(tmp_path):
+    # Criterion 10's path, from the .stv file on, on 4 groups of 2 and 2 seats:
+    # only what holds for any election is checked, not the published figures.
+    groups = tuple(Group(g, f"Party {g}") for g in "ABCD")
+    names = ["Nick McKim", "Anne Lee", "Tom Ng", "Sam Roe", "Kate McCulloch", "Jo Wu", "Max Fox", "Eve Day"]
+    candidates = tuple(Candidate(f"{g}{p}", names[2 * i + p - 1], g, p) for i, g in enumerate("ABCD") for p in (1, 2))
+    meta = ElectionMeta("synthetic Tasmania", 2, groups, candidates)
+    sheets = (
+        MarkSheet(marks_for_ranking("ABCD"), {}, 40),
+        MarkSheet(marks_for_ranking("CB"), {}, 35),
+        MarkSheet(marks_for_ranking("D"), {}, 12),
+        MarkSheet({}, marks_for_ranking(["C1", "A1", "B1", "D1", "C2", "A2"]), 9),
+        MarkSheet({}, marks_for_ranking(["A2", "C1", "D2", "B2", "A1", "B1", "C2"]), 7),
+        MarkSheet({}, marks_for_ranking(["B1", "A1", "C1"]), 4),  # informal: 3 BTL preferences
+    )
+    path = tmp_path / "tas.stv"
+    write_election_file(ElectionFile(meta, sheets), path)
+    figures = tasmania_figures(read_election_file(path), runs=3, jobs=1)
+    assert len(set(figures["winners"])) == meta.seats and set(figures["winners"]) <= set(meta.candidate_ids)
+    assert sum(figures["partition"].atl) + sum(figures["partition"].btl) == figures["formal"]
+    assert 0 <= figures["mcculloch_frequency"] <= 1

@@ -560,6 +560,9 @@ class TestCoupledDraws:
         (prep,) = sim._prepare(election, [FormalityRules()])
         key_array = int((prep.n_boxes + 1).sum()) * np.dtype(np.int64).itemsize
         seeds = seed_vector((3, 0), 0, election.total_ballots)
+        # Untraced warm-up, so the reading starts from the same free lists in any test order.
+        for _ in sim._perturb_run(prep, [model], sim._draw_plan(prep, [model]), seeds):
+            pass
         tracemalloc.start()
         try:
             rows = 0

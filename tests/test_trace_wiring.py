@@ -7,7 +7,7 @@ layer reading 0 calls and 0 s without failing anything.  This test
 installs the tracer, runs a digit sweep and a truncation sweep, and checks
 that every wrapped layer recorded spans, and that the digit sweep's two
 formality variants, which classify the bias fixture alike, share one
-corruption call per run and block.  The one exception is
+corruption call per run.  The one exception is
 ``ballots.classify``: the sweep classifies every record for every variant
 in one array pass (``ballots._classify``) and calls no
 ``classify_formality``, so
