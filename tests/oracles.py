@@ -250,9 +250,10 @@ def reference_count(ballots, candidate_ids, seats: int, weighted: bool = True, e
 
     def standing(a: str, b: str) -> int:
         """Sort key comparison: the higher first, and the earlier on the ballot paper on a full tie."""
-        if above(a, b) is None:
+        ahead = above(a, b)
+        if ahead is None:
             return order.index(a) - order.index(b)
-        return -1 if above(a, b) else 1
+        return -1 if ahead else 1
 
     def held_by(cid: str) -> list[list]:
         return [record for record in records if record[1] is not None and record[0][record[1]] == cid]

@@ -18,7 +18,9 @@ would put the 60-preference value at 39.
 
 Criterion 10 needs the real Tasmania 2016 Senate data and is skipped unless
 the environment variable STVSIM_TAS2016_STV points at a canonical election
-file for it (see README for how to build one with ``stvsim ingest``).
+file for it (see README for how to build one with ``stvsim ingest``).  Its
+code path, ``tasmania_figures``, also runs on a small synthetic file in
+every run, where only what holds for any election is checked.
 """
 import json
 import math

@@ -6,9 +6,9 @@ parcels and no shared code.  Every round must agree in its kind, source,
 transfer value, tallies, elected candidates and surpluses, eliminated
 candidate, exhausted amount, rounding loss and tie notes, on the transcript
 goldens' elections and the large Senate-sized election under all four rule
-sets, and on Hypothesis elections of 2-5 seats built to tie.  A
-disagreement is a finding about one count or the other: neither is fitted
-to the other.
+sets, on one election whose election order only countback decides, and on
+Hypothesis elections of 2-5 seats built to tie.  A disagreement is a
+finding about one count or the other: neither is fitted to the other.
 """
 from __future__ import annotations
 
@@ -63,7 +63,8 @@ def test_an_election_order_that_only_countback_decides_agrees():
     # Quota 10.  a and b reach it together when e's papers move (2 to a, 1 to
     # b); b held more in round 1, so b is elected first, though a comes first
     # on the ballot paper.
-    meta = ElectionMeta("order", 3, (Group("G", "G"),), tuple(Candidate(c, c, "G", i) for i, c in enumerate("abcde", 1)))
+    candidates = tuple(Candidate(c, c, "G", i) for i, c in enumerate("abcde", 1))
+    meta = ElectionMeta("order", 3, (Group("G", "G"),), candidates)
     records = [("a",), 8], [("b",), 9], [("c",), 9], [("d",), 7], [("e", "a"), 2], [("e", "b"), 1]
     ballots = [(CandidateRanking(r), papers) for r, papers in records]
     for rules in RULES:
