@@ -7,25 +7,25 @@ eliminated and their ballots move on at current weight; the count ends when
 every seat is filled or the number of continuing candidates equals the
 number of unfilled seats.
 
-Ballot weights are exact rationals throughout.  A candidate's pile is held
-as parcels of papers that share one exact weight, keyed by its integer
-(numerator, denominator), so a transfer does its rational arithmetic once
-per (parcel, receiving candidate), not per paper; a whole weight's receipts
-are int products.  One countback key orders the candidates elected in a
-round and picks who is eliminated: the current tally, then each earlier
-round's tally, most recent first, and then ballot-paper order.
-Under the default TRUNCATE_TO_INTEGER rounding, reported tallies are
-integers: each candidate's received transfer is floored and the units that
-vanish are tracked as cumulative rounding loss, so the conservation identity
+Ballot weights are exact rationals held as ints: a pile is rows of papers
+under their weight's lowest-terms (numerator, denominator) key.  A
+transfer sums each receiver's papers x numerator per denominator and
+settles the exact sum once: under the default TRUNCATE_TO_INTEGER
+rounding it is floored, and the units that vanish are tracked as
+cumulative rounding loss, so the conservation identity
 
     sum(held votes) + exhausted + rounding loss == total formal ballots
 
 holds exactly, in integers, after every round.  In EXACT mode the same
-identity holds in rationals with zero loss.
+identity holds in rationals with zero loss.  One election step, ordered
+by countback, serves the quota rounds and the remaining-seats round; its
+key, which also picks who is eliminated, is the current tally, then each
+earlier round's tally, most recent first, and then ballot-paper order.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -165,9 +165,8 @@ class CountTranscript:
 
 
 #: Papers that some candidate holds: the ranking, the index in it of the
-#: holder, and the number of papers; a parcel is rows with their one weight.
+#: holder, and the number of papers.
 _Papers = tuple[tuple[str, ...], int, int]
-_Parcel = tuple[Fraction, list[_Papers]]
 
 
 class _Count:
@@ -202,11 +201,10 @@ class _Count:
             first[ranking[0]].append((ranking, 0, mult))
             self.tallies[ranking[0]] += mult
             total += mult
-        #: Each candidate's pile: (weight, rows) parcels keyed by the weight's
-        #: (numerator, denominator); a first preference's papers are one parcel of whole weight.
-        whole = Fraction(1)
-        self.piles: dict[str, dict[tuple[int, int], _Parcel]] = {
-            cid: {(1, 1): (whole, rows)} if rows else {} for cid, rows in first.items()
+        #: Each candidate's pile: its rows under their weight's lowest-terms
+        #: (numerator, denominator); a first preference's papers are whole.
+        self.piles: dict[str, dict[tuple[int, int], list[_Papers]]] = {
+            cid: {(1, 1): rows} if rows else {} for cid, rows in first.items()
         }
         if total == 0:
             raise CountError("cannot count an election with no formal ballots")
@@ -233,10 +231,6 @@ class _Count:
         columns = [tallies_of(self.tallies), *(tallies_of(rec.tallies) for rec in reversed(self.transcript.rounds))]
         return dict(zip(cids, zip(*columns)))
 
-    def _order_descending(self, cids: list[str]) -> list[str]:
-        # sorted is stable under reverse, so a full-history tie keeps ballot-paper order.
-        return sorted(cids, key=self._history(cids).__getitem__, reverse=True)
-
     def _pick_elimination(self, rec: RoundRecord) -> str:
         lowest = min(self.tallies[c] for c in self.continuing)
         tied = [c for c in self.continuing if self.tallies[c] == lowest]
@@ -251,27 +245,30 @@ class _Count:
 
     # -- transfers ---------------------------------------------------------
 
-    def _move_pile(self, pile: dict[tuple[int, int], _Parcel], new_weight, moved_out: int | Fraction) -> None:
-        """Distribute a pile and keep the conservation ledger balanced.
+    def _move_pile(self, pile: dict[tuple[int, int], list[_Papers]], moved_out: int | Fraction,
+                   tv: tuple[int, int] = (1, 1)) -> None:
+        """Distribute a pile at ``tv`` times its weights and keep the conservation ledger balanced.
 
         ``moved_out`` is the tally amount leaving the source (the surplus, or
-        an eliminated candidate's whole tally).  Each parcel's papers are
-        summed per receiving candidate (or exhaustion) as they are grouped,
-        and weighed once: an int product for a whole weight, one ``Fraction``
-        product otherwise.  Each receipt, and the exhausted amount, is floored
-        under integer rounding and kept exact otherwise.  The event's loss is
-        moved_out minus everything delivered: exactly 0 in exact mode, and
-        under integer rounding it can go negative once a pile's exact weight
-        has drifted above its floored tally; the running identity stays exact
-        either way.  A group's rows join the receiver's parcel in one append.
+        an eliminated candidate's whole tally).  A parcel's new key is its key
+        times the transfer value's (numerator, denominator) ``tv``, divided by
+        their gcd, so (1, 1) keeps the keys.  Its papers are grouped by their
+        next continuing candidate (or exhaustion), and a group's rows join the
+        receiver's parcel in one append.  Each receiver's papers x numerator
+        are summed per denominator as ints, and the exact sum is settled once
+        per event: floored under integer rounding, kept otherwise.  The
+        event's loss is moved_out minus everything delivered: 0 in exact mode,
+        and under integer rounding negative once a pile's exact weight has
+        drifted above its floored tally; the running identity stays exact.
         """
         continuing = self.continuing
-        received: dict[str | None, int | Fraction] = {}  # None: exhausted
-        for weight, parcel in pile.values():
-            w = new_weight(weight)
-            num, den = w.numerator, w.denominator
+        received: dict[str | None, dict[int, int]] = {}  # holder (None: exhausted) -> {den: papers x num}
+        for (num, den), parcel in pile.items():
+            num, den = num * tv[0], den * tv[1]
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
             if not (0 <= num <= den):
-                raise CountInvariantError(f"ballot weight {w} outside [0, 1]", self.transcript)
+                raise CountInvariantError(f"ballot weight {num}/{den} outside [0, 1]", self.transcript)
             moved: dict[str | None, list] = {}  # holder -> [papers, rows]
             for ranking, pos, n in parcel:
                 for nxt in range(pos + 1, len(ranking)):
@@ -286,24 +283,50 @@ class _Count:
                 group[0] += n
                 group[1].append((ranking, nxt, n))
             for cid, (papers, rows) in moved.items():
-                received[cid] = received.get(cid, 0) + (papers * num if den == 1 else w * papers)
+                sums = received.setdefault(cid, {})
+                sums[den] = sums.get(den, 0) + papers * num
                 if cid is not None:
-                    self.piles[cid].setdefault((num, den), (w, []))[1].extend(rows)
+                    self.piles[cid].setdefault((num, den), []).extend(rows)
 
-        settle = (lambda v: v.numerator // v.denominator) if self.trunc else (lambda v: v)
-        delivered = settle(received.pop(None, 0))
-        self.exhausted += delivered
-        for cid, amount in received.items():
-            got = settle(amount)
-            self.tallies[cid] += got
-            delivered += got
-        self.loss += moved_out - delivered
+        self.loss += moved_out
+        for cid, sums in received.items():
+            lcm = math.lcm(*sums)
+            total = sum(amount * (lcm // den) for den, amount in sums.items())
+            got = total // lcm if self.trunc else Fraction(total, lcm)
+            if cid is None:
+                self.exhausted += got
+            else:
+                self.tallies[cid] += got
+            self.loss -= got
 
     # -- rounds ------------------------------------------------------------
 
     def _close_round(self, rec: RoundRecord) -> None:
+        """Record the round, then elect: every continuing candidate in a remaining-seats round, else those at quota.
+
+        Countback orders them, each tally two of them share gets a tie note,
+        and only a quota election has a surplus to record and queue.
+        """
         self._record(rec)
-        self._elect_reachers(rec)
+        by_quota = rec.kind != "remaining-seats"
+        chosen = [c for c in self.continuing if not by_quota or self.tallies[c] >= self.quota]
+        by_tally: dict[object, list[str]] = {}
+        for c in chosen:
+            by_tally.setdefault(self.tallies[c], []).append(c)
+        for tally, group in by_tally.items():
+            if len(group) > 1:
+                rec.ties.append(f"election-order tie among {', '.join(group)} at {tally}; ordered by countback/index")
+        # sorted is stable under reverse, so a full-history tie keeps ballot-paper order.
+        for cid in sorted(chosen, key=self._history(chosen).__getitem__, reverse=True):
+            if len(self.elected) == self.meta.seats:
+                break
+            del self.continuing[cid]
+            self.elected.append(cid)
+            if by_quota:
+                rec.elected.append((cid, self.tallies[cid] - self.quota))
+                self.surplus_queue.append(cid)
+            else:
+                rec.elected.append((cid, None))
 
     def _record(self, rec: RoundRecord) -> None:
         rec.tallies = dict(self.tallies)
@@ -322,29 +345,6 @@ class _Count:
                 self.transcript,
             )
 
-    def _elect_reachers(self, rec: RoundRecord) -> None:
-        reachers = [c for c in self.continuing if self.tallies[c] >= self.quota]
-        if not reachers:
-            return
-        ordered = self._order_descending(reachers)
-        by_tally: dict[object, list[str]] = {}
-        for c in reachers:
-            by_tally.setdefault(self.tallies[c], []).append(c)
-        for tally, group in by_tally.items():
-            if len(group) > 1:
-                rec.ties.append(
-                    f"election-order tie among {', '.join(group)} "
-                    f"at {tally}; ordered by countback/index"
-                )
-        for cid in ordered:
-            if len(self.elected) == self.meta.seats:
-                break
-            del self.continuing[cid]
-            self.elected.append(cid)
-            surplus = self.tallies[cid] - self.quota
-            rec.elected.append((cid, surplus))
-            self.surplus_queue.append(cid)
-
     def _distribute_surplus(self, cid: str, number: int) -> None:
         tally = self.tallies[cid]
         surplus = tally - self.quota
@@ -352,16 +352,16 @@ class _Count:
         self.piles[cid] = {}
         if self.rules.surplus_method is SurplusMethod.WEIGHTED_INCLUSIVE_GREGORY:
             tv = Fraction(surplus) / Fraction(tally)
-            new_weight = lambda w: w * tv
         else:
-            papers = sum(n for _, parcel in pile.values() for _, _, n in parcel)
+            rows = [row for parcel in pile.values() for row in parcel]
+            papers = sum(n for _, _, n in rows)
             tv = Fraction(surplus) / papers if papers else Fraction(0)
-            new_weight = lambda w: tv
+            pile = {(1, 1): rows}  # one parcel, so each paper's new weight is tv
         if not (0 <= tv <= 1):
             raise CountInvariantError(f"transfer value {tv} outside [0, 1]", self.transcript)
         self.tallies[cid] = self.quota
         rec = RoundRecord(number, "surplus", source=cid, transfer_value=tv)
-        self._move_pile(pile, new_weight, surplus)
+        self._move_pile(pile, surplus, (tv.numerator, tv.denominator))
         self._close_round(rec)
 
     def _eliminate(self, number: int) -> None:
@@ -372,7 +372,7 @@ class _Count:
         del self.continuing[loser]
         removed = self.tallies.pop(loser)
         pile = self.piles.pop(loser)
-        self._move_pile(pile, lambda w: w, removed)
+        self._move_pile(pile, removed)
         self._close_round(rec)
 
     def run(self) -> tuple[list[str], CountTranscript]:
@@ -383,12 +383,7 @@ class _Count:
                 break
             remaining = self.meta.seats - len(self.elected)
             if len(self.continuing) == remaining:
-                rec = RoundRecord(number, "remaining-seats")
-                for cid in self._order_descending(list(self.continuing)):
-                    del self.continuing[cid]
-                    self.elected.append(cid)
-                    rec.elected.append((cid, None))
-                self._record(rec)
+                self._close_round(RoundRecord(number, "remaining-seats"))
                 break
             if self.surplus_queue:
                 self._distribute_surplus(self.surplus_queue.popleft(), number)

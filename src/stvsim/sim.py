@@ -653,10 +653,6 @@ class PointResult:
         return {k: v / self.runs for k, v in self.winner_sets.items()}
 
     @property
-    def candidate_frequencies(self) -> dict[str, float]:
-        return {k: v / self.runs for k, v in self.candidate_wins.items()}
-
-    @property
     def no_result_frequency(self) -> float:
         return self.no_result_runs / self.runs
 

@@ -225,7 +225,14 @@ def reference_count(ballots, candidate_ids, seats: int, weighted: bool = True, e
       latest round that tells them apart stands higher; if none does, the
       earlier on the ballot paper is elected first, and eliminated first;
     - when as many candidates continue as seats are left, all of them are
-      elected, highest first, and the count stops.
+      elected, highest first, and the count stops;
+    - every round that elects candidates, by quota or as the last seats,
+      notes each tally that two or more of them share, the tallies in the
+      order that their first holder comes on the ballot paper:
+      "election-order tie among <holders, in ballot-paper order> at
+      <tally>; ordered by countback/index".  An elimination among tied
+      candidates notes "elimination tie among <tied> at <tally>; <loser>
+      eliminated by countback/index".
     """
     order = list(candidate_ids)
     records = [[tuple(ranking), 0, papers, Fraction(1)] for ranking, papers in ballots]  # ranking, at, papers, weight
@@ -255,6 +262,15 @@ def reference_count(ballots, candidate_ids, seats: int, weighted: bool = True, e
             return order.index(a) - order.index(b)
         return -1 if ahead else 1
 
+    def shared_tallies(cids: list[str]) -> list[str]:
+        """The election-order note for each tally that two or more of cids, in ballot-paper order, share."""
+        notes = []
+        for tally in dict.fromkeys(tallies[cid] for cid in cids):
+            holders = [cid for cid in cids if tallies[cid] == tally]
+            if len(holders) > 1:
+                notes.append(f"election-order tie among {', '.join(holders)} at {tally}; ordered by countback/index")
+        return notes
+
     def held_by(cid: str) -> list[list]:
         return [record for record in records if record[1] is not None and record[0][record[1]] == cid]
 
@@ -282,14 +298,8 @@ def reference_count(ballots, candidate_ids, seats: int, weighted: bool = True, e
         loss += moved_out - delivered
 
     def close(number: int, kind: str, source=None, transfer_value=None, eliminated=None, ties=()) -> None:
-        ties = list(ties)
         reachers = [cid for cid in continuing if tallies[cid] >= quota]
-        at_tally: dict = {}
-        for cid in reachers:
-            at_tally.setdefault(tallies[cid], []).append(cid)
-        for tally, group in at_tally.items():
-            if len(group) > 1:
-                ties.append(f"election-order tie among {', '.join(group)} at {tally}; ordered by countback/index")
+        ties = [*ties, *shared_tallies(reachers)]
         newly = []
         for cid in sorted(reachers, key=functools.cmp_to_key(standing)):
             if len(elected) < seats:
@@ -308,7 +318,8 @@ def reference_count(ballots, candidate_ids, seats: int, weighted: bool = True, e
             last = sorted(continuing, key=functools.cmp_to_key(standing))
             elected += last
             rounds.append(ReferenceRound(number, "remaining-seats", None, None, dict(tallies),
-                                         [(cid, None) for cid in last], None, exhausted, loss, []))
+                                         [(cid, None) for cid in last], None, exhausted, loss,
+                                         shared_tallies(continuing)))
             break
         if to_pass_on:
             cid = to_pass_on.pop(0)

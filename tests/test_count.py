@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import stvsim
 from stvsim import (
+    UNGROUPED,
     Candidate,
+    CandidateRanking,
     CountError,
     CountRules,
     ElectionMeta,
@@ -27,7 +29,7 @@ from stvsim import (
     expand_to_candidates,
 )
 
-from oracles import irv_winner, random_election
+from oracles import irv_winner, random_election, reference_count
 
 EXACT = CountRules(tally_rounding=TallyRounding.EXACT)
 UIG = CountRules(surplus_method=SurplusMethod.UNWEIGHTED_INCLUSIVE_GREGORY)
@@ -48,6 +50,27 @@ def simple_meta(n, seats=1):
         "test", seats, (Group("G", "G"),),
         tuple(Candidate(f"c{i}", f"C{i}", "G", i + 1) for i in range(n)),
     )
+
+
+def ungrouped_election(seats, records):
+    """An election over ungrouped candidates, in the order they first appear in ``records``, as counted."""
+    ids = list(dict.fromkeys(cid for ranking, _ in records for cid in ranking))
+    meta = ElectionMeta("test", seats, (), tuple(Candidate(cid, cid, UNGROUPED, i) for i, cid in enumerate(ids, 1)))
+    return meta, [(CandidateRanking(ranking), papers) for ranking, papers in records]
+
+
+def last_seats_tied():
+    """3 seats, quota 6: a is elected, a's surplus and then d exhaust, and b and c fill the last seats at 5 each."""
+    return ungrouped_election(3, [(("a",), 10), (("b",), 5), (("c",), 5), (("d",), 1)])
+
+
+def receipts_at_two_weights():
+    """5 seats, quota 6.  a's surplus passes 3 papers on to x at 1/2, and b's
+    2 papers at 1/3; x is then eliminated, and y receives 13/6 in one event."""
+    return ungrouped_election(5, [
+        (("a", "x", "y"), 3), (("a",), 9), (("b", "x", "y"), 2), (("b",), 7),
+        (("y",), 3), (("z",), 3), (("w",), 3),
+    ])
 
 
 class TestDroopQuota:
@@ -148,6 +171,23 @@ class TestSurplusDistribution:
         assert t_wig.rounds[1].transfer_value == Fraction(64, 90)
         assert t_uig.rounds[1].transfer_value == Fraction(64, 90)
 
+    def test_a_receipt_at_two_weights_is_settled_once(self):
+        # x holds 3 papers at 1/2 and 2 at 1/3 when it is eliminated: y
+        # receives 13/6, which floors to 2; floored parcel by parcel it
+        # would be 1 + 0.  x's floored tally of 1 delivers 2, so the loss
+        # falls by 1 under truncation.
+        meta, ballots = receipts_at_two_weights()
+        for rules, received, loss in ((CountRules(), 2, -1), (EXACT, Fraction(13, 6), 0)):
+            _, tr = count_stv(ballots, meta, rules)
+            assert [r.transfer_value for r in tr.rounds[1:3]] == [Fraction(1, 2), Fraction(1, 3)]
+            before, elimination = tr.rounds[2:4]
+            assert elimination.eliminated == "x"
+            assert elimination.tallies["y"] - before.tallies["y"] == received
+            assert elimination.rounding_loss - before.rounding_loss == loss
+            _, _, rounds = reference_count(ballots, meta.candidate_ids, meta.seats,
+                                           exact=rules.tally_rounding is TallyRounding.EXACT)
+            assert (rounds[3].tallies, rounds[3].loss) == (elimination.tallies, elimination.rounding_loss)
+
 
 class TestTieBreaks:
     def test_countback_uses_prior_round(self):
@@ -202,6 +242,15 @@ class TestTieBreaks:
         assert [(r.tallies["c1"], r.tallies["c2"]) for r in tr.rounds[:2]] == [(3, 3), (3, 3)]
         assert tr.rounds[2].ties == ["elimination tie among c1, c2 at 3; c1 eliminated by countback/index"]
         assert winners == ["c0"]
+
+    def test_a_tie_in_the_remaining_seats_round_is_noted(self):
+        meta, ballots = last_seats_tied()
+        winners, tr = count_stv(ballots, meta)
+        last = tr.rounds[3]
+        assert (last.number, last.kind, last.tallies) == (4, "remaining-seats", {"a": 6, "b": 5, "c": 5})
+        assert last.ties == ["election-order tie among b, c at 5; ordered by countback/index"]
+        assert last.elected == [("b", None), ("c", None)]
+        assert winners == ["a", "b", "c"]
 
     def test_tie_notes_do_not_depend_on_hash_order(self):
         # Two election-order ties in one round (quota 23): the notes follow

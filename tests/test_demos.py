@@ -30,4 +30,4 @@ def test_readme_quick_start_runs():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[0] == "0.0 {'b1': 1.0} 1.0"  # the clean count: b1 wins every run
+    assert out.stdout.splitlines()[0] == "0.0 {('b1',): 1.0} 1.0"  # the clean count: b1 wins every run

@@ -6,9 +6,11 @@ parcels and no shared code.  Every round must agree in its kind, source,
 transfer value, tallies, elected candidates and surpluses, eliminated
 candidate, exhausted amount, rounding loss and tie notes, on the transcript
 goldens' elections and the large Senate-sized election under all four rule
-sets, on one election whose election order only countback decides, and on
-Hypothesis elections of 2-5 seats built to tie.  A disagreement is a
-finding about one count or the other: neither is fitted to the other.
+sets, on one election whose election order only countback decides, on
+``test_count``'s tie in the remaining-seats round and its receipt at two
+weights, and on Hypothesis elections of 2-5 seats built to tie.  A
+disagreement is a finding about one count or the other: neither is fitted
+to the other.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from stvsim import Candidate, CandidateRanking, ElectionMeta, Group, SurplusMeth
 
 import oracles
 from oracles import reference_count
+from test_count import last_seats_tied, receipts_at_two_weights
 from test_large_count import RULES, large_election, rules_id
 from test_transcript_golden import elections
 
@@ -70,6 +73,13 @@ def test_an_election_order_that_only_countback_decides_agrees():
     for rules in RULES:
         assert_counts_agree(ballots, meta, rules)
         assert count_stv(ballots, meta, rules)[1].rounds[1].elected == [("b", 0), ("a", 0)]
+
+
+@pytest.mark.parametrize("election", [last_seats_tied, receipts_at_two_weights], ids=lambda e: e.__name__)
+def test_the_count_tests_fixed_elections_agree(election):
+    meta, ballots = election()
+    for rules in RULES:
+        assert_counts_agree(ballots, meta, rules)
 
 
 @st.composite
