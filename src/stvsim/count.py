@@ -17,9 +17,10 @@ cumulative rounding loss, so the conservation identity
     sum(held votes) + exhausted + rounding loss == total formal ballots
 
 holds exactly, in integers, after every round.  In EXACT mode the same
-identity holds in rationals with zero loss.  One election step, ordered
-by countback, serves the quota rounds and the remaining-seats round; its
-key, which also picks who is eliminated, is the current tally, then each
+identity holds in rationals with zero loss.  One election step serves the
+quota rounds and the remaining-seats round: it orders those it elects by
+countback and notes each tally that two of them share.  Countback's key,
+which also picks who is eliminated, is the current tally, then each
 earlier round's tally, most recent first, and then ballot-paper order.
 """
 from __future__ import annotations
